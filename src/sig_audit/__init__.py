@@ -6,6 +6,9 @@ signatures into six categories: incomplete, irrelevant, semi-relevant,
 susceptible, redundant and inconsistent.
 """
 
+# The one version string: the report and the package metadata read it.
+__version__ = "1.0.0"
+
 from .classify import (
     AuditFinding,
     Label,
@@ -55,4 +58,3 @@ from .structural import (
     extract_operators,
 )
 
-__version__ = "1.0.0"

@@ -144,34 +144,43 @@ def classify_irrelevant(
 # ---------------------------------------------------------------------------
 # semi-relevant (dead sub-rules)
 
+def logical_texts(
+    corpus: Corpus,
+    logical_ids: frozenset[str],
+    pipeline: normalize.Pipeline = normalize.RAW_PIPELINE,
+) -> list[str]:
+    """The logical payloads of the corpus, transformed by ``pipeline``."""
+    return [normalize.apply(pipeline, v.payload) for v in corpus.vectors if v.id in logical_ids]
+
+
 def classify_semirelevant(
     subs: SubRuleSet,
     corpus: Corpus,
     logical_ids: frozenset[str],
     pipeline: normalize.Pipeline = normalize.RAW_PIPELINE,
     case_sensitive: bool = False,
+    texts: list[str] | None = None,
 ) -> AuditFinding | None:
     """Flag a rule where some criteria never fire on logical vectors.
 
     Needs a complete expansion; a rule whose every sub-rule is dead is
-    the irrelevant case and is not reported here.
+    the irrelevant case and is not reported here. ``texts`` is
+    ``logical_texts(corpus, logical_ids, pipeline)`` when the caller
+    classifies many rules and has computed it once.
     """
     if not subs.expansion_complete:
         raise IndeterminateExpansion(subs.signature_id)
     if len(subs.subrules) < 2:
         return None
 
-    logical_payloads = [
-        (v.id, normalize.apply(pipeline, v.payload))
-        for v in corpus.vectors
-        if v.id in logical_ids
-    ]
+    if texts is None:
+        texts = logical_texts(corpus, logical_ids, pipeline)
     flags = 0 if case_sensitive else re.IGNORECASE
     dead = []
     live = 0
     for idx, source in enumerate(subs.subrules):
         pat = re.compile(source, flags)
-        if any(pat.search(text) for _, text in logical_payloads):
+        if any(pat.search(text) for text in texts):
             live += 1
         else:
             dead.append({"index": idx, "source": source})
@@ -194,17 +203,20 @@ def probe_susceptible(
     config: mutate.MutationConfig | None = None,
     pipeline: normalize.Pipeline = normalize.RAW_PIPELINE,
     case_sensitive: bool = False,
+    compiled: matcher.CompiledSignature | None = None,
 ) -> AuditFinding | None:
     """Probe each bound with repetition mutants of detected seeds.
 
     A rule is susceptible when a semantics-preserving mutant that only
     repeats a freely repeatable character escapes it. One witness is
-    kept per (bound, first escaping seed).
+    kept per (bound, first escaping seed). ``compiled`` is the signature
+    already compiled with ``case_sensitive``, when the caller has it.
     """
     if not detected or not bounds:
         return None
     config = config or mutate.MutationConfig()
-    compiled = compile_signature(signature, case_sensitive)
+    if compiled is None:
+        compiled = compile_signature(signature, case_sensitive)
     witnesses = []
     exploited = []
     for bound in bounds:
@@ -290,31 +302,36 @@ def classify_inconsistent(
     corpus: Corpus,
     pipeline: normalize.Pipeline,
     case_sensitive: bool = False,
+    raw: DetectionMatrix | None = None,
+    deployed: DetectionMatrix | None = None,
 ) -> list[AuditFinding]:
     """Rules that raw-match vectors the deployed pipeline lets through.
 
     Evidence names the stage responsible per vector, found by replaying
     the stages: a prefilter skip or a transform that mangles the payload
-    out of the rule's reach.
+    out of the rule's reach. ``raw`` (raw pipeline) and ``deployed``
+    (``pipeline`` with its prefilter) are the corpus matrices when the
+    caller has already built them.
     """
-    bypassed = matcher.full_pipeline_bypass(corpus, pipeline, case_sensitive)
+    bypassed = matcher.full_pipeline_bypass(corpus, pipeline, case_sensitive, deployed=deployed)
     if not bypassed:
         return []
-    raw = matcher.detection_matrix(corpus, normalize.RAW_PIPELINE, case_sensitive)
-    payloads = {v.id: v.payload for v in corpus.vectors}
+    if raw is None:
+        raw = matcher.detection_matrix(corpus, normalize.RAW_PIPELINE, case_sensitive)
+    stages = {}
+    for v in corpus.vectors:
+        if v.id in bypassed:
+            transformed = normalize.apply(pipeline, v.payload)
+            if not normalize.prefilter_pass(pipeline, transformed):
+                stages[v.id] = "prefilter-skip"
+            else:
+                stages[v.id] = "transform-mangle"
     findings = []
     for sid in raw.signature_ids:
         hits = sorted(raw.detected_ids(sid) & bypassed)
         if not hits:
             continue
-        detail = []
-        for vid in hits:
-            transformed = normalize.apply(pipeline, payloads[vid])
-            if not normalize.prefilter_pass(pipeline, transformed):
-                stage = "prefilter-skip"
-            else:
-                stage = "transform-mangle"
-            detail.append({"id": vid, "stage": stage})
+        detail = [{"id": vid, "stage": stages[vid]} for vid in hits]
         findings.append(
             AuditFinding(
                 signature_id=sid,

@@ -27,7 +27,7 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--raw", action="store_true", help="use the empty pipeline")
     parser.add_argument("--format", default="json", choices=["json", "text", "csv"])
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed for mutation probing")
-    parser.add_argument("--jobs", type=int, default=1, help="matrix worker bound (output identical for any value)")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored; the matrix is built in one thread")
     parser.add_argument("--case-sensitive", action="store_true", help="disable case-insensitive matching")
 
 

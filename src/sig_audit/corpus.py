@@ -139,11 +139,12 @@ def _read_text(source) -> str:
     return data
 
 
-def load_signatures(source, format: str = "tsv") -> list[Signature]:
+def load_signatures(source, format: str = "tsv", trees: dict | None = None) -> list[Signature]:
     """Load signatures from a TSV or JSON stream.
 
-    Every pattern is compiled once as a validity check, so a bad rule
-    fails at load time, not in the middle of an audit.
+    Every pattern is parsed once as a validity check, so a bad rule
+    fails at load time, not in the middle of an audit. When ``trees`` is
+    given, each parse tree is stored in it by signature id for reuse.
     """
     text = _read_text(source)
     if format == "tsv":
@@ -153,7 +154,7 @@ def load_signatures(source, format: str = "tsv") -> list[Signature]:
     else:
         raise ParseError(f"unknown format: {format!r}")
 
-    from .matcher import validate_dialect
+    from .matcher import parse_pattern
 
     seen = set()
     for sig in sigs:
@@ -162,7 +163,9 @@ def load_signatures(source, format: str = "tsv") -> list[Signature]:
         seen.add(sig.id)
         if not sig.pattern_source:
             raise ParseError(f"empty pattern for {sig.id}")
-        validate_dialect(sig.pattern_source, sig.id)
+        tree = parse_pattern(sig.pattern_source, sig.id)
+        if trees is not None:
+            trees[sig.id] = tree
     return sigs
 
 
@@ -277,8 +280,11 @@ def _vectors_from_json(text: str) -> list[AttackVector]:
     return vecs
 
 
-def load_corpus(signature_source, vector_source, format: str = "tsv") -> Corpus:
-    sigs = load_signatures(signature_source, format=format)
+def load_corpus(
+    signature_source, vector_source, format: str = "tsv", trees: dict | None = None
+) -> Corpus:
+    """Load signatures and vectors; ``trees`` as in ``load_signatures``."""
+    sigs = load_signatures(signature_source, format=format, trees=trees)
     vecs = load_vectors(vector_source, sigs, format=format)
     return Corpus(signatures=tuple(sigs), vectors=tuple(vecs))
 
@@ -369,12 +375,13 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def bundled_corpus() -> Corpus:
+def bundled_corpus(trees: dict | None = None) -> Corpus:
     """The bundled PHPIDS SQL-injection set: 83 signatures, 415 vectors."""
     base = data_dir()
     return load_corpus(
         base / "phpids_sqli_signatures.tsv",
         base / "phpids_sqli_vectors.tsv",
+        trees=trees,
     )
 
 

@@ -13,9 +13,9 @@ plain integer masking.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 try:  # renamed to a private module in newer interpreters
@@ -99,11 +99,15 @@ class CompiledSignature:
     case_insensitive: bool = True
 
 
-def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignature:
+def compile_signature(
+    signature, case_sensitive: bool = False, validated: bool = False
+) -> CompiledSignature:
     """Validate the dialect and compile. Matching is case-insensitive by
     default; rule sets are written lowercase but must catch mixed-case
-    payloads even in raw mode."""
-    validate_dialect(signature.pattern_source, signature.id)
+    payloads even in raw mode. ``validated=True`` says the caller has
+    already run ``parse_pattern`` on this source, so it is not re-checked."""
+    if not validated:
+        validate_dialect(signature.pattern_source, signature.id)
     flags = 0 if case_sensitive else re.IGNORECASE
     return CompiledSignature(
         signature_id=signature.id,
@@ -131,19 +135,27 @@ class DetectionMatrix:
     rows: tuple[int, ...]
     pipeline_fingerprint: str
 
+    # id -> position indexes, built on first use (not compared or exported)
+    @functools.cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {sid: n for n, sid in enumerate(self.signature_ids)}
+
+    @functools.cached_property
+    def _column_of(self) -> dict[str, int]:
+        return {vid: i for i, vid in enumerate(self.vector_ids)}
+
     def cell(self, signature_id: str, vector_id: str) -> bool:
-        n = self.signature_ids.index(signature_id)
-        i = self.vector_ids.index(vector_id)
-        return bool(self.rows[n] >> i & 1)
+        return bool(self.row_bits(signature_id) >> self._column_of[vector_id] & 1)
 
     def row_bits(self, signature_id: str) -> int:
-        return self.rows[self.signature_ids.index(signature_id)]
+        return self.rows[self._row_of[signature_id]]
+
+    def detected_indices(self, signature_id: str) -> list[int]:
+        """Positions in ``vector_ids`` of the vectors the signature detects."""
+        return bit_indices(self.row_bits(signature_id))
 
     def detected_ids(self, signature_id: str) -> frozenset[str]:
-        bits = self.row_bits(signature_id)
-        return frozenset(
-            vid for i, vid in enumerate(self.vector_ids) if bits >> i & 1
-        )
+        return frozenset(self.vector_ids[i] for i in self.detected_indices(signature_id))
 
     def row_counts(self) -> dict[str, int]:
         return {
@@ -153,9 +165,8 @@ class DetectionMatrix:
 
     def union_bits(self, signature_ids) -> int:
         bits = 0
-        index = {sid: n for n, sid in enumerate(self.signature_ids)}
         for sid in signature_ids:
-            bits |= self.rows[index[sid]]
+            bits |= self.row_bits(sid)
         return bits
 
     def to_csv(self) -> str:
@@ -204,6 +215,17 @@ class DetectionMatrix:
         )
 
 
+def bit_indices(bits: int) -> list[int]:
+    """Ascending positions of the set bits of ``bits``."""
+    digits = bin(bits)[:1:-1]  # least significant first
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def _row_bits(compiled: CompiledSignature, texts: list[str], forwarded: list[bool]) -> int:
     bits = 0
     for i, text in enumerate(texts):
@@ -218,31 +240,30 @@ def detection_matrix(
     case_sensitive: bool = False,
     jobs: int = 1,
     apply_prefilter: bool = False,
+    compiled: list[CompiledSignature] | None = None,
 ) -> DetectionMatrix:
     """Evaluate every signature against every transformed payload.
 
     The prefilter is not applied unless asked for: rows describe what
     the rules themselves can detect. ``apply_prefilter=True`` gives the
-    deployed view where skipped payloads reach no rule. The result is
-    identical for any ``jobs`` value.
+    deployed view where skipped payloads reach no rule. ``compiled``
+    holds the corpus signatures already compiled, in corpus order.
+
+    ``jobs`` is accepted and ignored. ``re.search`` holds the GIL, so
+    worker threads never made the matrix faster; rows are built in one
+    thread and the result is the same for any value.
     """
-    compiled = [compile_signature(s, case_sensitive) for s in corpus.signatures]
+    if compiled is None:
+        compiled = [compile_signature(s, case_sensitive) for s in corpus.signatures]
     texts = [normalize.apply(pipeline, v.payload) for v in corpus.vectors]
     if apply_prefilter:
         forwarded = [normalize.prefilter_pass(pipeline, t) for t in texts]
     else:
         forwarded = [True] * len(texts)
-
-    if jobs > 1 and compiled:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda c: _row_bits(c, texts, forwarded), compiled))
-    else:
-        rows = [_row_bits(c, texts, forwarded) for c in compiled]
-
     return DetectionMatrix(
         signature_ids=tuple(s.id for s in corpus.signatures),
         vector_ids=tuple(v.id for v in corpus.vectors),
-        rows=tuple(rows),
+        rows=tuple(_row_bits(c, texts, forwarded) for c in compiled),
         pipeline_fingerprint=pipeline.fingerprint,
     )
 
@@ -251,18 +272,21 @@ def full_pipeline_bypass(
     corpus,
     pipeline: normalize.Pipeline,
     case_sensitive: bool = False,
+    deployed: DetectionMatrix | None = None,
 ) -> frozenset[str]:
     """Vector ids that sail through the whole stack.
 
     A vector is bypassed when the prefilter skips it or no signature
-    matches its transformed payload.
+    matches its transformed payload. ``deployed`` is the corpus matrix
+    under ``pipeline`` with the prefilter applied, when the caller has
+    already built it.
     """
-    deployed = detection_matrix(
-        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True
-    )
+    if deployed is None:
+        deployed = detection_matrix(
+            corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True
+        )
     covered = 0
     for row in deployed.rows:
         covered |= row
-    return frozenset(
-        vid for i, vid in enumerate(deployed.vector_ids) if not covered >> i & 1
-    )
+    uncovered = ~covered & ((1 << len(deployed.vector_ids)) - 1)
+    return frozenset(deployed.vector_ids[i] for i in bit_indices(uncovered))

@@ -14,12 +14,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__ as VERSION
 from . import classify, corpus as corpus_mod, matcher, mutate, normalize, stats, structural
 from .classify import AuditFinding, Label
 from .corpus import Corpus
 from .errors import IndeterminateExpansion, UnknownId
-
-VERSION = "1.0.0"
 
 
 @dataclass(frozen=True)
@@ -215,36 +214,55 @@ def run_audit(
     """Run the full audit and return a deterministic report.
 
     Falls back to the bundled corpus when no paths are given. ``jobs``
-    only bounds matrix workers; output is identical for any value.
+    is accepted and ignored (see ``matcher.detection_matrix``).
+
+    Each rule is analysed once: its pattern is parsed once (at load
+    time when the audit loads the corpus) and compiled once, and the
+    parse tree feeds every structural pass. Two matrices are built, raw
+    and deployed; the bypass set and the inconsistency findings both
+    derive from them. Nothing outlives the call.
     """
+    trees: dict = {}
     if corpus is None:
         if sig_path is None or vec_path is None:
-            corpus = corpus_mod.bundled_corpus()
+            corpus = corpus_mod.bundled_corpus(trees=trees)
         else:
-            corpus = corpus_mod.load_corpus(sig_path, vec_path)
+            corpus = corpus_mod.load_corpus(sig_path, vec_path, trees=trees)
 
     pipeline, notes = _load_pipeline(pipeline_path, raw)
     families = families if families is not None else classify.default_families()
     lexicon = _lexicon_covering(families)
     config = mutate.MutationConfig(seed=seed)
 
+    for sig in corpus.signatures:
+        if sig.id not in trees:
+            trees[sig.id] = matcher.parse_pattern(sig.pattern_source, sig.id)
+    compiled = [
+        matcher.compile_signature(sig, case_sensitive, validated=True)
+        for sig in corpus.signatures
+    ]
     raw_matrix = matcher.detection_matrix(
-        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, jobs=jobs
+        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, compiled=compiled
+    )
+    deployed = matcher.detection_matrix(
+        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, compiled=compiled
     )
     logical = corpus_mod.logical_subset(corpus)
+    logical_texts = classify.logical_texts(corpus, logical)
     if not corpus.vectors:
         notes.append("WARNING: empty vector corpus, every signature is vacuously irrelevant")
 
     findings: list[AuditFinding] = []
     irrelevant_ids = set()
-    for sig in corpus.signatures:
-        detected_ids = raw_matrix.detected_ids(sig.id)
-
-        tokenized = structural.extract_operators(sig, lexicon)
+    for sig, compiled_sig in zip(corpus.signatures, compiled):
+        tree = trees[sig.id]
+        tokenized = structural.extract_operators(sig, lexicon, tree=tree)
         finding = classify.classify_incomplete(tokenized, families)
         if finding:
             findings.append(finding)
 
+        detected = raw_matrix.detected_indices(sig.id)
+        detected_ids = frozenset(corpus.vectors[i].id for i in detected)
         finding = classify.classify_irrelevant(sig.id, detected_ids, logical)
         if finding:
             findings.append(finding)
@@ -252,18 +270,20 @@ def run_audit(
             continue  # dead rules are not probed or expanded further
 
         try:
-            subs = structural.expand_subrules(sig)
-            finding = classify.classify_semirelevant(subs, corpus, logical)
+            subs = structural.expand_subrules(sig, tree=tree)
+            finding = classify.classify_semirelevant(
+                subs, corpus, logical, case_sensitive=case_sensitive, texts=logical_texts
+            )
             if finding:
                 findings.append(finding)
         except IndeterminateExpansion:
             notes.append(f"{sig.id}: sub-rule expansion hit caps, semi-relevance not classified")
 
-        bounds = structural.bounded_specials(sig)
+        bounds = structural.bounded_specials(sig, tree=tree)
         if bounds:
-            ordered = [v for v in corpus.vectors if v.id in detected_ids]
+            seeds = [corpus.vectors[i] for i in detected]
             finding = classify.probe_susceptible(
-                sig, ordered, bounds, config, case_sensitive=case_sensitive
+                sig, seeds, bounds, config, case_sensitive=case_sensitive, compiled=compiled_sig
             )
             if finding:
                 findings.append(finding)
@@ -272,7 +292,11 @@ def run_audit(
         if finding.signature_id not in irrelevant_ids:
             findings.append(finding)
 
-    findings.extend(classify.classify_inconsistent(corpus, pipeline, case_sensitive))
+    findings.extend(
+        classify.classify_inconsistent(
+            corpus, pipeline, case_sensitive, raw=raw_matrix, deployed=deployed
+        )
+    )
     findings.sort(key=AuditFinding.sort_key)
 
     profile = stats.contribution(raw_matrix)
@@ -294,7 +318,7 @@ def run_audit(
             notes.append("set A list does not match this corpus, overlap skipped")
             set_a = None
 
-    bypass_ids = tuple(sorted(matcher.full_pipeline_bypass(corpus, pipeline, case_sensitive)))
+    bypass_ids = tuple(sorted(matcher.full_pipeline_bypass(corpus, pipeline, deployed=deployed)))
 
     category_counts = {label.value: 0 for label in Label}
     for f in findings:

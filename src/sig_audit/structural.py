@@ -88,42 +88,55 @@ class QuantifierBound:
 # character set abstraction over parsed class nodes
 
 _PROBE_CHARS = [chr(c) for c in range(32, 127)] + ["\t", "\n", "\xa0"]
+_PROBE_BIT = {ch: 1 << i for i, ch in enumerate(_PROBE_CHARS)}
+_ALL_PROBES = (1 << len(_PROBE_CHARS)) - 1
 
 
 def _is_word(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
+def _probe_mask(pred) -> int:
+    """Bit mask of the probe characters that satisfy ``pred``."""
+    return sum(bit for ch, bit in _PROBE_BIT.items() if pred(ch))
+
+
+_WORD_PROBES = _probe_mask(_is_word)
+
+
 class _CharSet:
-    """Membership predicate for one parsed atom (literal, class, dot)."""
+    """Membership of one parsed atom (literal, class, dot).
+
+    ``mask`` holds the atom's probe characters, computed once, so the
+    NFA walk answers its questions with integer masking. Characters
+    outside the probe set (custom family members can hold any) fall
+    back to the predicate.
+    """
+
+    __slots__ = ("_pred", "mask", "narrow", "can_word", "can_nonword")
 
     # atoms realizing more probe characters than this are treated as
     # wildcards: they can carry a boundary but never spell an operator
     _NARROW = 16
 
-    def __init__(self, predicate):
+    def __init__(self, predicate, mask: int):
         self._pred = predicate
-        self._narrow = None
+        self.mask = mask
+        self.narrow = mask.bit_count() <= self._NARROW
+        self.can_word = bool(mask & _WORD_PROBES)
+        self.can_nonword = bool(mask & ~_WORD_PROBES)
 
     def contains(self, ch: str) -> bool:
-        return self._pred(ch)
+        bit = _PROBE_BIT.get(ch)
+        if bit is None:
+            return self._pred(ch)
+        return bool(self.mask & bit)
 
     def contains_ci(self, ch: str) -> bool:
-        return self._pred(ch) or self._pred(ch.swapcase())
-
-    def is_narrow(self) -> bool:
-        if self._narrow is None:
-            self._narrow = sum(1 for c in _PROBE_CHARS if self._pred(c)) <= self._NARROW
-        return self._narrow
-
-    def can_word(self) -> bool:
-        return any(self._pred(c) for c in _PROBE_CHARS if _is_word(c))
-
-    def can_nonword(self) -> bool:
-        return any(self._pred(c) for c in _PROBE_CHARS if not _is_word(c))
+        return self.contains(ch) or self.contains(ch.swapcase())
 
     def can_other_than(self, ch: str) -> bool:
-        return any(self._pred(c) for c in _PROBE_CHARS if c != ch)
+        return bool(self.mask & ~_PROBE_BIT.get(ch, 0))
 
 
 def _category_pred(category):
@@ -143,20 +156,28 @@ def _category_pred(category):
     raise RegexDialectError(None, f"unsupported category: {category}")
 
 
-def _in_pred(items):
+def _range_mask(lo: int, hi: int) -> int:
+    return sum(bit for ch, bit in _PROBE_BIT.items() if lo <= ord(ch) <= hi)
+
+
+def _in_charset(items) -> _CharSet:
     C = sre_constants
     negate = bool(items) and items[0][0] is C.NEGATE
     if negate:
         items = items[1:]
     preds = []
+    mask = 0
     for op, arg in items:
         if op is C.LITERAL:
             preds.append(lambda ch, c=chr(arg): ch == c)
+            mask |= _PROBE_BIT.get(chr(arg), 0)
         elif op is C.RANGE:
             lo, hi = arg
             preds.append(lambda ch, lo=lo, hi=hi: lo <= ord(ch) <= hi)
+            mask |= _range_mask(lo, hi)
         elif op is C.CATEGORY:
             preds.append(_category_pred(arg))
+            mask |= _probe_mask(preds[-1])
         else:
             raise RegexDialectError(None, f"unsupported class item: {op}")
 
@@ -164,19 +185,21 @@ def _in_pred(items):
         hit = any(p(ch) for p in preds)
         return not hit if negate else hit
 
-    return pred
+    return _CharSet(pred, _ALL_PROBES & ~mask if negate else mask)
 
 
 def _node_charset(op, arg) -> _CharSet:
     C = sre_constants
     if op is C.LITERAL:
-        return _CharSet(lambda ch, c=chr(arg): ch == c)
+        c = chr(arg)
+        return _CharSet(lambda ch: ch == c, _PROBE_BIT.get(c, 0))
     if op is C.NOT_LITERAL:
-        return _CharSet(lambda ch, c=chr(arg): ch != c)
+        c = chr(arg)
+        return _CharSet(lambda ch: ch != c, _ALL_PROBES & ~_PROBE_BIT.get(c, 0))
     if op is C.ANY:
-        return _CharSet(lambda ch: ch != "\n")
+        return _CharSet(lambda ch: ch != "\n", _ALL_PROBES & ~_PROBE_BIT["\n"])
     if op is C.IN:
-        return _CharSet(_in_pred(arg))
+        return _in_charset(arg)
     raise RegexDialectError(None, f"not a character atom: {op}")
 
 
@@ -191,6 +214,7 @@ _ANCHOR = "anchor"
 class _Nfa:
     def __init__(self):
         self.edges: dict[int, list[tuple[str, object, int]]] = {}
+        self.atoms: dict[tuple, _CharSet] = {}  # one charset per distinct atom
         self._next = 0
 
     def state(self) -> int:
@@ -202,6 +226,13 @@ class _Nfa:
     def add(self, src: int, kind: str, payload, dst: int) -> None:
         self.edges[src].append((kind, payload, dst))
 
+    def charset(self, op, arg) -> _CharSet:
+        key = (op, tuple(arg)) if op is sre_constants.IN else (op, arg)
+        cs = self.atoms.get(key)
+        if cs is None:
+            cs = self.atoms[key] = _node_charset(op, arg)
+        return cs
+
 
 def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int) -> int:
     """Thompson-style construction; returns the exit state."""
@@ -210,7 +241,7 @@ def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int) -> int:
     for op, arg in nodes:
         if op in (C.LITERAL, C.NOT_LITERAL, C.ANY, C.IN):
             nxt = nfa.state()
-            nfa.add(cur, _CHAR, _node_charset(op, arg), nxt)
+            nfa.add(cur, _CHAR, nfa.charset(op, arg), nxt)
             cur = nxt
         elif op is C.AT:
             nxt = nfa.state()
@@ -243,6 +274,32 @@ def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int) -> int:
     return cur
 
 
+# Token progress along an NFA walk: _GLUED and _SEARCH before the token
+# (_GLUED right after a character that would glue onto its first
+# character), 1..len(token) characters spelled, then len(token) + 1 once
+# the closing boundary is seen. Move tables are indexed by progress + 2
+# (slot 2, progress 0, is never used).
+_GLUED = -2
+_SEARCH = -1
+
+
+def _char_moves(cs: _CharSet, token: str, word_token: bool) -> list[tuple[int, ...]]:
+    """Progress reachable over one ``cs`` edge, for each progress value."""
+    n = len(token)
+    if word_token:
+        opens = closes = cs.can_nonword
+        glues = cs.can_word
+    else:
+        opens, closes = cs.can_other_than(token[0]), cs.can_other_than(token[-1])
+        glues = cs.contains(token[0])
+    spells = [cs.narrow and cs.contains_ci(ch) for ch in token]
+    search = ((_SEARCH,) if opens else ()) + ((_GLUED,) if glues else ())
+    moves = [search, search + ((1,) if spells[0] else ()), ()]
+    moves += [(k + 1,) if spells[k] else () for k in range(1, n)]
+    moves += [(n + 1,) if closes else (), (n + 1,)]
+    return moves
+
+
 def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token: bool) -> bool:
     """Can the pattern spell ``token`` as a standalone occurrence?
 
@@ -253,57 +310,28 @@ def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token
     admits every operator and says nothing about what the rule was
     written to catch.
     """
+    narrow = [cs for cs in nfa.atoms.values() if cs.narrow]
+    if not all(any(cs.contains_ci(ch) for cs in narrow) for ch in token):
+        return False  # some character of the token is spelled by no atom
+    n = len(token)
+    moves = {cs: _char_moves(cs, token, word_token) for cs in nfa.atoms.values()}
+    # an anchor is a match edge: a boundary before or after the token,
+    # and never inside it
+    anchor_moves = [(_SEARCH,), (_SEARCH,), ()] + [()] * (n - 1) + [(n + 1,), (n + 1,)]
 
-    def boundary_ok(cs: _CharSet, edge_char: str) -> bool:
-        if word_token:
-            return cs.can_nonword()
-        return cs.can_other_than(edge_char)
-
-    def boundary_bad(cs: _CharSet, edge_char: str) -> bool:
-        if word_token:
-            return cs.can_word()
-        return cs.contains(edge_char)
-
-    done = ("done",)
-    start_state = (start, ("search", True))
-    seen = {start_state}
-    queue = [start_state]
+    seen = {(start, _SEARCH)}
+    queue = [(start, _SEARCH)]
     while queue:
-        state, tstate = queue.pop()
-        if state == accept and (tstate == done or tstate == ("match", len(token))):
+        state, k = queue.pop()
+        if state == accept and k >= n:
             return True
         for kind, payload, dst in nfa.edges[state]:
-            succ: list = []
             if kind == _EPS:
-                succ.append(tstate)
+                succ = (k,)
             elif kind == _ANCHOR:
-                if tstate[0] == "search":
-                    succ.append(("search", True))
-                elif tstate == ("match", len(token)):
-                    succ.append(done)
-                elif tstate == done:
-                    succ.append(done)
-                # an anchor mid-token means that path never realizes it
+                succ = anchor_moves[k + 2]
             else:
-                cs: _CharSet = payload
-                if tstate == done:
-                    succ.append(done)
-                elif tstate[0] == "search":
-                    ok = tstate[1]
-                    if boundary_ok(cs, token[0]):
-                        succ.append(("search", True))
-                    if boundary_bad(cs, token[0]):
-                        succ.append(("search", False))
-                    if ok and cs.is_narrow() and cs.contains_ci(token[0]):
-                        succ.append(("match", 1))
-                elif tstate[0] == "match":
-                    k = tstate[1]
-                    if k < len(token):
-                        if cs.is_narrow() and cs.contains_ci(token[k]):
-                            succ.append(("match", k + 1))
-                    else:
-                        if boundary_ok(cs, token[-1]):
-                            succ.append(done)
+                succ = moves[payload][k + 2]
             for ts in succ:
                 nxt = (dst, ts)
                 if nxt not in seen:
@@ -312,10 +340,15 @@ def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token
     return False
 
 
-def extract_operators(signature, lexicon: OperatorLexicon | None = None) -> TokenizedSignature:
-    """Every lexicon operator the pattern can match as a standalone token."""
+def extract_operators(signature, lexicon: OperatorLexicon | None = None, tree=None) -> TokenizedSignature:
+    """Every lexicon operator the pattern can match as a standalone token.
+
+    ``tree`` is the pattern's ``parse_pattern`` result when the caller
+    already has it; otherwise the source is parsed here.
+    """
     lexicon = lexicon or default_lexicon()
-    tree = parse_pattern(signature.pattern_source, signature.id)
+    if tree is None:
+        tree = parse_pattern(signature.pattern_source, signature.id)
     cap = max((len(t) for t in lexicon.tokens), default=1) + 2
     nfa = _Nfa()
     entry = nfa.state()
@@ -498,19 +531,21 @@ def _first_expandable(src: str, max_depth: int) -> tuple[tuple[int, int, list[st
     return found, capped
 
 
-def expand_subrules(signature, max_depth: int = 3, max_product: int = 64) -> SubRuleSet:
+def expand_subrules(signature, max_depth: int = 3, max_product: int = 64, tree=None) -> SubRuleSet:
     """Cross-product expansion of a rule's alternations into sub-rules.
 
     Expansion is leftmost-first and recursive, so a rule like
     ``(?:(?:;|#|--)\\s*(?:drop|alter))`` yields its six criteria in
     reading order. When the product would exceed ``max_product`` or an
     alternation sits deeper than ``max_depth``, the remaining groups are
-    left intact and ``expansion_complete`` is False.
+    left intact and ``expansion_complete`` is False. ``tree`` is the
+    pattern's ``parse_pattern`` result when the caller already has it.
     """
     if max_depth < 1 or max_product < 1:
         raise ValueError("caps must be positive")
     src = signature.pattern_source
-    parse_pattern(src, signature.id)
+    if tree is None:
+        parse_pattern(src, signature.id)
 
     sources = [src]
     complete = True
@@ -531,7 +566,8 @@ def expand_subrules(signature, max_depth: int = 3, max_product: int = 64) -> Sub
         sources[i : i + 1] = [s[:gstart] + bt + s[gend:] for bt in branch_texts]
 
     for sub in sources:
-        parse_pattern(sub, signature.id)
+        if sub != src:
+            parse_pattern(sub, signature.id)
     return SubRuleSet(
         signature_id=signature.id,
         subrules=tuple(sources),
@@ -557,17 +593,19 @@ def _atom_charset(atom_src: str) -> _CharSet | None:
 
 
 def bounded_specials(
-    signature, repeatable: frozenset[str] | None = None
+    signature, repeatable: frozenset[str] | None = None, tree=None
 ) -> list[QuantifierBound]:
     """Finitely bounded atoms whose class covers a repeatable character.
 
     An attacker can exceed any finite cap on whitespace, parentheses or
     quotes without changing the query, so each such bound is a candidate
-    bypass point. Unbounded atoms are never reported.
+    bypass point. Unbounded atoms are never reported. ``tree`` is the
+    pattern's ``parse_pattern`` result when the caller already has it.
     """
     repeatable = DEFAULT_REPEATABLE if repeatable is None else repeatable
     src = signature.pattern_source
-    parse_pattern(src, signature.id)
+    if tree is None:
+        parse_pattern(src, signature.id)
 
     bounds: list[QuantifierBound] = []
     i = 0

@@ -8,6 +8,7 @@ from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 from sig_audit.errors import RegexDialectError
 from sig_audit.matcher import (
     DetectionMatrix,
+    bit_indices,
     compile_signature,
     detection_matrix,
     full_pipeline_bypass,
@@ -165,3 +166,29 @@ def test_row_counts_match_cells(raw_matrix):
     counts = raw_matrix.row_counts()
     sid = "S_79"
     assert counts[sid] == len(raw_matrix.detected_ids(sid))
+
+
+def test_bit_indices():
+    rng = random.Random(3)
+    for bits in [0, 1, 2, 0b1011, 1 << 700, (1 << 9000) - 1] + [rng.getrandbits(300) for _ in range(20)]:
+        assert bit_indices(bits) == [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def test_row_lookups_agree_with_cells(corpus, raw_matrix):
+    for sid in raw_matrix.signature_ids[:10]:
+        detected = raw_matrix.detected_ids(sid)
+        assert detected == {v.id for v in corpus.vectors if raw_matrix.cell(sid, v.id)}
+        assert [raw_matrix.vector_ids[i] for i in raw_matrix.detected_indices(sid)] == [
+            v.id for v in corpus.vectors if v.id in detected
+        ]
+
+
+def test_precompiled_signatures_give_the_same_matrices(corpus, raw_matrix, default_pipeline):
+    compiled = [compile_signature(s) for s in corpus.signatures]
+    assert detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=compiled) == raw_matrix
+    deployed = detection_matrix(corpus, default_pipeline, apply_prefilter=True)
+    again = detection_matrix(corpus, default_pipeline, apply_prefilter=True, compiled=compiled)
+    assert again == deployed
+    assert full_pipeline_bypass(corpus, default_pipeline, deployed=deployed) == full_pipeline_bypass(
+        corpus, default_pipeline
+    )

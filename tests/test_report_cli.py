@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sig_audit import cli, report
+from sig_audit import classify, cli, matcher, report, structural
 from sig_audit.classify import Label
 from sig_audit.corpus import data_dir
 from sig_audit.report import AuditReport, render, run_audit
@@ -70,6 +70,59 @@ def test_audit_deterministic_across_jobs(corpus):
     a = run_audit(corpus=corpus, jobs=1)
     b = run_audit(corpus=corpus, jobs=4)
     assert render(a, "json") == render(b, "json")
+
+
+def test_case_sensitive_flag_reaches_semirelevance(tmp_path):
+    sig_path = tmp_path / "s.tsv"
+    sig_path.write_text("S_1\t(?:UNION|select)\n")
+    vec_path = tmp_path / "v.tsv"
+    vec_path.write_text("v1\tS_1\texec\tgeneric\tunion select 1\n")
+    rep = run_audit(sig_path=sig_path, vec_path=vec_path, raw=True, case_sensitive=True)
+    semi = [f for f in rep.findings if f.label is Label.SEMI_RELEVANT]
+    assert [f.signature_id for f in semi] == ["S_1"]
+    assert semi[0].evidence["dead_subrules"] == [{"index": 0, "source": "UNION"}]
+    folded = run_audit(sig_path=sig_path, vec_path=vec_path, raw=True)
+    assert all(f.label is not Label.SEMI_RELEVANT for f in folded.findings)
+
+
+def test_family_member_outside_probe_set_reaches_incompleteness(tmp_path):
+    sig_path = tmp_path / "s.tsv"
+    sig_path.write_text("S_1\t1\\s*¬\\s*1\n", encoding="utf-8")
+    vec_path = tmp_path / "v.tsv"
+    vec_path.write_text("v1\tS_1\texec\tgeneric\t1 ¬ 1\n", encoding="utf-8")
+    families = [classify.RelatedOperatorFamily("negation", frozenset({"¬", "!"}))]
+    rep = run_audit(sig_path=sig_path, vec_path=vec_path, raw=True, families=families)
+    incomplete = [f for f in rep.findings if f.label is Label.INCOMPLETE]
+    assert [f.evidence["violations"] for f in incomplete] == [
+        [{"family": "negation", "present": ["¬"], "missing": ["!"]}]
+    ]
+
+
+def test_audit_analyses_each_rule_once(monkeypatch, corpus):
+    """One audit builds two matrices, compiles each rule once and parses
+    each rule's source once, loading included."""
+    calls = {"detection_matrix": [], "compile_signature": [], "parse_pattern": []}
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls[fn.__name__].append(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(matcher, "detection_matrix", counting(matcher.detection_matrix))
+    compile_ = counting(matcher.compile_signature)
+    monkeypatch.setattr(matcher, "compile_signature", compile_)
+    monkeypatch.setattr(classify, "compile_signature", compile_)
+    parse = counting(matcher.parse_pattern)
+    monkeypatch.setattr(matcher, "parse_pattern", parse)
+    monkeypatch.setattr(structural, "parse_pattern", parse)
+
+    run_audit()
+    assert len(calls["detection_matrix"]) == 2
+    compiled = sorted(args[0].id for args in calls["compile_signature"])
+    assert compiled == sorted(s.id for s in corpus.signatures)
+    for s in corpus.signatures:
+        assert calls["parse_pattern"].count((s.pattern_source, s.id)) == 1, s.id
 
 
 def test_empty_vector_file_marks_all_irrelevant(tmp_path):

@@ -3,7 +3,9 @@ import re
 
 import pytest
 
+from sig_audit import structural
 from sig_audit.corpus import Signature
+from sig_audit.matcher import parse_pattern
 from sig_audit.structural import (
     OperatorLexicon,
     bounded_specials,
@@ -52,6 +54,61 @@ def test_single_pipe_in_class_counts():
 
 def test_caret_anchor_is_not_an_operator():
     assert "^" not in extract_operators(sig(r"^\d+or\s")).operators
+
+
+def _atoms(nodes):
+    """Every character atom (literal, negated literal, dot, class) of a parse tree."""
+    C = structural.sre_constants
+    for op, arg in nodes:
+        if op in (C.LITERAL, C.NOT_LITERAL, C.ANY, C.IN):
+            yield op, arg
+        elif op is C.SUBPATTERN:
+            yield from _atoms(arg[3])
+        elif op is C.BRANCH:
+            for branch in arg[1]:
+                yield from _atoms(branch)
+        elif op in (C.MAX_REPEAT, C.MIN_REPEAT):
+            yield from _atoms(arg[2])
+
+
+def test_atom_masks_agree_with_predicates(corpus):
+    checked = 0
+    for s in corpus.signatures:
+        for op, arg in _atoms(parse_pattern(s.pattern_source, s.id)):
+            cs = structural._node_charset(op, arg)
+            for ch in structural._PROBE_CHARS:
+                assert cs.contains(ch) == cs._pred(ch), (s.id, op, arg, ch)
+            checked += 1
+    assert checked > 500
+
+
+def test_one_charset_per_distinct_atom():
+    nfa = structural._Nfa()
+    entry = nfa.state()
+    tree = parse_pattern(r"(?:\s*or\s*[0-9]\s*(?:and|or)\s*[0-9])")
+    structural._build_nfa(tree, nfa, entry, repeat_cap=6)
+    on_edges = {id(cs) for edges in nfa.edges.values() for kind, cs, _ in edges if kind == "char"}
+    assert on_edges == {id(cs) for cs in nfa.atoms.values()}
+    assert len(nfa.atoms) == 7  # \s, o, r, [0-9], a, n, d: one object each
+
+
+@pytest.mark.parametrize("pattern", [r"1\s*¬\s*1", r"1\s*[¬!]\s*1", r"1 (?:¬|~) 1"])
+def test_member_outside_probe_set_is_extracted(pattern):
+    lexicon = OperatorLexicon(word_ops=frozenset({"not"}), symbol_ops=frozenset({"¬", "!"}))
+    assert "¬" in extract_operators(sig(pattern), lexicon).operators
+
+
+def test_glued_member_outside_probe_set_is_not_standalone():
+    lexicon = OperatorLexicon(word_ops=frozenset(), symbol_ops=frozenset({"¬", "¬¬"}))
+    assert extract_operators(sig(r"1¬¬1"), lexicon).operators == {"¬¬"}
+
+
+def test_parse_tree_can_be_supplied(corpus):
+    for s in corpus.signatures:
+        tree = parse_pattern(s.pattern_source, s.id)
+        assert extract_operators(s, tree=tree) == extract_operators(s)
+        assert expand_subrules(s, tree=tree) == expand_subrules(s)
+        assert bounded_specials(s, tree=tree) == bounded_specials(s)
 
 
 def test_lexicon_monotonicity():
