@@ -65,9 +65,22 @@ def load_families(source) -> list[RelatedOperatorFamily]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid families JSON: {exc}") from exc
-    return [
-        RelatedOperatorFamily(row["name"], frozenset(row["members"])) for row in doc
-    ]
+    if not isinstance(doc, list):
+        raise ParseError("families JSON must be an array of {name, members} objects")
+    families = []
+    for i, row in enumerate(doc):
+        try:
+            name, members = row["name"], row["members"]
+        except (TypeError, KeyError) as exc:
+            raise ParseError(f"bad family object at index {i}: {exc!r}") from exc
+        if not (
+            isinstance(name, str)
+            and isinstance(members, list)
+            and all(isinstance(m, str) and m for m in members)
+        ):
+            raise ParseError(f"family at index {i} needs a name and a list of operator strings")
+        families.append(RelatedOperatorFamily(name, frozenset(members)))
+    return families
 
 
 @dataclass(frozen=True)

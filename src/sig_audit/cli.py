@@ -27,45 +27,28 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--raw", action="store_true", help="use the empty pipeline")
     parser.add_argument("--format", default="json", choices=["json", "text", "csv"])
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed for mutation probing")
-    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored; the matrix is built in one thread")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted for old command lines and ignored")
     parser.add_argument("--case-sensitive", action="store_true", help="disable case-insensitive matching")
 
 
-def _load_corpus(args) -> corpus_mod.Corpus:
-    if args.signatures is None and args.vectors is None:
-        return corpus_mod.bundled_corpus()
-    if args.signatures is None or args.vectors is None:
-        raise AuditError("--signatures and --vectors must be given together")
-    fmt = "json" if str(args.signatures).endswith(".json") else "tsv"
-    return corpus_mod.load_corpus(args.signatures, args.vectors, format=fmt)
-
-
-def _load_pipeline(args) -> normalize.Pipeline:
-    if args.raw:
-        return normalize.RAW_PIPELINE
-    if args.pipeline is not None:
-        return normalize.Pipeline.from_json(args.pipeline.read_text(encoding="utf-8"))
-    return normalize.default_pipeline()
-
-
-def _families(args):
-    if getattr(args, "families", None) is None:
-        return None
-    return classify.default_families() + classify.load_families(args.families)
-
-
-def _cmd_audit(args) -> int:
-    rep = report.run_audit(
+def _run_audit(args) -> report.AuditReport:
+    families = None
+    if args.families is not None:
+        families = classify.default_families() + classify.load_families(args.families)
+    return report.run_audit(
         sig_path=args.signatures,
         vec_path=args.vectors,
         pipeline_path=args.pipeline,
         raw=args.raw,
-        set_a_path=args.set_a,
-        families=_families(args),
+        set_a_path=getattr(args, "set_a", None),
+        families=families,
         seed=args.seed,
-        jobs=args.jobs,
         case_sensitive=args.case_sensitive,
     )
+
+
+def _cmd_audit(args) -> int:
+    rep = _run_audit(args)
     sys.stdout.buffer.write(report.render(rep, args.format))
     if args.fail_on_findings and rep.findings:
         return 2
@@ -73,11 +56,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    corpus = _load_corpus(args)
-    pipeline = _load_pipeline(args)
-    m = matcher.detection_matrix(
-        corpus, pipeline, case_sensitive=args.case_sensitive, jobs=args.jobs
-    )
+    corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
+    pipeline = normalize.load_pipeline(args.pipeline, args.raw)
+    m = matcher.detection_matrix(corpus, pipeline, case_sensitive=args.case_sensitive)
     if args.format == "csv":
         sys.stdout.write(m.to_csv())
     else:
@@ -89,21 +70,12 @@ def _cmd_stats(args) -> int:
     if args.matrix:
         m = matcher.DetectionMatrix.from_json(args.matrix.read_text(encoding="utf-8"))
     else:
-        corpus = _load_corpus(args)
-        m = matcher.detection_matrix(
-            corpus, _load_pipeline(args), case_sensitive=args.case_sensitive, jobs=args.jobs
-        )
+        corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
+        pipeline = normalize.load_pipeline(args.pipeline, args.raw)
+        m = matcher.detection_matrix(corpus, pipeline, case_sensitive=args.case_sensitive)
     profile = stats.contribution(m)
     doc = {"profile": profile.to_dict()}
-    set_a = None
-    if args.set_a:
-        set_a = [
-            l.strip()
-            for l in args.set_a.read_text(encoding="utf-8").splitlines()
-            if l.strip() and not l.startswith("#")
-        ]
-    elif set(corpus_mod.bundled_set_a()) <= set(m.signature_ids):
-        set_a = corpus_mod.bundled_set_a()
+    set_a = corpus_mod.set_a_ids(args.set_a, m.signature_ids)
     if set_a:
         a, b = stats.partition(m, ids=set_a)
         doc["partition"] = {"set_a": sorted(a), "set_b": sorted(b)}
@@ -118,7 +90,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_structure(args) -> int:
-    corpus = _load_corpus(args)
+    corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
     try:
         sig = corpus.signature(args.sig_id)
     except KeyError:
@@ -154,17 +126,17 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    rep = report.run_audit(
-        sig_path=args.signatures,
-        vec_path=args.vectors,
-        pipeline_path=args.pipeline,
-        raw=args.raw,
-        families=_families(args),
-        seed=args.seed,
-        jobs=args.jobs,
-        case_sensitive=args.case_sensitive,
-    )
-    wanted = {tok.strip().lower() for tok in args.only.split(",")} if args.only else None
+    wanted = None
+    if args.only:
+        wanted = {tok.strip().lower() for tok in args.only.split(",")}
+        valid = [label.value.lower() for label in classify.Label]
+        unknown = sorted(wanted.difference(valid))
+        if unknown:
+            raise AuditError(
+                f"unknown label {', '.join(map(repr, unknown))} in --only; "
+                f"valid labels: {', '.join(valid)}"
+            )
+    rep = _run_audit(args)
     rows = [
         dict(f.to_dict(), corpus_fingerprint=rep.corpus_fingerprint,
              pipeline_fingerprint=rep.pipeline_fingerprint)

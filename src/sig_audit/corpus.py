@@ -14,13 +14,15 @@ File formats:
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DuplicateId, ParseError, UnknownIntent, UnknownSignatureRef
+from . import matcher
+from .errors import AuditError, DuplicateId, ParseError, UnknownIntent, UnknownSignatureRef
 
 FREE_FLOATING = "none"  # sentinel target for probes not tied to a rule
 
@@ -75,6 +77,16 @@ class Signature:
         than transcribed verbatim."""
         return bool(self.note) and "reconstructed" in self.note
 
+    @functools.cached_property
+    def tree(self):
+        """The pattern's ``matcher.parse_pattern`` result.
+
+        Parsing also checks the dialect, so touching this validates the
+        rule. It is parsed on first use and kept with the signature:
+        loading, compiling and every structural pass share one parse.
+        """
+        return matcher.parse_pattern(self.pattern_source, self.id)
+
 
 @dataclass(frozen=True)
 class AttackVector:
@@ -94,18 +106,7 @@ class Corpus:
     _sig_index: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sig_ids = set()
-        for sig in self.signatures:
-            if sig.id in sig_ids:
-                raise DuplicateId(sig.id)
-            sig_ids.add(sig.id)
-        vec_ids = set()
-        for vec in self.vectors:
-            if vec.id in vec_ids:
-                raise DuplicateId(vec.id)
-            vec_ids.add(vec.id)
-            if vec.target_signature_id != FREE_FLOATING and vec.target_signature_id not in sig_ids:
-                raise UnknownSignatureRef(vec.target_signature_id)
+        _check_ids(self.signatures, self.vectors)
         object.__setattr__(self, "_sig_index", {s.id: s for s in self.signatures})
 
     def signature(self, signature_id: str) -> Signature:
@@ -121,6 +122,23 @@ class Corpus:
     def fingerprint(self) -> str:
         blob = signatures_to_json(self.signatures) + vectors_to_json(self.vectors)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _check_ids(signatures, vectors=()) -> None:
+    """Ids are unique within each kind, and every vector targets one of
+    ``signatures`` or is free-floating."""
+    sig_ids = set()
+    for sig in signatures:
+        if sig.id in sig_ids:
+            raise DuplicateId(sig.id)
+        sig_ids.add(sig.id)
+    vec_ids = set()
+    for vec in vectors:
+        if vec.id in vec_ids:
+            raise DuplicateId(vec.id)
+        vec_ids.add(vec.id)
+        if vec.target_signature_id != FREE_FLOATING and vec.target_signature_id not in sig_ids:
+            raise UnknownSignatureRef(vec.target_signature_id)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +157,11 @@ def _read_text(source) -> str:
     return data
 
 
-def load_signatures(source, format: str = "tsv", trees: dict | None = None) -> list[Signature]:
+def load_signatures(source, format: str = "tsv") -> list[Signature]:
     """Load signatures from a TSV or JSON stream.
 
-    Every pattern is parsed once as a validity check, so a bad rule
-    fails at load time, not in the middle of an audit. When ``trees`` is
-    given, each parse tree is stored in it by signature id for reuse.
+    Every pattern is parsed (``Signature.tree``) as a validity check, so
+    a bad rule fails at load time, not in the middle of an audit.
     """
     text = _read_text(source)
     if format == "tsv":
@@ -154,18 +171,11 @@ def load_signatures(source, format: str = "tsv", trees: dict | None = None) -> l
     else:
         raise ParseError(f"unknown format: {format!r}")
 
-    from .matcher import parse_pattern
-
-    seen = set()
+    _check_ids(sigs)
     for sig in sigs:
-        if sig.id in seen:
-            raise DuplicateId(sig.id)
-        seen.add(sig.id)
         if not sig.pattern_source:
             raise ParseError(f"empty pattern for {sig.id}")
-        tree = parse_pattern(sig.pattern_source, sig.id)
-        if trees is not None:
-            trees[sig.id] = tree
+        sig.tree  # parses and checks the dialect
     return sigs
 
 
@@ -215,16 +225,10 @@ def load_vectors(source, signatures, format: str = "tsv") -> list[AttackVector]:
     else:
         raise ParseError(f"unknown format: {format!r}")
 
-    sig_ids = {s.id for s in signatures}
-    seen = set()
+    _check_ids(signatures, vecs)
     for vec in vecs:
-        if vec.id in seen:
-            raise DuplicateId(vec.id)
-        seen.add(vec.id)
         if not vec.payload:
             raise ParseError(f"empty payload for {vec.id}")
-        if vec.target_signature_id != FREE_FLOATING and vec.target_signature_id not in sig_ids:
-            raise UnknownSignatureRef(vec.target_signature_id)
     return vecs
 
 
@@ -280,13 +284,23 @@ def _vectors_from_json(text: str) -> list[AttackVector]:
     return vecs
 
 
-def load_corpus(
-    signature_source, vector_source, format: str = "tsv", trees: dict | None = None
-) -> Corpus:
-    """Load signatures and vectors; ``trees`` as in ``load_signatures``."""
-    sigs = load_signatures(signature_source, format=format, trees=trees)
+def load_corpus(signature_source, vector_source, format: str = "tsv") -> Corpus:
+    """Load signatures and vectors, both in ``format``."""
+    sigs = load_signatures(signature_source, format=format)
     vecs = load_vectors(vector_source, sigs, format=format)
     return Corpus(signatures=tuple(sigs), vectors=tuple(vecs))
+
+
+def open_corpus(signature_path=None, vector_path=None) -> Corpus:
+    """The corpus an audit runs over: the bundled set when neither path
+    is given, else both files, read as JSON when the signature file
+    name ends in ``.json`` and as TSV otherwise."""
+    if signature_path is None and vector_path is None:
+        return bundled_corpus()
+    if signature_path is None or vector_path is None:
+        raise AuditError("--signatures and --vectors must be given together")
+    fmt = "json" if str(signature_path).endswith(".json") else "tsv"
+    return load_corpus(signature_path, vector_path, format=fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -375,21 +389,30 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def bundled_corpus(trees: dict | None = None) -> Corpus:
+def bundled_corpus() -> Corpus:
     """The bundled PHPIDS SQL-injection set: 83 signatures, 415 vectors."""
     base = data_dir()
-    return load_corpus(
-        base / "phpids_sqli_signatures.tsv",
-        base / "phpids_sqli_vectors.tsv",
-        trees=trees,
-    )
+    return load_corpus(base / "phpids_sqli_signatures.tsv", base / "phpids_sqli_vectors.tsv")
+
+
+def load_id_list(path) -> list[str]:
+    """Ids listed one per line; blank lines and '#' comments are skipped."""
+    return [
+        line.strip()
+        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
 
 
 def bundled_set_a() -> list[str]:
     """Ids of the ten high-contribution signatures (the generic set)."""
-    path = data_dir() / "set_a.txt"
-    return [
-        line.strip()
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+    return load_id_list(data_dir() / "set_a.txt")
+
+
+def set_a_ids(path, signature_ids) -> tuple[str, ...] | None:
+    """The generic set A: the ids listed in the file at ``path``; with no
+    path, the bundled list when all of it is among ``signature_ids``."""
+    if path is not None:
+        return tuple(load_id_list(path))
+    bundled = tuple(bundled_set_a())
+    return bundled if set(bundled) <= set(signature_ids) else None

@@ -99,15 +99,12 @@ class CompiledSignature:
     case_insensitive: bool = True
 
 
-def compile_signature(
-    signature, case_sensitive: bool = False, validated: bool = False
-) -> CompiledSignature:
-    """Validate the dialect and compile. Matching is case-insensitive by
+def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignature:
+    """Validate the dialect (through the signature's one parse,
+    ``Signature.tree``) and compile. Matching is case-insensitive by
     default; rule sets are written lowercase but must catch mixed-case
-    payloads even in raw mode. ``validated=True`` says the caller has
-    already run ``parse_pattern`` on this source, so it is not re-checked."""
-    if not validated:
-        validate_dialect(signature.pattern_source, signature.id)
+    payloads even in raw mode."""
+    signature.tree  # parses and checks the dialect on first use
     flags = 0 if case_sensitive else re.IGNORECASE
     return CompiledSignature(
         signature_id=signature.id,
@@ -197,21 +194,29 @@ class DetectionMatrix:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid matrix JSON: {exc}") from exc
-        signature_ids = tuple(doc["signature_ids"])
-        vector_ids = tuple(doc["vector_ids"])
-        rows = []
-        for sid in signature_ids:
-            cells = doc["rows"][sid]
-            bits = 0
-            for i, cell in enumerate(cells):
-                if cell:
-                    bits |= 1 << i
-            rows.append(bits)
+        try:
+            signature_ids = tuple(doc["signature_ids"])
+            vector_ids = tuple(doc["vector_ids"])
+            rows = []
+            for sid in signature_ids:
+                cells = doc["rows"][sid]
+                if len(cells) != len(vector_ids):
+                    raise ParseError(
+                        f"matrix row {sid} has {len(cells)} cells for {len(vector_ids)} vectors"
+                    )
+                bits = 0
+                for i, cell in enumerate(cells):
+                    if cell:
+                        bits |= 1 << i
+                rows.append(bits)
+            fingerprint = doc.get("pipeline_fingerprint", "")
+        except (TypeError, KeyError) as exc:
+            raise ParseError(f"bad matrix JSON: {exc!r}") from exc
         return cls(
             signature_ids=signature_ids,
             vector_ids=vector_ids,
             rows=tuple(rows),
-            pipeline_fingerprint=doc.get("pipeline_fingerprint", ""),
+            pipeline_fingerprint=fingerprint,
         )
 
 
@@ -238,7 +243,6 @@ def detection_matrix(
     corpus,
     pipeline: normalize.Pipeline,
     case_sensitive: bool = False,
-    jobs: int = 1,
     apply_prefilter: bool = False,
     compiled: list[CompiledSignature] | None = None,
 ) -> DetectionMatrix:
@@ -248,10 +252,6 @@ def detection_matrix(
     the rules themselves can detect. ``apply_prefilter=True`` gives the
     deployed view where skipped payloads reach no rule. ``compiled``
     holds the corpus signatures already compiled, in corpus order.
-
-    ``jobs`` is accepted and ignored. ``re.search`` holds the GIL, so
-    worker threads never made the matrix faster; rows are built in one
-    thread and the result is the same for any value.
     """
     if compiled is None:
         compiled = [compile_signature(s, case_sensitive) for s in corpus.signatures]

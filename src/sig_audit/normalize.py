@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from urllib.parse import unquote
 
 from .errors import DecodeError, ParseError
@@ -121,9 +122,12 @@ class Pipeline:
         if not isinstance(doc, dict):
             raise ParseError("pipeline JSON must be an object")
         transforms = doc.get("transforms", [])
-        if not isinstance(transforms, list):
+        if not isinstance(transforms, list) or not all(isinstance(t, str) for t in transforms):
             raise ParseError("'transforms' must be a list of transform names")
-        return cls(transforms=tuple(transforms), prefilter=doc.get("prefilter"))
+        prefilter = doc.get("prefilter")
+        if prefilter is not None and not isinstance(prefilter, str):
+            raise ParseError("'prefilter' must be a regex string or null")
+        return cls(transforms=tuple(transforms), prefilter=prefilter)
 
 
 RAW_PIPELINE = Pipeline()
@@ -133,6 +137,16 @@ def default_pipeline() -> Pipeline:
     """The stock pipeline: decode, map nbsp, fold case, collapse runs,
     simplify quoted digit literals, with the stock prefilter."""
     return Pipeline(transforms=DEFAULT_TRANSFORMS, prefilter=DEFAULT_PREFILTER)
+
+
+def load_pipeline(path=None, raw: bool = False) -> Pipeline:
+    """The empty pipeline when ``raw``, else the pipeline JSON file at
+    ``path``, else the stock pipeline."""
+    if raw:
+        return RAW_PIPELINE
+    if path is not None:
+        return Pipeline.from_json(Path(path).read_text(encoding="utf-8"))
+    return default_pipeline()
 
 
 def apply(pipeline: Pipeline, payload: str, strict: bool = False) -> str:

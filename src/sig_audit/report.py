@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import __version__ as VERSION
 from . import classify, corpus as corpus_mod, matcher, mutate, normalize, stats, structural
@@ -186,19 +185,6 @@ def _lexicon_covering(families) -> structural.OperatorLexicon:
     )
 
 
-def _load_pipeline(pipeline_path, raw: bool) -> tuple[normalize.Pipeline, list[str]]:
-    notes = []
-    if raw:
-        return normalize.RAW_PIPELINE, notes
-    if pipeline_path is None:
-        notes.append(
-            "default pipeline and prefilter approximate the IDS pre-processing; "
-            "they are reverse engineered from observed bypasses, not vendor source"
-        )
-        return normalize.default_pipeline(), notes
-    return normalize.Pipeline.from_json(Path(pipeline_path).read_text(encoding="utf-8")), notes
-
-
 def run_audit(
     sig_path=None,
     vec_path=None,
@@ -207,40 +193,33 @@ def run_audit(
     set_a_path=None,
     families=None,
     seed: int = 0,
-    jobs: int = 1,
     case_sensitive: bool = False,
     corpus: Corpus | None = None,
 ) -> AuditReport:
     """Run the full audit and return a deterministic report.
 
-    Falls back to the bundled corpus when no paths are given. ``jobs``
-    is accepted and ignored (see ``matcher.detection_matrix``).
+    ``corpus`` defaults to ``corpus.open_corpus(sig_path, vec_path)``,
+    the bundled set when no paths are given.
 
-    Each rule is analysed once: its pattern is parsed once (at load
-    time when the audit loads the corpus) and compiled once, and the
-    parse tree feeds every structural pass. Two matrices are built, raw
-    and deployed; the bypass set and the inconsistency findings both
-    derive from them. Nothing outlives the call.
+    Each rule is analysed once: its pattern is parsed once
+    (``Signature.tree``) and compiled once, and the parse tree feeds
+    every structural pass. Two matrices are built, raw and deployed; the
+    bypass set and the inconsistency findings both derive from them.
     """
-    trees: dict = {}
     if corpus is None:
-        if sig_path is None or vec_path is None:
-            corpus = corpus_mod.bundled_corpus(trees=trees)
-        else:
-            corpus = corpus_mod.load_corpus(sig_path, vec_path, trees=trees)
-
-    pipeline, notes = _load_pipeline(pipeline_path, raw)
+        corpus = corpus_mod.open_corpus(sig_path, vec_path)
+    pipeline = normalize.load_pipeline(pipeline_path, raw)
+    notes = []
+    if not raw and pipeline_path is None:
+        notes.append(
+            "default pipeline and prefilter approximate the IDS pre-processing; "
+            "they are reverse engineered from observed bypasses, not vendor source"
+        )
     families = families if families is not None else classify.default_families()
     lexicon = _lexicon_covering(families)
     config = mutate.MutationConfig(seed=seed)
 
-    for sig in corpus.signatures:
-        if sig.id not in trees:
-            trees[sig.id] = matcher.parse_pattern(sig.pattern_source, sig.id)
-    compiled = [
-        matcher.compile_signature(sig, case_sensitive, validated=True)
-        for sig in corpus.signatures
-    ]
+    compiled = [matcher.compile_signature(sig, case_sensitive) for sig in corpus.signatures]
     raw_matrix = matcher.detection_matrix(
         corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, compiled=compiled
     )
@@ -255,8 +234,7 @@ def run_audit(
     findings: list[AuditFinding] = []
     irrelevant_ids = set()
     for sig, compiled_sig in zip(corpus.signatures, compiled):
-        tree = trees[sig.id]
-        tokenized = structural.extract_operators(sig, lexicon, tree=tree)
+        tokenized = structural.extract_operators(sig, lexicon)
         finding = classify.classify_incomplete(tokenized, families)
         if finding:
             findings.append(finding)
@@ -270,7 +248,7 @@ def run_audit(
             continue  # dead rules are not probed or expanded further
 
         try:
-            subs = structural.expand_subrules(sig, tree=tree)
+            subs = structural.expand_subrules(sig)
             finding = classify.classify_semirelevant(
                 subs, corpus, logical, case_sensitive=case_sensitive, texts=logical_texts
             )
@@ -279,7 +257,7 @@ def run_audit(
         except IndeterminateExpansion:
             notes.append(f"{sig.id}: sub-rule expansion hit caps, semi-relevance not classified")
 
-        bounds = structural.bounded_specials(sig, tree=tree)
+        bounds = structural.bounded_specials(sig)
         if bounds:
             seeds = [corpus.vectors[i] for i in detected]
             finding = classify.probe_susceptible(
@@ -301,15 +279,8 @@ def run_audit(
 
     profile = stats.contribution(raw_matrix)
 
-    set_a = None
+    set_a = corpus_mod.set_a_ids(set_a_path, raw_matrix.signature_ids)
     overlap = None
-    if set_a_path is not None:
-        text = Path(set_a_path).read_text(encoding="utf-8")
-        set_a = tuple(l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#"))
-    else:
-        candidate = tuple(corpus_mod.bundled_set_a())
-        if set(candidate) <= set(raw_matrix.signature_ids):
-            set_a = candidate
     if set_a:
         try:
             a, b = stats.partition(raw_matrix, ids=list(set_a))

@@ -112,16 +112,9 @@ def overlap(matrix: DetectionMatrix, set_a, set_b) -> OverlapStats:
     """
     bits_a = matrix.union_bits(set_a)
     bits_b = matrix.union_bits(set_b)
-    only_a = only_b = both = neither = 0
-    for i in range(len(matrix.vector_ids)):
-        in_a = bool(bits_a >> i & 1)
-        in_b = bool(bits_b >> i & 1)
-        if in_a and in_b:
-            both += 1
-        elif in_a:
-            only_a += 1
-        elif in_b:
-            only_b += 1
-        else:
-            neither += 1
-    return OverlapStats(only_a=only_a, only_b=only_b, both=both, neither=neither)
+    return OverlapStats(
+        only_a=(bits_a & ~bits_b).bit_count(),
+        only_b=(bits_b & ~bits_a).bit_count(),
+        both=(bits_a & bits_b).bit_count(),
+        neither=len(matrix.vector_ids) - (bits_a | bits_b).bit_count(),
+    )

@@ -56,13 +56,6 @@ def default_lexicon() -> OperatorLexicon:
     )
 
 
-# Keyword list used for reporting only; not part of operator analysis.
-REPORT_KEYWORDS = (
-    "union", "select", "insert", "update", "delete", "drop", "alter",
-    "create", "rename", "truncate", "load", "having", "where", "like", "from",
-)
-
-
 @dataclass(frozen=True)
 class TokenizedSignature:
     signature_id: str
@@ -340,19 +333,13 @@ def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token
     return False
 
 
-def extract_operators(signature, lexicon: OperatorLexicon | None = None, tree=None) -> TokenizedSignature:
-    """Every lexicon operator the pattern can match as a standalone token.
-
-    ``tree`` is the pattern's ``parse_pattern`` result when the caller
-    already has it; otherwise the source is parsed here.
-    """
+def extract_operators(signature, lexicon: OperatorLexicon | None = None) -> TokenizedSignature:
+    """Every lexicon operator the pattern can match as a standalone token."""
     lexicon = lexicon or default_lexicon()
-    if tree is None:
-        tree = parse_pattern(signature.pattern_source, signature.id)
     cap = max((len(t) for t in lexicon.tokens), default=1) + 2
     nfa = _Nfa()
     entry = nfa.state()
-    accept = _build_nfa(tree, nfa, entry, cap)
+    accept = _build_nfa(signature.tree, nfa, entry, cap)
     found = set()
     for token in lexicon.word_ops:
         if _token_realizable(nfa, entry, accept, token, word_token=True):
@@ -531,21 +518,19 @@ def _first_expandable(src: str, max_depth: int) -> tuple[tuple[int, int, list[st
     return found, capped
 
 
-def expand_subrules(signature, max_depth: int = 3, max_product: int = 64, tree=None) -> SubRuleSet:
+def expand_subrules(signature, max_depth: int = 3, max_product: int = 64) -> SubRuleSet:
     """Cross-product expansion of a rule's alternations into sub-rules.
 
     Expansion is leftmost-first and recursive, so a rule like
     ``(?:(?:;|#|--)\\s*(?:drop|alter))`` yields its six criteria in
     reading order. When the product would exceed ``max_product`` or an
     alternation sits deeper than ``max_depth``, the remaining groups are
-    left intact and ``expansion_complete`` is False. ``tree`` is the
-    pattern's ``parse_pattern`` result when the caller already has it.
+    left intact and ``expansion_complete`` is False.
     """
     if max_depth < 1 or max_product < 1:
         raise ValueError("caps must be positive")
     src = signature.pattern_source
-    if tree is None:
-        parse_pattern(src, signature.id)
+    signature.tree  # the source itself must be in the dialect
 
     sources = [src]
     complete = True
@@ -592,20 +577,16 @@ def _atom_charset(atom_src: str) -> _CharSet | None:
     return None
 
 
-def bounded_specials(
-    signature, repeatable: frozenset[str] | None = None, tree=None
-) -> list[QuantifierBound]:
+def bounded_specials(signature, repeatable: frozenset[str] | None = None) -> list[QuantifierBound]:
     """Finitely bounded atoms whose class covers a repeatable character.
 
     An attacker can exceed any finite cap on whitespace, parentheses or
     quotes without changing the query, so each such bound is a candidate
-    bypass point. Unbounded atoms are never reported. ``tree`` is the
-    pattern's ``parse_pattern`` result when the caller already has it.
+    bypass point. Unbounded atoms are never reported.
     """
     repeatable = DEFAULT_REPEATABLE if repeatable is None else repeatable
     src = signature.pattern_source
-    if tree is None:
-        parse_pattern(src, signature.id)
+    signature.tree  # the source must be in the dialect
 
     bounds: list[QuantifierBound] = []
     i = 0

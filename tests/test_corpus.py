@@ -89,6 +89,28 @@ def test_load_vectors_unknown_intent():
         load_vectors("v1\tS_1\tbogus\tgeneric\tx\n", sigs)
 
 
+_ID_FAULTS = [
+    ("S_1\ta\nS_1\tb\n", "v1\tS_1\texec\tgeneric\tx\n", DuplicateId),
+    ("S_1\ta\n", "v1\tS_1\texec\tgeneric\tx\nv1\tS_1\texec\tgeneric\ty\n", DuplicateId),
+    ("S_1\ta\n", "v1\tS_9\texec\tgeneric\tx\n", UnknownSignatureRef),
+]
+
+
+@pytest.mark.parametrize("sig_tsv, vec_tsv, error", _ID_FAULTS)
+def test_id_checks_fire_from_every_entry_point(sig_tsv, vec_tsv, error):
+    with pytest.raises(error):
+        load_corpus(sig_tsv, vec_tsv)
+    with pytest.raises(error):
+        load_vectors(vec_tsv, load_signatures(sig_tsv))
+    sigs = tuple(Signature(*line.split("\t")) for line in sig_tsv.splitlines())
+    vecs = tuple(
+        AttackVector(vid, target, payload, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+        for vid, target, _, _, payload in (line.split("\t") for line in vec_tsv.splitlines())
+    )
+    with pytest.raises(error):
+        Corpus(sigs, vecs)
+
+
 def test_logical_subset_mixed_intents():
     sigs = (Signature("S_1", "a"),)
     vecs = tuple(

@@ -94,11 +94,6 @@ def test_matrix_determinism_and_fingerprint(corpus, raw_matrix):
     assert again.pipeline_fingerprint == normalize.RAW_PIPELINE.fingerprint
 
 
-def test_matrix_thread_count_independence(corpus, raw_matrix):
-    for jobs in (2, 5):
-        assert detection_matrix(corpus, normalize.RAW_PIPELINE, jobs=jobs) == raw_matrix
-
-
 def test_matrix_oracle_equivalence_small_corpora():
     rng = random.Random(1234)
     for _ in range(25):

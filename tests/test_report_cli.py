@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from sig_audit import classify, cli, matcher, report, structural
+from sig_audit import classify, cli, matcher, normalize, report, structural
 from sig_audit.classify import Label
-from sig_audit.corpus import data_dir
+from sig_audit.corpus import data_dir, signatures_to_json, vectors_to_json
+from sig_audit.errors import ParseError
 from sig_audit.report import AuditReport, render, run_audit
 
 
@@ -66,9 +67,9 @@ def test_raw_audit_never_inconsistent(corpus):
     assert all(f.label is not Label.INCONSISTENT for f in rep.findings)
 
 
-def test_audit_deterministic_across_jobs(corpus):
-    a = run_audit(corpus=corpus, jobs=1)
-    b = run_audit(corpus=corpus, jobs=4)
+def test_audit_deterministic_across_runs(corpus):
+    a = run_audit(corpus=corpus)
+    b = run_audit(corpus=corpus)
     assert render(a, "json") == render(b, "json")
 
 
@@ -217,6 +218,81 @@ def test_cli_classify_only(capsys):
     assert rc == 0
     rows = json.loads(out)
     assert rows and all(r["label"] == "Redundant" for r in rows)
+
+
+def test_cli_classify_only_unknown_label(capsys):
+    rc = cli.main(["classify", "--only", "redundnat", "--fail-on-findings"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "'redundnat'" in captured.err
+    assert "valid labels: incomplete, irrelevant, semirelevant" in captured.err
+
+
+def test_cli_json_corpus_matches_tsv_corpus(tmp_path, capsysbinary, corpus):
+    sig_json, vec_json = tmp_path / "s.json", tmp_path / "v.json"
+    sig_json.write_text(signatures_to_json(corpus.signatures), encoding="utf-8")
+    vec_json.write_text(vectors_to_json(corpus.vectors), encoding="utf-8")
+    base = data_dir()
+    tsv = ["--signatures", str(base / "phpids_sqli_signatures.tsv"),
+           "--vectors", str(base / "phpids_sqli_vectors.tsv")]
+    as_json = ["--signatures", str(sig_json), "--vectors", str(vec_json)]
+    for command in (["audit"], ["classify"]):
+        assert cli.main(command + tsv) == 0
+        expected = capsysbinary.readouterr().out
+        assert cli.main(command + as_json) == 0
+        assert capsysbinary.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", [["audit"], ["classify"], ["matrix"], ["stats"], ["structure", "S_1"]])
+def test_cli_half_given_corpus_exits_1(command, capsys):
+    sig = data_dir() / "phpids_sqli_signatures.tsv"
+    assert cli.main(command + ["--signatures", str(sig)]) == 1
+    assert "must be given together" in capsys.readouterr().err
+
+
+def test_cli_matrix_parses_each_rule_once(monkeypatch, capsys, corpus):
+    calls = {"parse_pattern": []}
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls[fn.__name__].append(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    parse = counting(matcher.parse_pattern)
+    monkeypatch.setattr(matcher, "parse_pattern", parse)
+    monkeypatch.setattr(structural, "parse_pattern", parse)
+
+    assert cli.main(["matrix"]) == 0
+    capsys.readouterr()
+    for s in corpus.signatures:
+        assert calls["parse_pattern"].count((s.pattern_source, s.id)) == 1, s.id
+    # the one other parse is the stock prefilter's dialect check
+    assert len(calls["parse_pattern"]) == len(corpus.signatures) + 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, parse",
+    [
+        (["audit"], "--pipeline", '{"prefilter": 5}', normalize.Pipeline.from_json),
+        (["stats"], "--matrix", "{}", matcher.DetectionMatrix.from_json),
+        (
+            ["stats"], "--matrix",
+            '{"signature_ids": ["S_1"], "vector_ids": ["v1"], "rows": {"S_1": [1, 1]}}',
+            matcher.DetectionMatrix.from_json,
+        ),
+        (["classify"], "--families", '[{"nam": "x"}]', classify.load_families),
+    ],
+    ids=["pipeline", "matrix", "matrix_row_length", "families"],
+)
+def test_cli_malformed_json_exits_1(tmp_path, capsys, command, flag, text, parse):
+    with pytest.raises(ParseError):
+        parse(text)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert cli.main(command + [flag, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("sig-audit: error: ")
 
 
 def test_cli_pipeline_file(tmp_path, capsys):

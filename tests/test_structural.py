@@ -103,14 +103,6 @@ def test_glued_member_outside_probe_set_is_not_standalone():
     assert extract_operators(sig(r"1¬¬1"), lexicon).operators == {"¬¬"}
 
 
-def test_parse_tree_can_be_supplied(corpus):
-    for s in corpus.signatures:
-        tree = parse_pattern(s.pattern_source, s.id)
-        assert extract_operators(s, tree=tree) == extract_operators(s)
-        assert expand_subrules(s, tree=tree) == expand_subrules(s)
-        assert bounded_specials(s, tree=tree) == bounded_specials(s)
-
-
 def test_lexicon_monotonicity():
     small = OperatorLexicon(word_ops=frozenset({"or"}), symbol_ops=frozenset())
     big = default_lexicon()
