@@ -52,6 +52,9 @@ def parse_pattern(source: str, signature_id: str | None = None):
         tree = sre_parse.parse(source)
     except re.error as exc:
         raise RegexDialectError(signature_id, f"unparsable pattern: {exc}") from exc
+    # a str pattern always carries the unicode flag; (?u) adds nothing
+    if tree.state.flags & ~sre_constants.SRE_FLAG_UNICODE:
+        raise RegexDialectError(signature_id, "inline flags are not supported")
     _check_nodes(tree, signature_id)
     return tree
 
@@ -167,12 +170,10 @@ class DetectionMatrix:
         return bits
 
     def to_csv(self) -> str:
+        n = len(self.vector_ids)
         lines = ["signature_id," + ",".join(self.vector_ids)]
         for sid, row in zip(self.signature_ids, self.rows):
-            cells = ",".join(
-                str(row >> i & 1) for i in range(len(self.vector_ids))
-            )
-            lines.append(f"{sid},{cells}")
+            lines.append(f"{sid}," + ",".join(_cell_digits(row, n)))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -180,7 +181,7 @@ class DetectionMatrix:
             "pipeline_fingerprint": self.pipeline_fingerprint,
             "vector_ids": list(self.vector_ids),
             "rows": {
-                sid: [row >> i & 1 for i in range(len(self.vector_ids))]
+                sid: list(map(int, _cell_digits(row, len(self.vector_ids))))
                 for sid, row in zip(self.signature_ids, self.rows)
             },
             "signature_ids": list(self.signature_ids),
@@ -204,11 +205,7 @@ class DetectionMatrix:
                     raise ParseError(
                         f"matrix row {sid} has {len(cells)} cells for {len(vector_ids)} vectors"
                     )
-                bits = 0
-                for i, cell in enumerate(cells):
-                    if cell:
-                        bits |= 1 << i
-                rows.append(bits)
+                rows.append(_row_of_cells(cells))
             fingerprint = doc.get("pipeline_fingerprint", "")
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad matrix JSON: {exc!r}") from exc
@@ -218,6 +215,16 @@ class DetectionMatrix:
             rows=tuple(rows),
             pipeline_fingerprint=fingerprint,
         )
+
+
+def _cell_digits(row: int, n: int) -> str:
+    """The row's n cells as '0'/'1' digits, vector 0 first."""
+    return format(row, f"0{n}b")[::-1] if n else ""  # format(0, "00b") is "0"
+
+
+def _row_of_cells(cells) -> int:
+    """The packed row of a cell list (any truthy cell is a hit)."""
+    return int("".join("1" if cell else "0" for cell in reversed(cells)) or "0", 2)
 
 
 def bit_indices(bits: int) -> list[int]:

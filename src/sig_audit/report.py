@@ -17,7 +17,7 @@ from . import __version__ as VERSION
 from . import classify, corpus as corpus_mod, matcher, mutate, normalize, stats, structural
 from .classify import AuditFinding, Label
 from .corpus import Corpus
-from .errors import IndeterminateExpansion, UnknownId
+from .errors import IndeterminateExpansion, ParseError, UnknownId
 
 
 @dataclass(frozen=True)
@@ -60,42 +60,50 @@ class AuditReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AuditReport":
-        doc = json.loads(text)
-        findings = tuple(
-            AuditFinding(
-                signature_id=row["signature"],
-                label=Label(row["label"]),
-                evidence=row["evidence"],
-            )
-            for row in doc["findings"]
-        )
-        profile = stats.ContributionProfile(
-            entries=tuple(
-                stats.ContributionEntry(
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid report JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("report JSON must be an object")
+        try:
+            findings = tuple(
+                AuditFinding(
                     signature_id=row["signature"],
-                    count=row["count"],
-                    share_pct=row["share_pct"],
+                    label=Label(row["label"]),
+                    evidence=row["evidence"],
                 )
-                for row in doc["profile"]["ranking"]
-            ),
-            total_vectors=doc["profile"]["total_vectors"],
-        )
-        overlap = (
-            stats.OverlapStats(**doc["overlap"]) if doc.get("overlap") else None
-        )
-        return cls(
-            version=doc["version"],
-            corpus_fingerprint=doc["corpus_fingerprint"],
-            pipeline_fingerprint=doc["pipeline_fingerprint"],
-            capability_fingerprint=doc["capability_fingerprint"],
-            findings=findings,
-            profile=profile,
-            overlap=overlap,
-            set_a=tuple(doc["set_a"]) if doc.get("set_a") else None,
-            bypass_ids=tuple(doc["bypass"]["vector_ids"]),
-            category_counts=doc["category_counts"],
-            notes=tuple(doc["notes"]),
-        )
+                for row in doc["findings"]
+            )
+            profile = stats.ContributionProfile(
+                entries=tuple(
+                    stats.ContributionEntry(
+                        signature_id=row["signature"],
+                        count=row["count"],
+                        share_pct=row["share_pct"],
+                    )
+                    for row in doc["profile"]["ranking"]
+                ),
+                total_vectors=doc["profile"]["total_vectors"],
+            )
+            overlap = (
+                stats.OverlapStats(**doc["overlap"]) if doc.get("overlap") else None
+            )
+            return cls(
+                version=doc["version"],
+                corpus_fingerprint=doc["corpus_fingerprint"],
+                pipeline_fingerprint=doc["pipeline_fingerprint"],
+                capability_fingerprint=doc["capability_fingerprint"],
+                findings=findings,
+                profile=profile,
+                overlap=overlap,
+                set_a=tuple(doc["set_a"]) if doc.get("set_a") else None,
+                bypass_ids=tuple(doc["bypass"]["vector_ids"]),
+                category_counts=doc["category_counts"],
+                notes=tuple(doc["notes"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: unknown label
+            raise ParseError(f"bad report JSON: {exc!r}") from exc
 
     # rendering ------------------------------------------------------------
 

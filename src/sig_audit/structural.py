@@ -1,20 +1,22 @@
 """Structural analysis of signature patterns.
 
-Three views of a rule's source:
+Three views of a rule:
 
-* operator extraction: which SQL operators the rule can actually match
-  as standalone tokens (word operators only count where the pattern
-  admits a word boundary on both sides, so ``or`` buried in a longer
-  literal like ``preorder`` never counts);
-* sub-rule expansion: cross product of the alternations inside
-  unquantified groups, giving the individual criteria a rule ORs
-  together;
-* quantifier bounds: finitely capped atoms over characters an attacker
-  may repeat freely (whitespace, parentheses, quotes).
+* operator extraction, from the rule's parse: which SQL operators the
+  rule can actually match as standalone tokens (word operators only
+  count where the pattern admits a word boundary on both sides, so
+  ``or`` buried in a longer literal like ``preorder`` never counts);
+* sub-rule expansion, from one span scan of the source: cross product
+  of the alternations inside unquantified groups, giving the individual
+  criteria a rule ORs together;
+* quantifier bounds, from the same scan: finitely capped atoms over
+  characters an attacker may repeat freely (whitespace, parentheses,
+  quotes).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 try:
@@ -351,140 +353,92 @@ def extract_operators(signature, lexicon: OperatorLexicon | None = None) -> Toke
 
 
 # ---------------------------------------------------------------------------
-# source-level scanning shared by expansion and bound analysis
+# one span scan of the source, shared by expansion and bound analysis,
+# in the token grammar of the sources `parse_pattern` accepts
 
-def _scan_class(src: str, i: int) -> int:
-    """Return the index one past the closing ']' of a class starting at i."""
-    j = i + 1
-    if j < len(src) and src[j] == "^":
-        j += 1
-    if j < len(src) and src[j] == "]":
-        j += 1
-    while j < len(src):
-        if src[j] == "\\":
-            j += 2
-        elif src[j] == "]":
-            return j + 1
-        else:
-            j += 1
-    raise RegexDialectError(None, f"unterminated class at offset {i}")
+# A comment or the no-op ``(?u)`` (the one inline flag the load check
+# lets through) is transparent: a quantifier after one still binds to
+# the item before it.
+_SKIP = r"\(\?(?:#(?:\\.|[^\\)])*|u+)\)"
+_ESCAPE = r"\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|N\{[^}]*\}|0[0-7]{0,2}|[0-7]{3}|.)"
+_CLASS = r"\[\^?\]?(?:\\.|[^\]\\])*\]"
+_TOKEN = re.compile(
+    "(?P<skip>" + _SKIP + "|[$^])"
+    r"|(?P<open>\((?:\?:|\?P<[^>]*>)?)|(?P<close>\))|(?P<bar>\|)"
+    "|(?P<atom>" + _ESCAPE + "|" + _CLASS + "|.)",
+    re.S,
+)
+# {,n} is {0,n} and {,} is *; {} is two literals
+_QUANT = re.compile("(?:" + _SKIP + r")*(?:([?*+])|\{([0-9]*,[0-9]*|[0-9]+)\})\??")
 
 
-def _scan_quantifier(src: str, i: int) -> tuple[int, int | None, int]:
-    """Parse a quantifier at i. Returns (min, max, next_index); max None
-    means unbounded. next_index == i when there is no quantifier."""
-    if i >= len(src):
-        return 1, 1, i
-    ch = src[i]
-    if ch == "?":
-        lo, hi, j = 0, 1, i + 1
-    elif ch == "*":
-        lo, hi, j = 0, None, i + 1
-    elif ch == "+":
-        lo, hi, j = 1, None, i + 1
-    elif ch == "{":
-        j = src.find("}", i)
-        if j < 0:
-            return 1, 1, i
-        inner = src[i + 1 : j]
-        if "," in inner:
-            lo_s, hi_s = inner.split(",", 1)
-            if not lo_s.isdigit() or (hi_s and not hi_s.isdigit()):
-                return 1, 1, i
-            lo = int(lo_s)
-            hi = int(hi_s) if hi_s else None
-        elif inner.isdigit():
-            lo = hi = int(inner)
-        else:
-            return 1, 1, i
-        j += 1
-    else:
-        return 1, 1, i
-    if j < len(src) and src[j] == "?":  # lazy variant, same bounds
-        j += 1
-    return lo, hi, j
+def _quantifier(src: str, i: int) -> tuple[int, int | None] | None:
+    """(end, max) of the quantifier at i, max None when unbounded; None
+    when no quantifier starts there."""
+    q = _QUANT.match(src, i)
+    if q is None:
+        return None
+    sym, braces = q.groups()
+    if sym:
+        return q.end(), 1 if sym == "?" else None
+    hi = braces.rpartition(",")[2]
+    return q.end(), int(hi) if hi else None
 
 
 @dataclass
 class _Group:
     start: int          # index of '('
     end: int            # index one past ')'
-    body_start: int
-    body_end: int
     branches: list[tuple[int, int]]
     children: list["_Group"]
     quantified: bool
     depth: int
 
 
-def _parse_groups(src: str, lo: int, hi: int, depth: int) -> tuple[list[tuple[int, int]], list[_Group]]:
-    """Split src[lo:hi] into top-level branch spans and collect direct
-    child groups (with their own subtrees)."""
-    branches = []
-    children = []
-    branch_start = lo
-    i = lo
-    while i < hi:
-        ch = src[i]
-        if ch == "\\":
-            i += 2
-        elif ch == "[":
-            i = _scan_class(src, i)
-        elif ch == "(":
-            body = i + 1
-            if src.startswith("?:", body):
-                body += 2
-            elif src[body] == "?":
-                raise RegexDialectError(None, f"unsupported group at offset {i}")
-            inner_branches, inner_children = _parse_groups(src, body, _match_paren(src, i), depth + 1)
-            gend = _match_paren(src, i) + 1
-            _, qhi, qend = _scan_quantifier(src, gend)
-            group = _Group(
-                start=i,
-                end=gend,
-                body_start=body,
-                body_end=gend - 1,
-                branches=inner_branches,
-                children=inner_children,
-                quantified=qend != gend,
-                depth=depth + 1,
-            )
-            children.append(group)
-            i = qend
-        elif ch == "|":
-            branches.append((branch_start, i))
-            branch_start = i + 1
-            i += 1
-        elif ch == ")":
-            raise RegexDialectError(None, f"unbalanced ')' at offset {i}")
-        else:
-            i += 1
-    branches.append((branch_start, hi))
-    return branches, children
+def _scan(src: str) -> tuple[list[tuple[int, int]], list[_Group], list[tuple[int, int, int | None]]]:
+    """Read a dialect source once.
+
+    Returns its top-level branch spans, its top-level groups (each with
+    its own branch spans and child groups) and every quantified
+    character atom at any depth as ``(start, end, max)`` in source
+    order, ``max`` None when unbounded.
+    """
+    atoms = []
+
+    def level(i: int, depth: int):
+        # branches and groups from i up to the ')' closing this level
+        branches, groups, start = [], [], i
+        while i < len(src):
+            tok = _TOKEN.match(src, i)
+            kind, j = tok.lastgroup, tok.end()
+            if kind == "close":
+                break
+            if kind == "bar":
+                branches.append((start, i))
+                start = j
+            elif kind == "open":
+                inner, children, close = level(j, depth + 1)
+                quant = _quantifier(src, close + 1)
+                groups.append(_Group(i, close + 1, inner, children, quant is not None, depth + 1))
+                j = quant[0] if quant else close + 1
+            elif kind == "atom" and (quant := _quantifier(src, j)):
+                atoms.append((i, j, quant[1]))
+                j = quant[0]
+            i = j
+        branches.append((start, i))
+        return branches, groups, i
+
+    branches, groups, _ = level(0, 0)
+    return branches, groups, atoms
 
 
-def _match_paren(src: str, open_idx: int) -> int:
-    depth = 0
-    i = open_idx
-    while i < len(src):
-        ch = src[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if ch == "[":
-            i = _scan_class(src, i)
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    raise RegexDialectError(None, f"unbalanced '(' at offset {open_idx}")
+# Expansion caps: alternations deeper than this many groups stay intact,
+# and a rule never yields more sub-rules than this.
+MAX_DEPTH = 3
+MAX_SUBRULES = 64
 
 
-def _first_expandable(src: str, max_depth: int) -> tuple[tuple[int, int, list[str]] | None, bool]:
+def _first_expandable(src: str) -> tuple[tuple[int, int, list[str]] | None, bool]:
     """Locate the leftmost expandable alternation.
 
     Returns ((span_start, span_end, branch_texts) or None, hit_depth_cap).
@@ -493,7 +447,7 @@ def _first_expandable(src: str, max_depth: int) -> tuple[tuple[int, int, list[st
     parentheses included. Quantified groups are never entered: splitting
     them would change what the rule matches.
     """
-    branches, children = _parse_groups(src, 0, len(src), 0)
+    branches, groups, _ = _scan(src)
     if len(branches) > 1:
         return (0, len(src), [src[a:b] for a, b in branches]), False
 
@@ -505,7 +459,7 @@ def _first_expandable(src: str, max_depth: int) -> tuple[tuple[int, int, list[st
             if g.quantified:
                 continue
             if len(g.branches) > 1:
-                if g.depth > max_depth:
+                if g.depth > MAX_DEPTH:
                     capped = True
                 else:
                     return (g.start, g.end, [src[a:b] for a, b in g.branches])
@@ -514,21 +468,19 @@ def _first_expandable(src: str, max_depth: int) -> tuple[tuple[int, int, list[st
                 return found
         return None
 
-    found = walk(children)
+    found = walk(groups)
     return found, capped
 
 
-def expand_subrules(signature, max_depth: int = 3, max_product: int = 64) -> SubRuleSet:
+def expand_subrules(signature) -> SubRuleSet:
     """Cross-product expansion of a rule's alternations into sub-rules.
 
     Expansion is leftmost-first and recursive, so a rule like
     ``(?:(?:;|#|--)\\s*(?:drop|alter))`` yields its six criteria in
-    reading order. When the product would exceed ``max_product`` or an
-    alternation sits deeper than ``max_depth``, the remaining groups are
-    left intact and ``expansion_complete`` is False.
+    reading order. When the product would exceed ``MAX_SUBRULES`` or an
+    alternation sits deeper than ``MAX_DEPTH`` groups, the remaining
+    groups are left intact and ``expansion_complete`` is False.
     """
-    if max_depth < 1 or max_product < 1:
-        raise ValueError("caps must be positive")
     src = signature.pattern_source
     signature.tree  # the source itself must be in the dialect
 
@@ -536,14 +488,14 @@ def expand_subrules(signature, max_depth: int = 3, max_product: int = 64) -> Sub
     complete = True
     i = 0
     while i < len(sources):
-        found, capped = _first_expandable(sources[i], max_depth)
+        found, capped = _first_expandable(sources[i])
         if capped:
             complete = False
         if found is None:
             i += 1
             continue
         gstart, gend, branch_texts = found
-        if len(sources) - 1 + len(branch_texts) > max_product:
+        if len(sources) - 1 + len(branch_texts) > MAX_SUBRULES:
             complete = False
             i += 1
             continue
@@ -577,50 +529,23 @@ def _atom_charset(atom_src: str) -> _CharSet | None:
     return None
 
 
-def bounded_specials(signature, repeatable: frozenset[str] | None = None) -> list[QuantifierBound]:
+def bounded_specials(signature) -> list[QuantifierBound]:
     """Finitely bounded atoms whose class covers a repeatable character.
 
     An attacker can exceed any finite cap on whitespace, parentheses or
     quotes without changing the query, so each such bound is a candidate
     bypass point. Unbounded atoms are never reported.
     """
-    repeatable = DEFAULT_REPEATABLE if repeatable is None else repeatable
     src = signature.pattern_source
     signature.tree  # the source must be in the dialect
 
     bounds: list[QuantifierBound] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "(":
-            # step inside the group; atoms within it are still scanned
-            i += 3 if src.startswith("(?:", i) else 1
-            continue
-        if ch == ")":
-            # group quantifiers attach to the group, not to an atom
-            _, _, i = _scan_quantifier(src, i + 1)
-            continue
-        if ch in "|^$":
-            i += 1
-            continue
-        start = i
-        if ch == "\\":
-            i += 2
-        elif ch == "[":
-            i = _scan_class(src, i)
-        else:
-            i += 1
-        atom_src = src[start:i]
-        lo, hi, qend = _scan_quantifier(src, i)
-        if qend == i:
-            continue
-        i = qend
+    for start, end, hi in _scan(src)[2]:
         if hi is None:
             continue
+        atom_src = src[start:end]
         cs = _atom_charset(atom_src)
-        if cs is None:
-            continue
-        if any(cs.contains(c) for c in repeatable):
+        if cs is not None and any(cs.contains(c) for c in DEFAULT_REPEATABLE):
             bounds.append(
                 QuantifierBound(
                     signature_id=signature.id,

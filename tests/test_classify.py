@@ -118,8 +118,8 @@ def test_single_subrule_never_semirelevant(corpus):
 
 
 def test_incomplete_expansion_raises():
-    pat = "(?:a|b|c)(?:d|e|f)(?:g|h|i)"
-    subs = expand_subrules(Signature("S_big", pat), max_product=8)
+    pat = "(?:a|b|c)" * 4  # 81 sub-rules, past the cap of 64
+    subs = expand_subrules(Signature("S_big", pat))
     with pytest.raises(IndeterminateExpansion):
         classify_semirelevant(subs, Corpus((Signature("S_big", pat),), ()), frozenset())
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -155,6 +156,28 @@ def test_matrix_csv_and_json_round_trip(raw_matrix):
     lines = csv.strip().splitlines()
     assert len(lines) == 1 + 83
     assert lines[0].startswith("signature_id,")
+
+
+@pytest.mark.parametrize("n_vectors", [0, 1, 5, 64, 301])
+def test_cell_codec_matches_per_bit_reference(n_vectors):
+    rng = random.Random(n_vectors)
+    rows = (0, (1 << n_vectors) - 1) + tuple(rng.getrandbits(n_vectors) for _ in range(4))
+    m = DetectionMatrix(
+        tuple(f"S_{k}" for k in range(len(rows))), tuple(f"v{i}" for i in range(n_vectors)), rows, "fp"
+    )
+    cells = {sid: [row >> i & 1 for i in range(n_vectors)] for sid, row in zip(m.signature_ids, rows)}
+    csv = ["signature_id," + ",".join(m.vector_ids)]
+    csv += [f"{sid}," + ",".join(map(str, cells[sid])) for sid in m.signature_ids]
+    assert m.to_csv() == "\n".join(csv) + "\n"
+    doc = {
+        "pipeline_fingerprint": "fp",
+        "vector_ids": list(m.vector_ids),
+        "rows": cells,
+        "signature_ids": list(m.signature_ids),
+        "row_sums": {sid: sum(c) for sid, c in cells.items()},
+    }
+    assert m.to_json() == json.dumps(doc, sort_keys=True)
+    assert DetectionMatrix.from_json(m.to_json()) == m
 
 
 def test_row_counts_match_cells(raw_matrix):

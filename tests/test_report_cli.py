@@ -39,6 +39,14 @@ def test_json_round_trip(audit):
     assert again == audit
 
 
+def test_report_from_json_rejects_malformed(audit):
+    doc = audit.to_dict()
+    doc["findings"][0]["label"] = "Unheard"
+    for text in ["{", "[]", "{}", json.dumps(doc)]:
+        with pytest.raises(ParseError):
+            AuditReport.from_json(text)
+
+
 def test_render_deterministic(audit):
     for fmt in ("json", "text", "csv"):
         assert render(audit, fmt) == render(audit, fmt)

@@ -155,13 +155,13 @@ def test_quantified_groups_are_not_expanded():
 def test_caps_stop_expansion():
     branch = "(?:" + "|".join("abcdefghij") + ")"
     pat = branch * 3  # 10^3 combinations
-    subs = expand_subrules(sig(pat), max_product=64)
+    subs = expand_subrules(sig(pat))
     assert not subs.expansion_complete
 
 
 def test_depth_cap_marks_incomplete():
-    pat = r"(?:a(?:b(?:c(?:d|e)f)g)h)"
-    subs = expand_subrules(sig(pat), max_depth=2)
+    pat = r"(?:a(?:b(?:c(?:d|e)f)g)h)"  # the alternation sits at depth 4
+    subs = expand_subrules(sig(pat))
     assert not subs.expansion_complete
     assert subs.subrules == (pat,)
 
@@ -223,9 +223,3 @@ def test_positions_are_valid_and_atoms_reparse(corpus):
         for b in bounded_specials(s):
             assert s.pattern_source[b.position : b.position + len(b.char_class)] == b.char_class
             re.compile(b.char_class)
-
-
-def test_custom_repeatable_set():
-    bounds = bounded_specials(sig(r"x[%]?y"), repeatable=frozenset("%"))
-    assert len(bounds) == 1
-    assert bounds[0].char_class == "[%]"
