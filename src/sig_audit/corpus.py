@@ -192,23 +192,37 @@ def _signatures_from_tsv(text: str) -> list[Signature]:
     return sigs
 
 
-def _signatures_from_json(text: str) -> list[Signature]:
+def _json_objects(text: str, kind: str) -> list[dict]:
+    """The objects of a JSON array document of ``kind`` rows."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    sigs = []
+    if not isinstance(doc, list):
+        raise ParseError(f"{kind} JSON must be an array of objects")
     for i, row in enumerate(doc):
-        try:
-            sigs.append(
-                Signature(
-                    id=row["id"],
-                    pattern_source=row["pattern"],
-                    note=row.get("note"),
-                )
-            )
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad signature object at index {i}: {exc}") from exc
+        if not isinstance(row, dict):
+            raise ParseError(f"bad {kind} object at index {i}: not an object")
+    return doc
+
+
+def _strings(row: dict, names, kind: str, i: int) -> list[str]:
+    """The values of ``names`` in ``row``, each required to be a string."""
+    values = [row.get(name) for name in names]
+    for name, value in zip(names, values):
+        if not isinstance(value, str):
+            raise ParseError(f"bad {kind} object at index {i}: {name!r} must be a string")
+    return values
+
+
+def _signatures_from_json(text: str) -> list[Signature]:
+    sigs = []
+    for i, row in enumerate(_json_objects(text, "signature")):
+        sid, pattern = _strings(row, ("id", "pattern"), "signature", i)
+        note = row.get("note")
+        if note is not None and not isinstance(note, str):
+            raise ParseError(f"bad signature object at index {i}: 'note' must be a string")
+        sigs.append(Signature(id=sid, pattern_source=pattern, note=note))
     return sigs
 
 
@@ -261,26 +275,21 @@ def _vectors_from_tsv(text: str) -> list[AttackVector]:
 
 
 def _vectors_from_json(text: str) -> list[AttackVector]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
     vecs = []
-    for i, row in enumerate(doc):
-        try:
-            vecs.append(
-                AttackVector(
-                    id=row["id"],
-                    target_signature_id=row["target"],
-                    payload=row["payload"],
-                    intent=Intent.from_token(row["intent"]),
-                    dialects=frozenset(
-                        Dialect.from_token(tok) for tok in row["dialects"]
-                    ),
-                )
+    for i, row in enumerate(_json_objects(text, "vector")):
+        vid, target, payload, intent = _strings(row, ("id", "target", "payload", "intent"), "vector", i)
+        dialects = row.get("dialects")
+        if not isinstance(dialects, list) or not all(isinstance(tok, str) for tok in dialects):
+            raise ParseError(f"bad vector object at index {i}: 'dialects' must be a list of strings")
+        vecs.append(
+            AttackVector(
+                id=vid,
+                target_signature_id=target,
+                payload=payload,
+                intent=Intent.from_token(intent),
+                dialects=frozenset(Dialect.from_token(tok) for tok in dialects),
             )
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad vector object at index {i}: {exc}") from exc
+        )
     return vecs
 
 

@@ -9,6 +9,20 @@ whole rule set.
 The detection matrix holds one packed bit row per signature, bit i set
 when the signature matches transformed vector i. Row subset tests are
 plain integer masking.
+
+A row is built over the distinct forwarded texts, not over the cells:
+equal transformed payloads are searched once and share the result.
+Each rule carries the literals its parse requires (every match contains
+at least one of them), and a distinct text is searched only when it
+contains one. Containment comes from ``str.find`` over one NUL-joined
+buffer of the texts whose offsets map back to texts, so the precheck
+never drops a match; a literal found across a separator only costs a
+search. Under case-insensitive matching the buffer holds folded texts,
+and the precheck is skipped where folding is not exact: a text that is
+not ASCII is always searched, and so is every text for a rule with a
+literal that is not ASCII (``re.IGNORECASE`` matches the long s to
+``s`` and the Kelvin sign to ``k``). A rule whose parse requires no
+literal is searched against every distinct text.
 """
 
 from __future__ import annotations
@@ -16,6 +30,8 @@ from __future__ import annotations
 import functools
 import json
 import re
+from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 
 try:  # renamed to a private module in newer interpreters
@@ -50,7 +66,7 @@ def parse_pattern(source: str, signature_id: str | None = None):
     """
     try:
         tree = sre_parse.parse(source)
-    except re.error as exc:
+    except (re.error, OverflowError, RecursionError) as exc:  # bad syntax, huge count, deep nesting
         raise RegexDialectError(signature_id, f"unparsable pattern: {exc}") from exc
     # a str pattern always carries the unicode flag; (?u) adds nothing
     if tree.state.flags & ~sre_constants.SRE_FLAG_UNICODE:
@@ -95,24 +111,64 @@ def _check_nodes(nodes, sig_id) -> None:
             raise RegexDialectError(sig_id, f"unsupported construct: {op}")
 
 
+def required_literals(nodes) -> frozenset[str]:
+    """Literals of which every match of ``nodes`` contains at least one,
+    read off the parse; empty when the parse guarantees none.
+
+    A run of consecutive literal nodes is one literal; a group's body
+    and a repeat with minimum one or more count; a branch counts when
+    every alternative has literals, giving their union. Of the parts of
+    a sequence, the one whose shortest literal is longest is kept.
+    """
+    parts: list[frozenset[str]] = []
+    run: list[str] = []
+    for op, arg in nodes:
+        if op is sre_constants.LITERAL:
+            run.append(chr(arg))
+            continue
+        if run:
+            parts.append(frozenset(["".join(run)]))
+            run = []
+        if op is sre_constants.SUBPATTERN:
+            parts.append(required_literals(arg[3]))
+        elif op in (sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT) and arg[0] >= 1:
+            parts.append(required_literals(arg[2]))
+        elif op is sre_constants.BRANCH:
+            alternatives = [required_literals(branch) for branch in arg[1]]
+            if all(alternatives):
+                parts.append(frozenset().union(*alternatives))
+    if run:
+        parts.append(frozenset(["".join(run)]))
+    return max(filter(None, parts), key=_selectivity, default=frozenset())
+
+
+def _selectivity(literals: frozenset[str]) -> tuple[int, int]:
+    # a longer shortest literal first, then fewer literals
+    return min(map(len, literals)), -len(literals)
+
+
 @dataclass(frozen=True)
 class CompiledSignature:
     signature_id: str
     pattern: re.Pattern
     case_insensitive: bool = True
+    # every match contains one of these, as written in the rule (empty: no such literal)
+    literals: frozenset[str] = frozenset()
 
 
 def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignature:
     """Validate the dialect (through the signature's one parse,
-    ``Signature.tree``) and compile. Matching is case-insensitive by
-    default; rule sets are written lowercase but must catch mixed-case
-    payloads even in raw mode."""
-    signature.tree  # parses and checks the dialect on first use
+    ``Signature.tree``), compile, and read the rule's required literals
+    off the same parse. Matching is case-insensitive by default; rule
+    sets are written lowercase but must catch mixed-case payloads even
+    in raw mode."""
+    tree = signature.tree  # parses and checks the dialect on first use
     flags = 0 if case_sensitive else re.IGNORECASE
     return CompiledSignature(
         signature_id=signature.id,
         pattern=re.compile(signature.pattern_source, flags),
         case_insensitive=not case_sensitive,
+        literals=required_literals(tree),
     )
 
 
@@ -195,20 +251,24 @@ class DetectionMatrix:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid matrix JSON: {exc}") from exc
-        try:
-            signature_ids = tuple(doc["signature_ids"])
-            vector_ids = tuple(doc["vector_ids"])
-            rows = []
-            for sid in signature_ids:
-                cells = doc["rows"][sid]
-                if len(cells) != len(vector_ids):
-                    raise ParseError(
-                        f"matrix row {sid} has {len(cells)} cells for {len(vector_ids)} vectors"
-                    )
-                rows.append(_row_of_cells(cells))
-            fingerprint = doc.get("pipeline_fingerprint", "")
-        except (TypeError, KeyError) as exc:
-            raise ParseError(f"bad matrix JSON: {exc!r}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("matrix JSON must be an object")
+        signature_ids, vector_ids = _id_list(doc, "signature_ids"), _id_list(doc, "vector_ids")
+        table = doc.get("rows")
+        if not isinstance(table, dict):
+            raise ParseError("matrix JSON 'rows' must be an object")
+        rows = []
+        for sid in signature_ids:
+            cells = table.get(sid)
+            row = _row_of_cells(cells)
+            if row is None:
+                raise ParseError(f"matrix row {sid} must be a list of 0/1 cells")
+            if len(cells) != len(vector_ids):
+                raise ParseError(f"matrix row {sid} has {len(cells)} cells for {len(vector_ids)} vectors")
+            rows.append(row)
+        fingerprint = doc.get("pipeline_fingerprint", "")
+        if not isinstance(fingerprint, str):
+            raise ParseError("matrix JSON 'pipeline_fingerprint' must be a string")
         return cls(
             signature_ids=signature_ids,
             vector_ids=vector_ids,
@@ -217,14 +277,32 @@ class DetectionMatrix:
         )
 
 
+def _id_list(doc: dict, key: str) -> tuple[str, ...]:
+    ids = doc.get(key)
+    if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+        raise ParseError(f"matrix JSON {key!r} must be a list of id strings")
+    return tuple(ids)
+
+
 def _cell_digits(row: int, n: int) -> str:
     """The row's n cells as '0'/'1' digits, vector 0 first."""
     return format(row, f"0{n}b")[::-1] if n else ""  # format(0, "00b") is "0"
 
 
-def _row_of_cells(cells) -> int:
-    """The packed row of a cell list (any truthy cell is a hit)."""
-    return int("".join("1" if cell else "0" for cell in reversed(cells)) or "0", 2)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _row_of_cells(cells) -> int | None:
+    """The packed row of a list of 0/1 cells, None when ``cells`` is not one."""
+    if not isinstance(cells, list):
+        return None
+    try:
+        raw = bytes(cells)
+    except (TypeError, ValueError):  # a cell that is not an integer in 0..255
+        return None
+    if raw.translate(None, b"\0\1"):
+        return None
+    return int(raw[::-1].translate(_DIGITS) or b"0", 2)
 
 
 def bit_indices(bits: int) -> list[int]:
@@ -238,12 +316,72 @@ def bit_indices(bits: int) -> list[int]:
     return out
 
 
-def _row_bits(compiled: CompiledSignature, texts: list[str], forwarded: list[bool]) -> int:
-    bits = 0
-    for i, text in enumerate(texts):
-        if forwarded[i] and compiled.pattern.search(text) is not None:
-            bits |= 1 << i
-    return bits
+class _TextIndex:
+    """The distinct texts of one matrix build, each with its columns.
+
+    Per case mode it keeps the NUL-joined buffer of the texts (folded
+    when case-insensitive, where a text that is not ASCII stands as an
+    empty part), the start offset of each part, and the mask of the
+    texts the buffer cannot vouch for; per literal, the mask of the
+    texts containing it. Masks are bit sets over distinct-text positions.
+    """
+
+    def __init__(self, columns: dict[str, list[int]]):
+        self.texts = list(columns)
+        self.columns = list(columns.values())
+        self._views: dict[bool, tuple[str, list[int], int]] = {}
+        self._found: dict[tuple[bool, str], int] = {}
+
+    def _view(self, fold: bool) -> tuple[str, list[int], int]:
+        view = self._views.get(fold)
+        if view is None:
+            parts, unchecked = [], 0
+            for k, text in enumerate(self.texts):
+                if fold and not text.isascii():
+                    parts.append("")  # holds no literal; searched through ``unchecked``
+                    unchecked |= 1 << k
+                else:
+                    parts.append(text.lower() if fold else text)
+            starts = list(accumulate((len(part) + 1 for part in parts), initial=0))
+            view = self._views[fold] = ("\0".join(parts), starts, unchecked)
+        return view
+
+    def _containing(self, fold: bool, literal: str) -> int:
+        """Mask of the prechecked texts that contain ``literal``."""
+        found = self._found.get((fold, literal))
+        if found is None:
+            buffer, starts, _ = self._view(fold)
+            found = 0
+            at = buffer.find(literal)
+            while at >= 0:
+                k = bisect_right(starts, at) - 1
+                found |= 1 << k
+                at = buffer.find(literal, starts[k + 1])
+            self._found[fold, literal] = found
+        return found
+
+    def candidates(self, compiled: CompiledSignature):
+        """Positions of the distinct texts the rule may match."""
+        fold = compiled.case_insensitive
+        literals = compiled.literals
+        if not literals or (fold and not all(lit.isascii() for lit in literals)):
+            return range(len(self.texts))
+        if fold:
+            literals = {lit.lower() for lit in literals}
+        mask = self._view(fold)[2]
+        for lit in literals:
+            mask |= self._containing(fold, lit)
+        return bit_indices(mask)
+
+    def row(self, compiled: CompiledSignature) -> int:
+        search = compiled.pattern.search
+        texts, columns = self.texts, self.columns
+        bits = 0
+        for k in self.candidates(compiled):
+            if search(texts[k]) is not None:
+                for i in columns[k]:
+                    bits |= 1 << i
+        return bits
 
 
 def detection_matrix(
@@ -262,15 +400,16 @@ def detection_matrix(
     """
     if compiled is None:
         compiled = [compile_signature(s, case_sensitive) for s in corpus.signatures]
-    texts = [normalize.apply(pipeline, v.payload) for v in corpus.vectors]
-    if apply_prefilter:
-        forwarded = [normalize.prefilter_pass(pipeline, t) for t in texts]
-    else:
-        forwarded = [True] * len(texts)
+    columns: dict[str, list[int]] = {}
+    for i, vector in enumerate(corpus.vectors):
+        text = normalize.apply(pipeline, vector.payload)
+        if not apply_prefilter or normalize.prefilter_pass(pipeline, text):
+            columns.setdefault(text, []).append(i)
+    index = _TextIndex(columns)
     return DetectionMatrix(
         signature_ids=tuple(s.id for s in corpus.signatures),
         vector_ids=tuple(v.id for v in corpus.vectors),
-        rows=tuple(_row_bits(c, texts, forwarded) for c in compiled),
+        rows=tuple(index.row(c) for c in compiled),
         pipeline_fingerprint=pipeline.fingerprint,
     )
 

@@ -472,6 +472,13 @@ def _first_expandable(src: str) -> tuple[tuple[int, int, list[str]] | None, bool
     return found, capped
 
 
+# The end of a spliced piece that the text after it could extend: a
+# literal '{' with the digits and comma after it, which a following '}'
+# would close into a quantifier, or a short octal escape. A branch
+# spliced after or ending in one is wrapped in a group.
+_OPEN_END = re.compile(r"(?<!\\)(?:\\\\)*(?:\{[0-9]*(?:,[0-9]*)?|\\0[0-7]?)\Z")
+
+
 def expand_subrules(signature) -> SubRuleSet:
     """Cross-product expansion of a rule's alternations into sub-rules.
 
@@ -500,7 +507,12 @@ def expand_subrules(signature) -> SubRuleSet:
             i += 1
             continue
         s = sources[i]
-        sources[i : i + 1] = [s[:gstart] + bt + s[gend:] for bt in branch_texts]
+        head, tail = s[:gstart], s[gend:]
+        wrap = _OPEN_END.search(head) is not None
+        sources[i : i + 1] = [
+            head + (f"(?:{bt})" if wrap or (tail and _OPEN_END.search(bt)) else bt) + tail
+            for bt in branch_texts
+        ]
 
     for sub in sources:
         if sub != src:

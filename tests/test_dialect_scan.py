@@ -29,6 +29,10 @@ CASES = [
     (r"(?:'|\")\s{,2}?or", [r"'\s{,2}?or", r"\"\s{,2}?or"], [(r"\s", 2)]),
     (r"\x20?or\N{SPACE}{1,2}\d?", None, [(r"\x20", 1), (r"\N{SPACE}", 2)]),
     (r"x{}\s{,}y", None, []),
+    # a branch ending in a literal '{' is spliced as a group, so the '{' stays literal
+    (r"(?:a|\w{1}{),}", ["a,}", r"(?:\w{1}{),}"], []),
+    (r"(?:a|\w{),}", ["a,}", r"(?:\w{),}"], []),
+    (r"(?:a|b{)1}", ["a1}", "(?:b{)1}"], []),
 ]
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import random
+import re
 
 import pytest
 
-from oracles import naive_search, random_corpus
+from oracles import naive_search, random_corpus, random_pattern, random_payload
 from sig_audit import normalize
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 from sig_audit.errors import RegexDialectError
@@ -210,3 +212,118 @@ def test_precompiled_signatures_give_the_same_matrices(corpus, raw_matrix, defau
     assert full_pipeline_bypass(corpus, default_pipeline, deployed=deployed) == full_pipeline_bypass(
         corpus, default_pipeline
     )
+
+
+# payloads the distinct-text index must treat exactly: repeats, case flips,
+# characters IGNORECASE folds onto ASCII letters (long s, Kelvin sign,
+# dotted I), NUL (raw and encoded)
+AWKWARD = ["ſelect 1", "SELECT 1", "\u212aey like 1", "İnsert", "straße or 1", "or\x001", "1%00union select", "x or 1"]
+AWKWARD_RULES = ["select", "SeLeCt\\s", "ſelect", "\u212a", "or\x001", "(?:or|and)\\s+1", "\\d+", "(?:union|ſ)"]
+
+
+def per_cell_rows(corpus, pipeline, case_sensitive, apply_prefilter):
+    """Reference rows: one ``re.search`` per cell."""
+    flags = 0 if case_sensitive else re.IGNORECASE
+    texts = [normalize.apply(pipeline, v.payload) for v in corpus.vectors]
+    forwarded = [not apply_prefilter or normalize.prefilter_pass(pipeline, t) for t in texts]
+    rows = []
+    for s in corpus.signatures:
+        pattern = re.compile(s.pattern_source, flags)
+        rows.append(sum(1 << i for i, t in enumerate(texts) if forwarded[i] and pattern.search(t)))
+    return tuple(rows)
+
+
+def awkward_corpus(rng):
+    corpus = random_corpus(rng, max_sigs=6, max_vecs=12)
+    payloads = [v.payload for v in corpus.vectors]
+    payloads += rng.sample(payloads, min(3, len(payloads)))  # duplicates
+    payloads += [p.swapcase() for p in rng.sample(payloads, 2)]
+    payloads += rng.sample(AWKWARD, 3)
+    patterns = [s.pattern_source for s in corpus.signatures] + rng.sample(AWKWARD_RULES, 2)
+    signatures = tuple(Signature(f"R_{k}", p) for k, p in enumerate(patterns))
+    vectors = tuple(
+        AttackVector(f"p_{i}", "none", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+        for i, p in enumerate(payloads)
+    )
+    return Corpus(signatures, vectors)
+
+
+@pytest.mark.parametrize("case_sensitive", [False, True])
+def test_matrix_matches_per_cell_search(case_sensitive):
+    rng = random.Random(77)
+    pipelines = [
+        (normalize.RAW_PIPELINE, False),
+        (normalize.default_pipeline(), True),
+        (normalize.default_pipeline(), False),
+    ]
+    for _ in range(60):
+        corpus = awkward_corpus(rng)
+        for pipeline, deployed in pipelines:
+            m = detection_matrix(corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=deployed)
+            assert m.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed), (
+                [s.pattern_source for s in corpus.signatures],
+                [v.payload for v in corpus.vectors],
+            )
+
+
+def test_required_literals_are_sound(corpus):
+    """Every text a rule matches contains one of its literals, compared
+    in the rule's case mode."""
+    rng = random.Random(8)
+    patterns = [s.pattern_source for s in corpus.signatures] + AWKWARD_RULES
+    patterns += [random_pattern(rng) for _ in range(300)]
+    texts = [v.payload for v in corpus.vectors]
+    texts += [normalize.apply(normalize.default_pipeline(), t) for t in texts]
+    texts += AWKWARD + [random_payload(rng) for _ in range(300)]
+    texts += [t.swapcase() for t in texts[::4]]
+    for case_sensitive in (False, True):
+        flags = 0 if case_sensitive else re.IGNORECASE
+        for pattern in patterns:
+            try:
+                compiled = compile_signature(Signature("S_x", pattern), case_sensitive)
+            except RegexDialectError:
+                continue
+            literals = [re.compile(re.escape(lit), flags) for lit in compiled.literals]
+            for text in texts:
+                if literals and compiled.pattern.search(text):
+                    assert any(lit.search(text) for lit in literals), (pattern, compiled.literals, text)
+
+
+def test_required_literals_read_off_the_parse():
+    for pattern, literals in [
+        (r"union\s+select", {"select"}),
+        (r"(?:union|select)\s", {"union", "select"}),
+        (r"(?:union|\d)\s", set()),
+        (r"\d?(?:or)+", {"or"}),
+        (r"(?:or)?\d", set()),
+        (r"[ab]c*", set()),
+    ]:
+        assert compile_signature(sig(pattern)).literals == literals, pattern
+
+
+class CountingPattern:
+    def __init__(self, pattern):
+        self.pattern, self.texts = pattern, []
+
+    def search(self, text):
+        self.texts.append(text)
+        return self.pattern.search(text)
+
+
+def test_matrix_searches_each_distinct_text_at_most_once():
+    rng = random.Random(21)
+    base = awkward_corpus(rng)
+    copies = 3
+    vectors = tuple(
+        AttackVector(f"{v.id}_{k}", "none", v.payload, v.intent, v.dialects)
+        for k in range(copies)
+        for v in base.vectors
+    )
+    corpus = Corpus(base.signatures, vectors)
+    distinct = len({v.payload for v in vectors})
+    counted = [dataclasses.replace(c, pattern=CountingPattern(c.pattern)) for c in map(compile_signature, corpus.signatures)]
+    m = detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=counted)
+    assert m.rows == per_cell_rows(corpus, normalize.RAW_PIPELINE, False, False)
+    for c in counted:
+        assert len(c.pattern.texts) <= distinct < len(vectors)
+        assert len(set(c.pattern.texts)) == len(c.pattern.texts)

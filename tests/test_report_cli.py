@@ -6,7 +6,7 @@ import pytest
 
 from sig_audit import classify, cli, matcher, normalize, report, structural
 from sig_audit.classify import Label
-from sig_audit.corpus import data_dir, signatures_to_json, vectors_to_json
+from sig_audit.corpus import Signature, data_dir, load_signatures, load_vectors, signatures_to_json, vectors_to_json
 from sig_audit.errors import ParseError
 from sig_audit.report import AuditReport, render, run_audit
 
@@ -280,6 +280,19 @@ def test_cli_matrix_parses_each_rule_once(monkeypatch, capsys, corpus):
     assert len(calls["parse_pattern"]) == len(corpus.signatures) + 1
 
 
+def _vector_json(**fields) -> str:
+    row = {"id": "v1", "target": "S_1", "intent": "exec", "dialects": ["generic"], "payload": "a"}
+    return json.dumps([row | fields])
+
+
+def _json_signatures(text):
+    return load_signatures(text, format="json")
+
+
+def _json_vectors(text):
+    return load_vectors(text, [Signature("S_1", "a")], format="json")
+
+
 @pytest.mark.parametrize(
     "command, flag, text, parse",
     [
@@ -291,14 +304,30 @@ def test_cli_matrix_parses_each_rule_once(monkeypatch, capsys, corpus):
             matcher.DetectionMatrix.from_json,
         ),
         (["classify"], "--families", '[{"nam": "x"}]', classify.load_families),
+        (["matrix", "--vectors", "{tmp}/v.json"], "--signatures", "null", _json_signatures),
+        (["matrix", "--vectors", "{tmp}/v.json"], "--signatures", '[{"id": "S_1", "pattern": ["a"]}]', _json_signatures),
+        (["matrix", "--signatures", "{tmp}/s.json"], "--vectors", _vector_json(intent=None), _json_vectors),
+        (["stats"], "--matrix", '{"signature_ids": [1], "vector_ids": [], "rows": "x"}', matcher.DetectionMatrix.from_json),
+        (
+            ["stats"], "--matrix",
+            '{"signature_ids": ["S_1"], "vector_ids": ["v1", "v2"], "rows": {"S_1": "00"}}',
+            matcher.DetectionMatrix.from_json,
+        ),
     ],
-    ids=["pipeline", "matrix", "matrix_row_length", "families"],
+    ids=[
+        "pipeline", "matrix", "matrix_row_length", "families", "signatures_null",
+        "signature_pattern_list", "vector_intent_null", "matrix_id_types", "matrix_row_string",
+    ],
 )
 def test_cli_malformed_json_exits_1(tmp_path, capsys, command, flag, text, parse):
     with pytest.raises(ParseError):
         parse(text)
+    # well-formed companions for the commands that read a corpus
+    (tmp_path / "s.json").write_text('[{"id": "S_1", "pattern": "a"}]')
+    (tmp_path / "v.json").write_text(_vector_json())
     path = tmp_path / "in.json"
     path.write_text(text)
+    command = [arg.format(tmp=tmp_path) for arg in command]
     assert cli.main(command + [flag, str(path)]) == 1
     assert capsys.readouterr().err.startswith("sig-audit: error: ")
 
