@@ -79,6 +79,8 @@ def load_families(source) -> list[RelatedOperatorFamily]:
             and all(isinstance(m, str) and m for m in members)
         ):
             raise ParseError(f"family at index {i} needs a name and a list of operator strings")
+        if len(set(members)) < 2:
+            raise ParseError(f"family at index {i} needs at least 2 distinct members")
         families.append(RelatedOperatorFamily(name, frozenset(members)))
     return families
 

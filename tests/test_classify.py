@@ -25,7 +25,7 @@ from sig_audit.classify import (
     probe_susceptible,
 )
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature, logical_subset
-from sig_audit.errors import IndeterminateExpansion
+from sig_audit.errors import IndeterminateExpansion, ParseError
 from sig_audit.matcher import detection_matrix
 from sig_audit.structural import expand_subrules, extract_operators
 
@@ -66,6 +66,12 @@ def test_incomplete_invariant_under_reordering():
     assert {v["family"] for v in finding_a.evidence["violations"]} == {
         v["family"] for v in finding_b.evidence["violations"]
     }
+
+
+@pytest.mark.parametrize("members", ["[]", '["or"]', '["or", "or"]'])
+def test_load_families_rejects_fewer_than_two_members(members):
+    with pytest.raises(ParseError, match="at least 2 distinct members"):
+        classify.load_families(f'[{{"name": "x", "members": {members}}}]')
 
 
 # ---------------------------------------------------------------------------
