@@ -159,29 +159,21 @@ def classify_irrelevant(
 # ---------------------------------------------------------------------------
 # semi-relevant (dead sub-rules)
 
-def logical_texts(
-    corpus: Corpus,
-    logical_ids: frozenset[str],
-    pipeline: normalize.Pipeline = normalize.RAW_PIPELINE,
-) -> list[str]:
-    """The logical payloads of the corpus, transformed by ``pipeline``."""
-    return [normalize.apply(pipeline, v.payload) for v in corpus.vectors if v.id in logical_ids]
-
-
 def classify_semirelevant(
     subs: SubRuleSet,
     corpus: Corpus,
     logical_ids: frozenset[str],
-    pipeline: normalize.Pipeline = normalize.RAW_PIPELINE,
     case_sensitive: bool = False,
     texts: list[str] | None = None,
 ) -> AuditFinding | None:
     """Flag a rule where some criteria never fire on logical vectors.
 
     Needs a complete expansion; a rule whose every sub-rule is dead is
-    the irrelevant case and is not reported here. ``texts`` is
-    ``logical_texts(corpus, logical_ids, pipeline)`` when the caller
-    classifies many rules and has computed it once.
+    the irrelevant case and is not reported here. ``texts`` holds the
+    logical payloads the rule itself matches, when the caller has its
+    raw row; by default every logical payload is searched. Both give
+    the same answer: a sub-rule puts one branch in place of a group, so
+    every text it matches, its rule matches too.
     """
     if not subs.expansion_complete:
         raise IndeterminateExpansion(subs.signature_id)
@@ -189,7 +181,7 @@ def classify_semirelevant(
         return None
 
     if texts is None:
-        texts = logical_texts(corpus, logical_ids, pipeline)
+        texts = [v.payload for v in corpus.vectors if v.id in logical_ids]
     flags = 0 if case_sensitive else re.IGNORECASE
     dead = []
     live = 0

@@ -281,6 +281,8 @@ def _vectors_from_json(text: str) -> list[AttackVector]:
         dialects = row.get("dialects")
         if not isinstance(dialects, list) or not all(isinstance(tok, str) for tok in dialects):
             raise ParseError(f"bad vector object at index {i}: 'dialects' must be a list of strings")
+        if not dialects:
+            raise ParseError(f"vector {vid} has no dialect tags")
         vecs.append(
             AttackVector(
                 id=vid,
@@ -309,7 +311,7 @@ def open_corpus(signature_path=None, vector_path=None) -> Corpus:
     if signature_path is None or vector_path is None:
         raise AuditError("--signatures and --vectors must be given together")
     fmt = "json" if str(signature_path).endswith(".json") else "tsv"
-    return load_corpus(signature_path, vector_path, format=fmt)
+    return load_corpus(Path(signature_path), Path(vector_path), format=fmt)
 
 
 # ---------------------------------------------------------------------------

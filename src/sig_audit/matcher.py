@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import warnings
 from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass
@@ -64,10 +65,14 @@ def parse_pattern(source: str, signature_id: str | None = None):
 
     Returns the parsed node sequence so structural analysis can reuse it.
     """
-    try:
-        tree = sre_parse.parse(source)
-    except (re.error, OverflowError, RecursionError) as exc:  # bad syntax, huge count, deep nesting
-        raise RegexDialectError(signature_id, f"unparsable pattern: {exc}") from exc
+    # bad syntax, a huge count, deep nesting, or a construct whose meaning
+    # is slated to change (the parser warns of the nested set in ``[[a]``)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            tree = sre_parse.parse(source)
+        except (re.error, OverflowError, RecursionError, Warning) as exc:
+            raise RegexDialectError(signature_id, f"unparsable pattern: {exc}") from exc
     # a str pattern always carries the unicode flag; (?u) adds nothing
     if tree.state.flags & ~sre_constants.SRE_FLAG_UNICODE:
         raise RegexDialectError(signature_id, "inline flags are not supported")
@@ -281,6 +286,11 @@ def _id_list(doc: dict, key: str) -> tuple[str, ...]:
     ids = doc.get(key)
     if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
         raise ParseError(f"matrix JSON {key!r} must be a list of id strings")
+    seen = set()
+    for x in ids:
+        if x in seen:
+            raise ParseError(f"matrix JSON {key!r} repeats id {x!r}")
+        seen.add(x)
     return tuple(ids)
 
 

@@ -235,7 +235,7 @@ def run_audit(
         corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, compiled=compiled
     )
     logical = corpus_mod.logical_subset(corpus)
-    logical_texts = classify.logical_texts(corpus, logical)
+    logical_mask = sum(1 << i for i, v in enumerate(corpus.vectors) if v.id in logical)
     if not corpus.vectors:
         notes.append("WARNING: empty vector corpus, every signature is vacuously irrelevant")
 
@@ -247,7 +247,8 @@ def run_audit(
         if finding:
             findings.append(finding)
 
-        detected = raw_matrix.detected_indices(sig.id)
+        row = raw_matrix.row_bits(sig.id)
+        detected = matcher.bit_indices(row)
         detected_ids = frozenset(corpus.vectors[i].id for i in detected)
         finding = classify.classify_irrelevant(sig.id, detected_ids, logical)
         if finding:
@@ -257,8 +258,11 @@ def run_audit(
 
         try:
             subs = structural.expand_subrules(sig)
+            # the raw row, in this case mode, already holds every logical
+            # payload a sub-rule can match
+            logical_hits = [corpus.vectors[i].payload for i in matcher.bit_indices(row & logical_mask)]
             finding = classify.classify_semirelevant(
-                subs, corpus, logical, case_sensitive=case_sensitive, texts=logical_texts
+                subs, corpus, logical, case_sensitive=case_sensitive, texts=logical_hits
             )
             if finding:
                 findings.append(finding)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
 )
 from sig_audit import classify, normalize, structural
 from sig_audit.classify import (
+    AuditFinding,
     Label,
     RelatedOperatorFamily,
     classify_incomplete,
@@ -27,6 +29,7 @@ from sig_audit.classify import (
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature, logical_subset
 from sig_audit.errors import IndeterminateExpansion, ParseError
 from sig_audit.matcher import detection_matrix
+from sig_audit.report import run_audit
 from sig_audit.structural import expand_subrules, extract_operators
 
 
@@ -137,6 +140,39 @@ def test_all_dead_subrules_not_semirelevant():
     c = Corpus((sig,), (vec,))
     subs = expand_subrules(sig)
     assert classify_semirelevant(subs, c, frozenset({"v1"})) is None
+
+
+def _some_payloads_upper(c: Corpus, rng: random.Random) -> Corpus:
+    """``c`` with about a third of its payloads upper-cased, so the case mode matters."""
+    vectors = tuple(
+        dataclasses.replace(v, payload=v.payload.upper()) if rng.random() < 0.3 else v
+        for v in c.vectors
+    )
+    return Corpus(c.signatures, vectors)
+
+
+@pytest.mark.parametrize("case_sensitive", [False, True])
+def test_audit_semirelevance_equals_search_of_every_logical_payload(corpus, case_sensitive):
+    # run_audit searches only the logical payloads in each rule's raw row;
+    # the standalone classifier, given no texts, searches all of them
+    rng = random.Random(2026)
+    corpora = [corpus] + [
+        _some_payloads_upper(random_corpus(rng, max_sigs=10, max_vecs=30), rng) for _ in range(150)
+    ]
+    flagged = 0
+    for c in corpora:
+        logical = logical_subset(c)
+        expected = []
+        for s in c.signatures:
+            subs = expand_subrules(s)
+            if subs.expansion_complete:
+                finding = classify_semirelevant(subs, c, logical, case_sensitive=case_sensitive)
+                expected += [finding] if finding else []
+        audit = run_audit(corpus=c, case_sensitive=case_sensitive)
+        got = [f for f in audit.findings if f.label is Label.SEMI_RELEVANT]
+        assert got == sorted(expected, key=AuditFinding.sort_key), c.signatures
+        flagged += len(got)
+    assert flagged >= 10  # the sweep reaches the classifier, not only empty answers
 
 
 # ---------------------------------------------------------------------------

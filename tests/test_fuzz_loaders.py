@@ -1,5 +1,5 @@
 """Fuzzed inputs for every loader and document parser: whatever the
-bytes, only an ``AuditError`` may escape.
+bytes, only an ``AuditError`` may escape, and no warning.
 
 Each strategy mixes arbitrary JSON (or TSV text) with near-valid
 documents built from the expected keys, so the search reaches the field
@@ -7,6 +7,7 @@ checks behind the top-level shape check.
 """
 
 import json
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -48,10 +49,13 @@ def tsv(fields):
 
 
 def only_audit_errors(parse, text):
-    try:
-        parse(text)
-    except AuditError:
-        pass
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parse(text)
+        except AuditError:
+            pass
+    assert not caught, [str(w.message) for w in caught]
 
 
 @FUZZ

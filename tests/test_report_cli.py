@@ -6,7 +6,16 @@ import pytest
 
 from sig_audit import classify, cli, matcher, normalize, report, structural
 from sig_audit.classify import Label
-from sig_audit.corpus import Signature, data_dir, load_signatures, load_vectors, signatures_to_json, vectors_to_json
+from sig_audit.corpus import (
+    Signature,
+    data_dir,
+    load_signatures,
+    load_vectors,
+    signatures_to_json,
+    signatures_to_tsv,
+    vectors_to_json,
+    vectors_to_tsv,
+)
 from sig_audit.errors import ParseError
 from sig_audit.report import AuditReport, render, run_audit
 
@@ -313,10 +322,17 @@ def _json_vectors(text):
             '{"signature_ids": ["S_1"], "vector_ids": ["v1", "v2"], "rows": {"S_1": "00"}}',
             matcher.DetectionMatrix.from_json,
         ),
+        (
+            ["stats"], "--matrix",
+            '{"signature_ids": ["S_1", "S_1"], "vector_ids": ["v1", "v1"], "rows": {"S_1": [1, 0]}}',
+            matcher.DetectionMatrix.from_json,
+        ),
+        (["matrix", "--signatures", "{tmp}/s.json"], "--vectors", _vector_json(dialects=[]), _json_vectors),
     ],
     ids=[
         "pipeline", "matrix", "matrix_row_length", "families", "signatures_null",
         "signature_pattern_list", "vector_intent_null", "matrix_id_types", "matrix_row_string",
+        "matrix_duplicate_ids", "vector_dialects_empty",
     ],
 )
 def test_cli_malformed_json_exits_1(tmp_path, capsys, command, flag, text, parse):
@@ -330,6 +346,33 @@ def test_cli_malformed_json_exits_1(tmp_path, capsys, command, flag, text, parse
     command = [arg.format(tmp=tmp_path) for arg in command]
     assert cli.main(command + [flag, str(path)]) == 1
     assert capsys.readouterr().err.startswith("sig-audit: error: ")
+
+
+def test_cli_nested_set_is_a_dialect_error(tmp_path):
+    (tmp_path / "s.tsv").write_text("S_1\t[[a]\n")
+    (tmp_path / "v.tsv").write_text("v1\tS_1\texec\tgeneric\ta\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sig_audit.cli", "matrix",
+         "--signatures", str(tmp_path / "s.tsv"), "--vectors", str(tmp_path / "v.tsv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()  # the error line and no warning
+    assert line.startswith("sig-audit: error: S_1: ") and "nested set" in line
+
+
+def test_run_audit_takes_str_or_path(tmp_path, corpus):
+    signatures = corpus.signatures[:6]
+    targets = {s.id for s in signatures}
+    vectors = [v for v in corpus.vectors if v.target_signature_id in targets]
+    (tmp_path / "s.tsv").write_text(signatures_to_tsv(signatures), encoding="utf-8")
+    (tmp_path / "v.tsv").write_text(vectors_to_tsv(vectors), encoding="utf-8")
+    (tmp_path / "s.json").write_text(signatures_to_json(signatures), encoding="utf-8")
+    (tmp_path / "v.json").write_text(vectors_to_json(vectors), encoding="utf-8")
+    for ext in ("tsv", "json"):
+        sig_path, vec_path = tmp_path / f"s.{ext}", tmp_path / f"v.{ext}"
+        as_path = render(run_audit(sig_path=sig_path, vec_path=vec_path))
+        assert render(run_audit(sig_path=str(sig_path), vec_path=str(vec_path))) == as_path
 
 
 def test_cli_pipeline_file(tmp_path, capsys):
