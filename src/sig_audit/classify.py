@@ -203,25 +203,25 @@ def classify_semirelevant(
 # ---------------------------------------------------------------------------
 # susceptible (bounded quantifier beaten by repetition)
 
+PROBE_BUDGET = 32  # repetition mutants tried per seed and bound
+
+
 def probe_susceptible(
     signature,
     detected: list[AttackVector],
     bounds: list[QuantifierBound],
-    config: mutate.MutationConfig | None = None,
-    pipeline: normalize.Pipeline = normalize.RAW_PIPELINE,
     case_sensitive: bool = False,
     compiled: matcher.CompiledSignature | None = None,
 ) -> AuditFinding | None:
     """Probe each bound with repetition mutants of detected seeds.
 
     A rule is susceptible when a semantics-preserving mutant that only
-    repeats a freely repeatable character escapes it. One witness is
-    kept per (bound, first escaping seed). ``compiled`` is the signature
-    already compiled with ``case_sensitive``, when the caller has it.
+    repeats a freely repeatable character escapes it; mutants are matched
+    raw. One witness is kept per (bound, first escaping seed). ``compiled``
+    is the signature already compiled with ``case_sensitive``, if any.
     """
     if not detected or not bounds:
         return None
-    config = config or mutate.MutationConfig()
     if compiled is None:
         compiled = compile_signature(signature, case_sensitive)
     witnesses = []
@@ -229,11 +229,11 @@ def probe_susceptible(
     for bound in bounds:
         found = None
         for seed in detected:
-            mutants = mutate.targeted_repeats(seed.payload, bound)[: config.budget]
+            mutants = mutate.targeted_repeats(seed.payload, bound)[:PROBE_BUDGET]
             for mutant, scheme in mutants:
                 if not scheme.semantics_preserving:
                     continue
-                if not matcher.matches(compiled, normalize.apply(pipeline, mutant)):
+                if not matcher.matches(compiled, mutant):
                     found = {
                         "seed_vector": seed.id,
                         "seed_payload": seed.payload,

@@ -4,8 +4,8 @@ Subcommands wire the library into one audit run or expose the
 individual stages (matrix export, coverage stats, structure dumps,
 payload mutation, single-category classification).
 
-Exit codes: 0 success, 1 input or parse failure, 2 when findings exist
-and --fail-on-findings was given.
+Exit codes: 0 success, 1 usage error or input or parse failure, 2 when
+findings exist and --fail-on-findings was given.
 """
 
 from __future__ import annotations
@@ -20,15 +20,23 @@ from . import classify, corpus as corpus_mod, matcher, mutate, normalize, report
 from .errors import AuditError
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: 2 means findings under --fail-on-findings."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"sig-audit: error: {message}\n")
+
+
+def _add_shared(parser: argparse.ArgumentParser, matching: bool = True) -> None:
+    """The corpus and, when ``matching``, the pipeline and case mode."""
     parser.add_argument("--signatures", type=Path, help="signature file (default: bundled set)")
     parser.add_argument("--vectors", type=Path, help="vector file (default: bundled set)")
-    parser.add_argument("--pipeline", type=Path, help="pipeline JSON file (default: stock pipeline)")
-    parser.add_argument("--raw", action="store_true", help="use the empty pipeline")
-    parser.add_argument("--format", default="json", choices=["json", "text", "csv"])
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed for mutation probing")
-    parser.add_argument("--jobs", type=int, default=1, help="accepted for old command lines and ignored")
-    parser.add_argument("--case-sensitive", action="store_true", help="disable case-insensitive matching")
+    if matching:
+        mode = parser.add_mutually_exclusive_group()
+        mode.add_argument("--pipeline", type=Path, help="pipeline JSON file (default: stock pipeline)")
+        mode.add_argument("--raw", action="store_true", help="use the empty pipeline")
+        parser.add_argument("--case-sensitive", action="store_true", help="disable case-insensitive matching")
 
 
 def _run_audit(args) -> report.AuditReport:
@@ -42,7 +50,6 @@ def _run_audit(args) -> report.AuditReport:
         raw=args.raw,
         set_a_path=getattr(args, "set_a", None),
         families=families,
-        seed=args.seed,
         case_sensitive=args.case_sensitive,
     )
 
@@ -138,10 +145,8 @@ def _cmd_classify(args) -> int:
             )
     rep = _run_audit(args)
     rows = [
-        dict(f.to_dict(), corpus_fingerprint=rep.corpus_fingerprint,
-             pipeline_fingerprint=rep.pipeline_fingerprint)
-        for f in rep.findings
-        if wanted is None or f.label.value.lower() in wanted
+        row for row in rep.to_dict()["findings"]
+        if wanted is None or row["label"].lower() in wanted
     ]
     sys.stdout.write(json.dumps(rows, sort_keys=True, indent=2) + "\n")
     if args.fail_on_findings and rows:
@@ -150,7 +155,7 @@ def _cmd_classify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sig-audit",
         description="Audit a regex signature set against an attack-vector corpus",
     )
@@ -158,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="full audit run")
     _add_shared(p)
+    p.add_argument("--format", default="json", choices=["json", "text", "csv"])
     p.add_argument("--set-a", type=Path, help="file listing the generic signature set")
     p.add_argument("--families", type=Path, help="JSON file with extra related-operator families")
     p.add_argument("--fail-on-findings", action="store_true", help="exit 2 when any finding exists")
@@ -165,6 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="export the detection matrix")
     _add_shared(p)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("stats", help="contribution and overlap statistics")
@@ -175,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("structure", help="operators, sub-rules and bounds of one signature")
-    _add_shared(p)
+    _add_shared(p, matching=False)
     p.add_argument("sig_id")
     p.set_defaults(func=_cmd_structure)
 
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payload", required=True)
     p.add_argument("--schemes", help="comma list, e.g. case_toggle,comment_inject")
     p.add_argument("--budget", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed for the case-toggle mutants")
     p.set_defaults(func=_cmd_mutate)
 
     p = sub.add_parser("classify", help="findings only, optionally one category")

@@ -246,6 +246,15 @@ def load_vectors(source, signatures, format: str = "tsv") -> list[AttackVector]:
     return vecs
 
 
+def _dialects(tokens, vid: str, line: int | None = None) -> frozenset[Dialect]:
+    """The dialect tags of vector ``vid``: blank tokens are skipped and
+    at least one tag must be left."""
+    dialects = frozenset(Dialect.from_token(tok) for tok in tokens if tok.strip())
+    if not dialects:
+        raise ParseError(f"vector {vid} has no dialect tags", line)
+    return dialects
+
+
 def _vectors_from_tsv(text: str) -> list[AttackVector]:
     vecs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -257,18 +266,13 @@ def _vectors_from_tsv(text: str) -> list[AttackVector]:
                 "expected id<TAB>target<TAB>intent<TAB>dialects<TAB>payload", lineno
             )
         vid, target, intent_tok, dialect_toks, payload = parts
-        dialects = frozenset(
-            Dialect.from_token(tok) for tok in dialect_toks.split(",") if tok.strip()
-        )
-        if not dialects:
-            raise ParseError(f"vector {vid} has no dialect tags", lineno)
         vecs.append(
             AttackVector(
                 id=vid,
                 target_signature_id=target,
                 payload=payload,
                 intent=Intent.from_token(intent_tok),
-                dialects=dialects,
+                dialects=_dialects(dialect_toks.split(","), vid, lineno),
             )
         )
     return vecs
@@ -281,15 +285,13 @@ def _vectors_from_json(text: str) -> list[AttackVector]:
         dialects = row.get("dialects")
         if not isinstance(dialects, list) or not all(isinstance(tok, str) for tok in dialects):
             raise ParseError(f"bad vector object at index {i}: 'dialects' must be a list of strings")
-        if not dialects:
-            raise ParseError(f"vector {vid} has no dialect tags")
         vecs.append(
             AttackVector(
                 id=vid,
                 target_signature_id=target,
                 payload=payload,
                 intent=Intent.from_token(intent),
-                dialects=frozenset(Dialect.from_token(tok) for tok in dialects),
+                dialects=_dialects(dialects, vid),
             )
         )
     return vecs
@@ -317,32 +319,33 @@ def open_corpus(signature_path=None, vector_path=None) -> Corpus:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _dialect_field(dialects) -> str:
-    return ",".join(sorted(d.value for d in dialects))
+def _tsv_row(*fields: str) -> str:
+    """``fields`` as one TSV row, or ``ParseError`` when the row would not
+    load back the same."""
+    row = "\t".join(fields)
+    splits_differently = row.count("\t") != len(fields) - 1 or row.splitlines() != [row]
+    if splits_differently or row.startswith("#") or not row.strip():  # loaders skip both
+        raise ParseError(
+            f"row {fields[0]!r} holds a tab or line break, starts with '#' or is blank: use the JSON format"
+        )
+    return row
 
 
 def signatures_to_tsv(signatures) -> str:
-    lines = []
-    for sig in signatures:
-        if sig.note:
-            lines.append(f"{sig.id}\t{sig.pattern_source}\t{sig.note}")
-        else:
-            lines.append(f"{sig.id}\t{sig.pattern_source}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        _tsv_row(sig.id, sig.pattern_source, *([sig.note] if sig.note else []))
+        for sig in signatures
+    )
+    return "\n".join(rows) + "\n"
 
 
 def vectors_to_tsv(vectors) -> str:
-    lines = []
-    for vec in vectors:
-        if "\t" in vec.payload:
-            raise ParseError(
-                f"payload of {vec.id} contains a tab, use the JSON format"
-            )
-        lines.append(
-            f"{vec.id}\t{vec.target_signature_id}\t{vec.intent.value}"
-            f"\t{_dialect_field(vec.dialects)}\t{vec.payload}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        _tsv_row(vec.id, vec.target_signature_id, vec.intent.value,
+                 ",".join(sorted(d.value for d in vec.dialects)), vec.payload)
+        for vec in vectors
+    )
+    return "\n".join(rows) + "\n"
 
 
 def signatures_to_json(signatures) -> str:

@@ -49,10 +49,6 @@ class UnknownIntent(AuditError):
         super().__init__(f"unknown intent token: {token!r}")
 
 
-class DecodeError(AuditError):
-    """Malformed percent escape hit while url-decoding in strict mode."""
-
-
 class IndeterminateExpansion(AuditError):
     """Sub-rule expansion hit its caps, so sub-rule analysis is unreliable."""
 

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import unquote
 
-from .errors import DecodeError, ParseError
+from .errors import ParseError
 
 # Payloads travel URL-encoded; decoding with latin-1 keeps every byte
 # value addressable as a single character (%A0 -> '\xa0', not U+FFFD).
 _DECODE_ENCODING = "latin-1"
 
-_BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 _WS_RUN = re.compile(r"\s{2,}")
 _QUOTED_DIGITS = re.compile(r"([\"'])(\d+)\1")
 
@@ -30,11 +29,7 @@ _QUOTED_DIGITS = re.compile(r"([\"'])(\d+)\1")
 DEFAULT_PREFILTER = r"[A-Za-z0-9\s@_.,!?]+"
 
 
-def _url_decode(payload: str, strict: bool = False) -> str:
-    if strict:
-        bad = _BAD_ESCAPE.search(payload)
-        if bad:
-            raise DecodeError(f"malformed percent escape at offset {bad.start()}")
+def _url_decode(payload: str) -> str:
     return unquote(payload, encoding=_DECODE_ENCODING)
 
 
@@ -149,12 +144,11 @@ def load_pipeline(path=None, raw: bool = False) -> Pipeline:
     return default_pipeline()
 
 
-def apply(pipeline: Pipeline, payload: str, strict: bool = False) -> str:
+def apply(pipeline: Pipeline, payload: str) -> str:
     """Run the pipeline's transforms left to right over a payload."""
     out = payload
     for name in pipeline.transforms:
-        fn = TRANSFORMS[name]
-        out = fn(out, strict) if name == "url_decode" else fn(out)
+        out = TRANSFORMS[name](out)
     return out
 
 

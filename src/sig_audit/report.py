@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import __version__ as VERSION
-from . import classify, corpus as corpus_mod, matcher, mutate, normalize, stats, structural
+from . import classify, corpus as corpus_mod, matcher, normalize, stats, structural
 from .classify import AuditFinding, Label
 from .corpus import Corpus
 from .errors import IndeterminateExpansion, ParseError, UnknownId
@@ -200,7 +200,6 @@ def run_audit(
     raw: bool = False,
     set_a_path=None,
     families=None,
-    seed: int = 0,
     case_sensitive: bool = False,
     corpus: Corpus | None = None,
 ) -> AuditReport:
@@ -225,7 +224,6 @@ def run_audit(
         )
     families = families if families is not None else classify.default_families()
     lexicon = _lexicon_covering(families)
-    config = mutate.MutationConfig(seed=seed)
 
     compiled = [matcher.compile_signature(sig, case_sensitive) for sig in corpus.signatures]
     raw_matrix = matcher.detection_matrix(
@@ -273,7 +271,7 @@ def run_audit(
         if bounds:
             seeds = [corpus.vectors[i] for i in detected]
             finding = classify.probe_susceptible(
-                sig, seeds, bounds, config, case_sensitive=case_sensitive, compiled=compiled_sig
+                sig, seeds, bounds, case_sensitive=case_sensitive, compiled=compiled_sig
             )
             if finding:
                 findings.append(finding)

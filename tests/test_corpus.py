@@ -1,9 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sig_audit.corpus import (
+    FREE_FLOATING,
     AttackVector,
     Corpus,
     Dialect,
@@ -20,6 +21,7 @@ from sig_audit.corpus import (
     vectors_to_tsv,
 )
 from sig_audit.errors import (
+    AuditError,
     DuplicateId,
     ParseError,
     RegexDialectError,
@@ -220,3 +222,99 @@ def test_round_trip_random_vectors(payloads, intents):
     probes = {v.id for v in c.vectors if v.intent is Intent.PROBE}
     assert logical | probes == {v.id for v in c.vectors}
     assert not logical & probes
+
+
+def _outcome(load):
+    """What ``load()`` returns, or the ``AuditError`` it raises."""
+    try:
+        return load()
+    except AuditError as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "tokens, expected",
+    [
+        (["mysql", "", "generic"], {Dialect.MYSQL, Dialect.GENERIC}),
+        ([" MSSQL ", " "], {Dialect.MSSQL}),
+        (["", ""], "vector v1 has no dialect tags"),
+        ([" "], "vector v1 has no dialect tags"),
+        (["mysql", "oracle"], "unknown dialect token: 'oracle'"),
+    ],
+    ids=["blank_between", "blank_and_padded", "all_blank", "one_blank", "unknown"],
+)
+def test_dialect_tokens_read_the_same_from_tsv_and_json(tokens, expected):
+    """Both vector loaders skip blank dialect tokens and need one left."""
+    sigs = [Signature("S_1", "a")]
+    row = {"id": "v1", "target": "S_1", "intent": "exec", "dialects": tokens, "payload": "a"}
+    from_tsv = _outcome(lambda: load_vectors(f"v1\tS_1\texec\t{','.join(tokens)}\ta\n", sigs))
+    from_json = _outcome(lambda: load_vectors(json.dumps([row]), sigs, format="json"))
+    if isinstance(expected, str):
+        assert isinstance(from_json, ParseError) and str(from_json) == expected
+        assert isinstance(from_tsv, ParseError) and str(from_tsv) in (expected, f"line 1: {expected}")
+    else:
+        assert from_tsv == from_json
+        assert from_json[0].dialects == expected
+
+
+@pytest.mark.parametrize(
+    "write, rows",
+    [
+        (signatures_to_tsv, [Signature("S_1", "a\tb")]),
+        (signatures_to_tsv, [Signature("S_1", "a", "note\twith tab")]),
+        (signatures_to_tsv, [Signature("S_1", "a\x85b")]),
+        (signatures_to_tsv, [Signature("S_1", "a\x0cb")]),
+        (signatures_to_tsv, [Signature("S_1", "a\nb")]),
+        (signatures_to_tsv, [Signature("S_1", "a", "line\u2028break")]),
+        (signatures_to_tsv, [Signature("#S_1", "a")]),
+        (signatures_to_tsv, [Signature(" ", " ")]),
+        (vectors_to_tsv, [AttackVector("v1", "S_1", "a\nb", Intent.PROBE, frozenset({Dialect.GENERIC}))]),
+        (vectors_to_tsv, [AttackVector("v1", "S_1", "a\rb", Intent.PROBE, frozenset({Dialect.GENERIC}))]),
+        (vectors_to_tsv, [AttackVector("#v1", "S_1", "a", Intent.PROBE, frozenset({Dialect.GENERIC}))]),
+        (vectors_to_tsv, [AttackVector("v1", "S\t1", "a", Intent.PROBE, frozenset({Dialect.GENERIC}))]),
+    ],
+)
+def test_tsv_writers_refuse_rows_that_would_not_load_back(write, rows):
+    with pytest.raises(ParseError, match="use the JSON format"):
+        write(rows)
+
+
+# fields that may hold a tab, a line break, blanks or a leading '#'
+_plain = st.text(alphabet="ab1# ", max_size=4)
+_special = st.sampled_from(["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "#", " "])
+_any_field = st.one_of(_plain, _plain, _plain, _plain, st.builds("{}{}{}".format, _plain, _special, _plain))
+
+
+@st.composite
+def _corpora(draw):
+    sigs = draw(st.lists(st.builds(Signature, _any_field, _any_field, st.none() | _any_field), max_size=2))
+    targets = st.sampled_from([s.id for s in sigs] + [FREE_FLOATING])
+    vecs = draw(
+        st.lists(
+            st.builds(
+                AttackVector, _any_field, targets, _any_field, st.sampled_from(Intent),
+                st.frozensets(st.sampled_from(Dialect), min_size=1),
+            ),
+            max_size=2,
+        )
+    )
+    return sigs, vecs
+
+
+@settings(max_examples=300)
+@given(_corpora())
+def test_tsv_and_json_forms_load_the_same(corpus):
+    """Whatever the TSV writer accepts loads back as the JSON form does."""
+    sigs, vecs = corpus
+    try:
+        sig_tsv, vec_tsv = signatures_to_tsv(sigs), vectors_to_tsv(vecs)
+    except ParseError:
+        return
+    from_tsv = _outcome(lambda: load_corpus(sig_tsv, vec_tsv))
+    from_json = _outcome(
+        lambda: load_corpus(signatures_to_json(sigs), vectors_to_json(vecs), format="json")
+    )
+    if isinstance(from_json, AuditError):
+        assert isinstance(from_tsv, AuditError)
+    else:
+        assert from_tsv == from_json

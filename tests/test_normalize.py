@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sig_audit import normalize
-from sig_audit.errors import DecodeError, ParseError
+from sig_audit.errors import ParseError
 from sig_audit.normalize import Pipeline, RAW_PIPELINE, apply, prefilter_pass
 
 PAYLOADS = st.text(
@@ -41,12 +41,6 @@ def test_lenient_decode_passes_bad_escape_through():
     p = Pipeline(transforms=("url_decode",))
     assert apply(p, "100%zz") == "100%zz"
     assert apply(p, "50% off") == "50% off"
-
-
-def test_strict_decode_raises():
-    p = Pipeline(transforms=("url_decode",))
-    with pytest.raises(DecodeError):
-        apply(p, "100%zz", strict=True)
 
 
 def test_unknown_transform_rejected():

@@ -246,6 +246,72 @@ def test_cli_classify_only_unknown_label(capsys):
     assert "valid labels: incomplete, irrelevant, semirelevant" in captured.err
 
 
+def test_cli_classify_rows_are_the_audit_findings(capsys):
+    assert cli.main(["classify", "--raw"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert cli.main(["audit", "--raw"]) == 0
+    assert rows == json.loads(capsys.readouterr().out)["findings"]
+
+
+# options no subcommand reads, a usage conflict and a typo
+_USAGE_ERRORS = [
+    ["audit", "--seed", "7"],
+    ["audit", "--jobs", "8"],
+    ["matrix", "--seed", "7"],
+    ["matrix", "--jobs", "8"],
+    ["matrix", "--format", "text"],
+    ["stats", "--seed", "7"],
+    ["stats", "--jobs", "8"],
+    ["stats", "--format", "csv"],
+    ["structure", "S_1", "--pipeline", "p.json"],
+    ["structure", "S_1", "--raw"],
+    ["structure", "S_1", "--format", "json"],
+    ["structure", "S_1", "--seed", "3"],
+    ["structure", "S_1", "--jobs", "8"],
+    ["structure", "S_1", "--case-sensitive"],
+    ["classify", "--seed", "7"],
+    ["classify", "--jobs", "8"],
+    ["classify", "--format", "text"],
+    ["audit", "--pipeline", "p.json", "--raw"],
+    ["stats", "--pipeline", "p.json", "--raw"],
+    ["audit", "--bogus"],
+    ["audit", "--fail-on-findings", "--bogus"],
+    ["audit", "--fail-on-findings", "--seed", "7"],
+    ["classify", "--fail-on-findings", "--pipeline", "p.json", "--raw"],
+    ["mutate", "--payload", "a", "--budget", "x"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-command")
+def test_cli_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("sig-audit: error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["audit", "--help"], ["structure", "--help"]])
+def test_cli_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sig-audit")
+
+
+def test_cli_option_count():
+    """Each subcommand has only the options it reads."""
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    counts = {
+        name: sum(bool(a.option_strings) and a.dest != "help" for a in p._actions)
+        for name, p in sub.choices.items()
+    }
+    assert counts == {"audit": 9, "matrix": 6, "stats": 8, "structure": 2, "mutate": 4, "classify": 8}
+    assert sum(counts.values()) == 37
+
+
 def test_cli_json_corpus_matches_tsv_corpus(tmp_path, capsysbinary, corpus):
     sig_json, vec_json = tmp_path / "s.json", tmp_path / "v.json"
     sig_json.write_text(signatures_to_json(corpus.signatures), encoding="utf-8")
