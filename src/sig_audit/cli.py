@@ -75,6 +75,20 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.matrix:
+        # the matrix was built already: corpus, pipeline and case mode are its own
+        unused = [
+            flag
+            for flag, value in (
+                ("--signatures", args.signatures),
+                ("--vectors", args.vectors),
+                ("--pipeline", args.pipeline),
+                ("--raw", args.raw),
+                ("--case-sensitive", args.case_sensitive),
+            )
+            if value
+        ]
+        if unused:
+            args.usage_error(f"--matrix cannot be combined with {', '.join(unused)}")
         m = matcher.DetectionMatrix.from_json(args.matrix.read_text(encoding="utf-8"))
     else:
         corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
@@ -179,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", type=Path, help="previously exported matrix JSON")
     p.add_argument("--set-a", type=Path)
     p.add_argument("--histogram", action="store_true", help="emit a per-signature count CSV")
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, usage_error=p.error)
 
     p = sub.add_parser("structure", help="operators, sub-rules and bounds of one signature")
     _add_shared(p, matching=False)

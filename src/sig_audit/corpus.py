@@ -112,12 +112,6 @@ class Corpus:
     def signature(self, signature_id: str) -> Signature:
         return self._sig_index[signature_id]
 
-    def vector(self, vector_id: str) -> AttackVector:
-        for vec in self.vectors:
-            if vec.id == vector_id:
-                return vec
-        raise KeyError(vector_id)
-
     @property
     def fingerprint(self) -> str:
         blob = signatures_to_json(self.signatures) + vectors_to_json(self.vectors)
@@ -257,6 +251,9 @@ def _dialects(tokens, vid: str, line: int | None = None) -> frozenset[Dialect]:
 
 def _vectors_from_tsv(text: str) -> list[AttackVector]:
     vecs = []
+    # each distinct field is parsed once per load; a failure is not kept
+    intents: dict[str, Intent] = {}
+    dialect_sets: dict[str, frozenset[Dialect]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -265,34 +262,32 @@ def _vectors_from_tsv(text: str) -> list[AttackVector]:
             raise ParseError(
                 "expected id<TAB>target<TAB>intent<TAB>dialects<TAB>payload", lineno
             )
-        vid, target, intent_tok, dialect_toks, payload = parts
+        vid, target, intent_tok, dialect_field, payload = parts
+        intent = intents.get(intent_tok) or intents.setdefault(intent_tok, Intent.from_token(intent_tok))
+        dialects = dialect_sets.get(dialect_field) or dialect_sets.setdefault(
+            dialect_field, _dialects(dialect_field.split(","), vid, lineno)
+        )
         vecs.append(
-            AttackVector(
-                id=vid,
-                target_signature_id=target,
-                payload=payload,
-                intent=Intent.from_token(intent_tok),
-                dialects=_dialects(dialect_toks.split(","), vid, lineno),
-            )
+            AttackVector(id=vid, target_signature_id=target, payload=payload, intent=intent, dialects=dialects)
         )
     return vecs
 
 
 def _vectors_from_json(text: str) -> list[AttackVector]:
     vecs = []
+    # each distinct field is parsed once per load; a failure is not kept
+    intents: dict[str, Intent] = {}
+    dialect_sets: dict[tuple[str, ...], frozenset[Dialect]] = {}
     for i, row in enumerate(_json_objects(text, "vector")):
-        vid, target, payload, intent = _strings(row, ("id", "target", "payload", "intent"), "vector", i)
-        dialects = row.get("dialects")
-        if not isinstance(dialects, list) or not all(isinstance(tok, str) for tok in dialects):
+        vid, target, payload, intent_tok = _strings(row, ("id", "target", "payload", "intent"), "vector", i)
+        tokens = row.get("dialects")
+        if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
             raise ParseError(f"bad vector object at index {i}: 'dialects' must be a list of strings")
+        key = tuple(tokens)
+        intent = intents.get(intent_tok) or intents.setdefault(intent_tok, Intent.from_token(intent_tok))
+        dialects = dialect_sets.get(key) or dialect_sets.setdefault(key, _dialects(key, vid))
         vecs.append(
-            AttackVector(
-                id=vid,
-                target_signature_id=target,
-                payload=payload,
-                intent=Intent.from_token(intent),
-                dialects=_dialects(dialects, vid),
-            )
+            AttackVector(id=vid, target_signature_id=target, payload=payload, intent=intent, dialects=dialects)
         )
     return vecs
 

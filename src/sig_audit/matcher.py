@@ -33,6 +33,7 @@ import re
 import warnings
 from bisect import bisect_right
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 
 try:  # renamed to a private module in newer interpreters
@@ -238,17 +239,19 @@ class DetectionMatrix:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        doc = {
-            "pipeline_fingerprint": self.pipeline_fingerprint,
-            "vector_ids": list(self.vector_ids),
-            "rows": {
-                sid: list(map(int, _cell_digits(row, len(self.vector_ids))))
-                for sid, row in zip(self.signature_ids, self.rows)
-            },
-            "signature_ids": list(self.signature_ids),
-            "row_sums": self.row_counts(),
-        }
-        return json.dumps(doc, sort_keys=True)
+        """The bytes of ``json.dumps(doc, sort_keys=True)`` for the document
+        whose ``rows`` hold each row as a list of 0/1 ints: each row's list
+        is written from its digit string, ``json`` encodes the rest."""
+        n = len(self.vector_ids)
+        table = ", ".join(
+            f"{encode_basestring_ascii(sid)}: [{', '.join(_cell_digits(row, n))}]"
+            for sid, row in sorted(dict(zip(self.signature_ids, self.rows)).items())
+        )
+        head = json.dumps(
+            {"pipeline_fingerprint": self.pipeline_fingerprint, "row_sums": self.row_counts()}, sort_keys=True
+        )
+        tail = json.dumps({"signature_ids": list(self.signature_ids), "vector_ids": list(self.vector_ids)})
+        return f'{head[:-1]}, "rows": {{{table}}}, {tail[1:]}'
 
     @classmethod
     def from_json(cls, text: str) -> "DetectionMatrix":

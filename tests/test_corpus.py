@@ -91,6 +91,27 @@ def test_load_vectors_unknown_intent():
         load_vectors("v1\tS_1\tbogus\tgeneric\tx\n", sigs)
 
 
+def test_repeated_fields_load_the_same_and_a_bad_one_names_its_row():
+    """The loaders parse each distinct intent and dialect field once per
+    load; a bad field is still reported at its own vector and line."""
+    sigs = [Signature("S_1", "a")]
+    tsv = "v1\tS_1\texec\tmysql,generic\ta\nv2\tS_1\texec\tmysql,generic\tb\n"
+    v1, v2 = load_vectors(tsv, sigs)
+    expected = (Intent.EXEC_UNAUTHORIZED, {Dialect.MYSQL, Dialect.GENERIC})
+    assert (v1.intent, v1.dialects) == (v2.intent, v2.dialects) == expected
+    with pytest.raises(ParseError, match=r"^line 4: vector v4 has no dialect tags$"):
+        load_vectors(tsv + "# note\nv4\tS_1\texec\t,\tc\n", sigs)
+    with pytest.raises(UnknownIntent, match="'bogus'"):
+        load_vectors(tsv + "v3\tS_1\tbogus\tmysql,generic\tc\n", sigs)
+    rows = [{"id": f"v{i}", "target": "S_1", "intent": "exec", "dialects": ["mysql"], "payload": "a"} for i in (1, 2)]
+    rows.append({"id": "v3", "target": "S_1", "intent": "exec", "dialects": [" "], "payload": "a"})
+    with pytest.raises(ParseError, match=r"^vector v3 has no dialect tags$"):
+        load_vectors(json.dumps(rows), sigs, format="json")
+    rows[2] = dict(rows[0], id="v3", intent="bogus")
+    with pytest.raises(UnknownIntent, match="'bogus'"):
+        load_vectors(json.dumps(rows), sigs, format="json")
+
+
 _ID_FAULTS = [
     ("S_1\ta\nS_1\tb\n", "v1\tS_1\texec\tgeneric\tx\n", DuplicateId),
     ("S_1\ta\n", "v1\tS_1\texec\tgeneric\tx\nv1\tS_1\texec\tgeneric\ty\n", DuplicateId),

@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import naive_search, random_corpus, random_pattern, random_payload
 from sig_audit import normalize
@@ -160,25 +161,57 @@ def test_matrix_csv_and_json_round_trip(raw_matrix):
     assert lines[0].startswith("signature_id,")
 
 
-@pytest.mark.parametrize("n_vectors", [0, 1, 5, 64, 301])
-def test_cell_codec_matches_per_bit_reference(n_vectors):
-    rng = random.Random(n_vectors)
-    rows = (0, (1 << n_vectors) - 1) + tuple(rng.getrandbits(n_vectors) for _ in range(4))
-    m = DetectionMatrix(
-        tuple(f"S_{k}" for k in range(len(rows))), tuple(f"v{i}" for i in range(n_vectors)), rows, "fp"
-    )
-    cells = {sid: [row >> i & 1 for i in range(n_vectors)] for sid, row in zip(m.signature_ids, rows)}
-    csv = ["signature_id," + ",".join(m.vector_ids)]
-    csv += [f"{sid}," + ",".join(map(str, cells[sid])) for sid in m.signature_ids]
-    assert m.to_csv() == "\n".join(csv) + "\n"
+def _reference_json(m):
+    """``to_json`` as ``json.dumps`` of the document with per-bit int cells."""
+    cells = {sid: [row >> i & 1 for i in range(len(m.vector_ids))] for sid, row in zip(m.signature_ids, m.rows)}
     doc = {
-        "pipeline_fingerprint": "fp",
+        "pipeline_fingerprint": m.pipeline_fingerprint,
         "vector_ids": list(m.vector_ids),
         "rows": cells,
         "signature_ids": list(m.signature_ids),
         "row_sums": {sid: sum(c) for sid, c in cells.items()},
     }
-    assert m.to_json() == json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True)
+
+
+_ESCAPED = ('"', "\\", "\x01", "caf\u00e9", "\U0001f600")  # quote, backslash, control, non-ASCII, astral
+
+
+@pytest.mark.parametrize(
+    "signature_ids,vector_ids",
+    [
+        pytest.param(tuple(f"S_{k}" for k in range(6)), tuple(f"v{i}" for i in range(n)), id=str(n))
+        for n in (0, 1, 5, 64, 301)
+    ]
+    + [
+        pytest.param(_ESCAPED, _ESCAPED, id="escaped_ids"),
+        pytest.param(("S_2", "S_10", "S_1", "S_20"), ("v10", "v2", "v1"), id="sorted_is_not_corpus_order"),
+        pytest.param(("S_a", "s_a", "S_A"), ("V", "v"), id="ids_differ_in_case"),
+        pytest.param((), ("v0", "v1"), id="zero_signatures"),
+        pytest.param((), (), id="empty"),
+    ],
+)
+def test_cell_codec_matches_per_bit_reference(signature_ids, vector_ids):
+    n_vectors = len(vector_ids)
+    rng = random.Random(n_vectors)
+    rows = (0, (1 << n_vectors) - 1) + tuple(rng.getrandbits(n_vectors) for _ in range(4))
+    rows = rows[: len(signature_ids)]
+    m = DetectionMatrix(signature_ids, vector_ids, rows, "fp")
+    csv = ["signature_id," + ",".join(m.vector_ids)]
+    csv += [f"{sid}," + ",".join(str(row >> i & 1) for i in range(n_vectors)) for sid, row in zip(signature_ids, rows)]
+    assert m.to_csv() == "\n".join(csv) + "\n"
+    assert m.to_json() == _reference_json(m)
+    assert DetectionMatrix.from_json(m.to_json()) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_to_json_equals_reference_for_any_ids_and_rows(data):
+    ids = st.lists(st.text(max_size=4), max_size=6, unique=True).map(tuple)
+    signature_ids, vector_ids = data.draw(ids), data.draw(ids)
+    rows = tuple(data.draw(st.integers(0, (1 << len(vector_ids)) - 1)) for _ in signature_ids)
+    m = DetectionMatrix(signature_ids, vector_ids, rows, data.draw(st.text(max_size=4)))
+    assert m.to_json() == _reference_json(m)
     assert DetectionMatrix.from_json(m.to_json()) == m
 
 

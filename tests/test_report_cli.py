@@ -253,7 +253,7 @@ def test_cli_classify_rows_are_the_audit_findings(capsys):
     assert rows == json.loads(capsys.readouterr().out)["findings"]
 
 
-# options no subcommand reads, a usage conflict and a typo
+# options no subcommand reads, options stats --matrix does not read, a usage conflict and a typo
 _USAGE_ERRORS = [
     ["audit", "--seed", "7"],
     ["audit", "--jobs", "8"],
@@ -263,6 +263,11 @@ _USAGE_ERRORS = [
     ["stats", "--seed", "7"],
     ["stats", "--jobs", "8"],
     ["stats", "--format", "csv"],
+    ["stats", "--matrix", "m.json", "--signatures", "s.tsv"],
+    ["stats", "--matrix", "m.json", "--vectors", "v.tsv"],
+    ["stats", "--matrix", "m.json", "--pipeline", "p.json"],
+    ["stats", "--matrix", "m.json", "--raw"],
+    ["stats", "--matrix", "m.json", "--case-sensitive"],
     ["structure", "S_1", "--pipeline", "p.json"],
     ["structure", "S_1", "--raw"],
     ["structure", "S_1", "--format", "json"],
