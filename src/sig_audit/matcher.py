@@ -10,19 +10,28 @@ The detection matrix holds one packed bit row per signature, bit i set
 when the signature matches transformed vector i. Row subset tests are
 plain integer masking.
 
-A row is built over the distinct forwarded texts, not over the cells:
-equal transformed payloads are searched once and share the result.
+A row is built over match keys, not over the cells. A key is a
+distinct forwarded text; under case-insensitive matching an ASCII text
+is keyed by its lowercase form, so texts differing only in case are
+searched once and share the result. Folding is exact: under
+``re.IGNORECASE`` every opcode reads a character through its lowercase
+form, and ``.``, ``\\d``, ``\\s``, ``\\w`` and the anchors do not depend
+on case. A text that is not ASCII stays its own key (``re.IGNORECASE``
+matches the long s to ``s`` and the Kelvin sign to ``k``). One
+``TextIndex`` can hold several views, a view being a pipeline with or
+without its prefilter; an audit's raw and deployed matrices share one,
+so a rule searches each key once for both.
+
 Each rule carries the literals its parse requires (every match contains
-at least one of them), and a distinct text is searched only when it
-contains one. Containment comes from ``str.find`` over one NUL-joined
-buffer of the texts whose offsets map back to texts, so the precheck
-never drops a match; a literal found across a separator only costs a
-search. Under case-insensitive matching the buffer holds folded texts,
-and the precheck is skipped where folding is not exact: a text that is
-not ASCII is always searched, and so is every text for a rule with a
-literal that is not ASCII (``re.IGNORECASE`` matches the long s to
-``s`` and the Kelvin sign to ``k``). A rule whose parse requires no
-literal is searched against every distinct text.
+at least one of them), and a key is searched only when it contains one.
+Containment comes from ``str.find`` over one NUL-joined buffer of the
+keys whose offsets map back to keys, so the precheck never drops a
+match; a literal found across a separator only costs a search. Under
+case-insensitive matching literals are compared lowercased, and the
+precheck is skipped where that is not exact: a key that is not ASCII is
+always searched, and so is every key for a rule with a literal that is
+not ASCII. A rule whose parse requires no literal is searched against
+every key.
 """
 
 from __future__ import annotations
@@ -329,72 +338,99 @@ def bit_indices(bits: int) -> list[int]:
     return out
 
 
-class _TextIndex:
-    """The distinct texts of one matrix build, each with its columns.
+class TextIndex:
+    """The distinct match keys of one or more views of a corpus.
 
-    Per case mode it keeps the NUL-joined buffer of the texts (folded
-    when case-insensitive, where a text that is not ASCII stands as an
-    empty part), the start offset of each part, and the mask of the
-    texts the buffer cannot vouch for; per literal, the mask of the
-    texts containing it. Masks are bit sets over distinct-text positions.
+    A view is a ``(pipeline, apply_prefilter)`` pair. Each forwarded
+    column of a view maps to the key of its transformed text: the text
+    itself, or under case-insensitive matching the lowercase form of an
+    ASCII text (a text that is not ASCII stays its own key). The index
+    keeps one NUL-joined precheck buffer of the keys, where a key that
+    is not ASCII stands as an empty part and is always searched when
+    folding; the mask of the keys holding each literal, a bit set over
+    key positions; and for each rule the keys it matches, searched on
+    first use and reused by every view.
     """
 
-    def __init__(self, columns: dict[str, list[int]]):
-        self.texts = list(columns)
-        self.columns = list(columns.values())
-        self._views: dict[bool, tuple[str, list[int], int]] = {}
-        self._found: dict[tuple[bool, str], int] = {}
+    def __init__(self, corpus, views, case_sensitive: bool = False):
+        self.case_sensitive = case_sensitive
+        self._size = len(corpus.vectors)
+        fold = not case_sensitive
+        position: dict[str, int] = {}
+        grouped = {}
+        for pipeline, apply_prefilter in views:
+            texts: dict[str, list[int]] = {}
+            for i, vector in enumerate(corpus.vectors):
+                text = normalize.apply(pipeline, vector.payload)
+                if not apply_prefilter or normalize.prefilter_pass(pipeline, text):
+                    texts.setdefault(text, []).append(i)
+            columns = grouped[pipeline, apply_prefilter] = {}
+            for text, cols in texts.items():
+                key = text.lower() if fold and text.isascii() else text
+                columns.setdefault(position.setdefault(key, len(position)), []).extend(cols)
+        self.keys = list(position)
+        # per view, the columns of each key (none where the view lacks it)
+        self._columns = {view: [cols.get(k, ()) for k in range(len(self.keys))] for view, cols in grouped.items()}
+        unchecked = [fold and not key.isascii() for key in self.keys]
+        parts = ["" if skip else key for key, skip in zip(self.keys, unchecked)]
+        self._buffer = "\0".join(parts)
+        self._starts = list(accumulate((len(part) + 1 for part in parts), initial=0))
+        self._unchecked = _mask([k for k, skip in enumerate(unchecked) if skip], len(parts))
+        self._found: dict[str, int] = {}
+        self._hits: dict[CompiledSignature, list[int]] = {}
 
-    def _view(self, fold: bool) -> tuple[str, list[int], int]:
-        view = self._views.get(fold)
-        if view is None:
-            parts, unchecked = [], 0
-            for k, text in enumerate(self.texts):
-                if fold and not text.isascii():
-                    parts.append("")  # holds no literal; searched through ``unchecked``
-                    unchecked |= 1 << k
-                else:
-                    parts.append(text.lower() if fold else text)
-            starts = list(accumulate((len(part) + 1 for part in parts), initial=0))
-            view = self._views[fold] = ("\0".join(parts), starts, unchecked)
-        return view
-
-    def _containing(self, fold: bool, literal: str) -> int:
-        """Mask of the prechecked texts that contain ``literal``."""
-        found = self._found.get((fold, literal))
+    def _containing(self, literal: str) -> int:
+        """Mask of the prechecked keys that contain ``literal``."""
+        found = self._found.get(literal)
         if found is None:
-            buffer, starts, _ = self._view(fold)
-            found = 0
+            buffer, starts = self._buffer, self._starts
+            positions = []
             at = buffer.find(literal)
             while at >= 0:
                 k = bisect_right(starts, at) - 1
-                found |= 1 << k
+                positions.append(k)
                 at = buffer.find(literal, starts[k + 1])
-            self._found[fold, literal] = found
+            found = self._found[literal] = _mask(positions, len(self.keys))
         return found
 
     def candidates(self, compiled: CompiledSignature):
-        """Positions of the distinct texts the rule may match."""
-        fold = compiled.case_insensitive
+        """Positions of the keys the rule may match."""
         literals = compiled.literals
-        if not literals or (fold and not all(lit.isascii() for lit in literals)):
-            return range(len(self.texts))
-        if fold:
+        if compiled.case_insensitive:
+            if not all(lit.isascii() for lit in literals):
+                return range(len(self.keys))
             literals = {lit.lower() for lit in literals}
-        mask = self._view(fold)[2]
+        if not literals:
+            return range(len(self.keys))
+        mask = self._unchecked
         for lit in literals:
-            mask |= self._containing(fold, lit)
+            mask |= self._containing(lit)
         return bit_indices(mask)
 
-    def row(self, compiled: CompiledSignature) -> int:
-        search = compiled.pattern.search
-        texts, columns = self.texts, self.columns
-        bits = 0
-        for k in self.candidates(compiled):
-            if search(texts[k]) is not None:
-                for i in columns[k]:
-                    bits |= 1 << i
-        return bits
+    def hits(self, compiled: CompiledSignature) -> list[int]:
+        """Positions of the keys the rule matches, searched on first use."""
+        found = self._hits.get(compiled)
+        if found is None:
+            if compiled.case_insensitive == self.case_sensitive:
+                raise ValueError(f"{compiled.signature_id} is compiled in the other case mode than the text index")
+            search, keys = compiled.pattern.search, self.keys
+            found = self._hits[compiled] = [k for k in self.candidates(compiled) if search(keys[k]) is not None]
+        return found
+
+    def rows(self, compiled, pipeline: normalize.Pipeline, apply_prefilter: bool) -> tuple[int, ...]:
+        """The packed rows of the rules in one indexed view."""
+        columns = self._columns.get((pipeline, apply_prefilter))
+        if columns is None:
+            raise ValueError("the text index does not hold this view")
+        return tuple(_mask([i for k in self.hits(c) for i in columns[k]], self._size) for c in compiled)
+
+
+def _mask(positions: list[int], size: int) -> int:
+    """The bit set of ``positions``, each below ``size``, built from one digit string."""
+    digits = bytearray(b"0") * size
+    for k in positions:
+        digits[k] = 49  # "1"
+    return int(digits[::-1] or b"0", 2)
 
 
 def detection_matrix(
@@ -403,6 +439,7 @@ def detection_matrix(
     case_sensitive: bool = False,
     apply_prefilter: bool = False,
     compiled: list[CompiledSignature] | None = None,
+    index: TextIndex | None = None,
 ) -> DetectionMatrix:
     """Evaluate every signature against every transformed payload.
 
@@ -410,19 +447,18 @@ def detection_matrix(
     the rules themselves can detect. ``apply_prefilter=True`` gives the
     deployed view where skipped payloads reach no rule. ``compiled``
     holds the corpus signatures already compiled, in corpus order.
+    ``index`` is a ``TextIndex`` of the corpus in the same case mode
+    that holds this view, when the caller shares one between matrices;
+    each rule then searches each key once across all of them.
     """
     if compiled is None:
         compiled = [compile_signature(s, case_sensitive) for s in corpus.signatures]
-    columns: dict[str, list[int]] = {}
-    for i, vector in enumerate(corpus.vectors):
-        text = normalize.apply(pipeline, vector.payload)
-        if not apply_prefilter or normalize.prefilter_pass(pipeline, text):
-            columns.setdefault(text, []).append(i)
-    index = _TextIndex(columns)
+    if index is None:
+        index = TextIndex(corpus, [(pipeline, apply_prefilter)], case_sensitive)
     return DetectionMatrix(
         signature_ids=tuple(s.id for s in corpus.signatures),
         vector_ids=tuple(v.id for v in corpus.vectors),
-        rows=tuple(index.row(c) for c in compiled),
+        rows=index.rows(compiled, pipeline, apply_prefilter),
         pipeline_fingerprint=pipeline.fingerprint,
     )
 

@@ -210,7 +210,9 @@ def run_audit(
 
     Each rule is analysed once: its pattern is parsed once
     (``Signature.tree``) and compiled once, and the parse tree feeds
-    every structural pass. Two matrices are built, raw and deployed; the
+    every structural pass, where one lexicon shares its atom table
+    across rules. Two matrices are built, raw and deployed, over one text
+    index, so a rule searches each distinct text once for both; the
     bypass set and the inconsistency findings both derive from them.
     """
     if corpus is None:
@@ -226,12 +228,17 @@ def run_audit(
     lexicon = _lexicon_covering(families)
 
     compiled = [matcher.compile_signature(sig, case_sensitive) for sig in corpus.signatures]
+    # one index for both matrices, so each rule searches each key once;
+    # the per-rule passes do not read it, so it is dropped before them
+    # and stays out of the audit's peak memory
+    index = matcher.TextIndex(corpus, [(normalize.RAW_PIPELINE, False), (pipeline, True)], case_sensitive)
     raw_matrix = matcher.detection_matrix(
-        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, compiled=compiled
+        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, compiled=compiled, index=index
     )
     deployed = matcher.detection_matrix(
-        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, compiled=compiled
+        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, compiled=compiled, index=index
     )
+    del index
     logical = corpus_mod.logical_subset(corpus)
     logical_mask = sum(1 << i for i, v in enumerate(corpus.vectors) if v.id in logical)
     if not corpus.vectors:

@@ -16,6 +16,7 @@ Three views of a rule:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -49,6 +50,13 @@ class OperatorLexicon:
     @property
     def tokens(self) -> frozenset[str]:
         return self.word_ops | self.symbol_ops
+
+    @functools.cached_property
+    def _atoms(self) -> dict[tuple, "_CharSet"]:
+        """One charset per distinct parsed atom, shared by every rule
+        extracted with this lexicon; each caches its per-token moves.
+        It lives as long as the lexicon (not compared or exported)."""
+        return {}
 
 
 def default_lexicon() -> OperatorLexicon:
@@ -105,10 +113,12 @@ class _CharSet:
     ``mask`` holds the atom's probe characters, computed once, so the
     NFA walk answers its questions with integer masking. Characters
     outside the probe set (custom family members can hold any) fall
-    back to the predicate.
+    back to the predicate. Case-insensitive membership is cached per
+    character and move tables per token, since one atom serves every
+    rule extracted with a lexicon.
     """
 
-    __slots__ = ("_pred", "mask", "narrow", "can_word", "can_nonword")
+    __slots__ = ("_pred", "mask", "narrow", "can_word", "can_nonword", "_ci", "_moves")
 
     # atoms realizing more probe characters than this are treated as
     # wildcards: they can carry a boundary but never spell an operator
@@ -120,6 +130,8 @@ class _CharSet:
         self.narrow = mask.bit_count() <= self._NARROW
         self.can_word = bool(mask & _WORD_PROBES)
         self.can_nonword = bool(mask & ~_WORD_PROBES)
+        self._ci: dict[str, bool] = {}
+        self._moves: dict[tuple[str, bool], list[tuple[int, ...]]] = {}
 
     def contains(self, ch: str) -> bool:
         bit = _PROBE_BIT.get(ch)
@@ -128,7 +140,22 @@ class _CharSet:
         return bool(self.mask & bit)
 
     def contains_ci(self, ch: str) -> bool:
-        return self.contains(ch) or self.contains(ch.swapcase())
+        hit = self._ci.get(ch)
+        if hit is None:
+            # re.IGNORECASE uses the simple, one-character case mapping:
+            # the swap of "ß" is "SS", which no single character matches
+            swapped = ch.swapcase()
+            hit = self.contains(ch) or (len(swapped) == 1 and self.contains(swapped))
+            self._ci[ch] = hit
+        return hit
+
+    def moves(self, token: str, word_token: bool) -> list[tuple[int, ...]]:
+        """``_char_moves(self, token, word_token)``, computed once."""
+        key = (token, word_token)
+        table = self._moves.get(key)
+        if table is None:
+            table = self._moves[key] = _char_moves(self, token, word_token)
+        return table
 
     def can_other_than(self, ch: str) -> bool:
         return bool(self.mask & ~_PROBE_BIT.get(ch, 0))
@@ -207,9 +234,10 @@ _ANCHOR = "anchor"
 
 
 class _Nfa:
-    def __init__(self):
+    def __init__(self, table: dict[tuple, _CharSet] | None = None):
         self.edges: dict[int, list[tuple[str, object, int]]] = {}
-        self.atoms: dict[tuple, _CharSet] = {}  # one charset per distinct atom
+        self.atoms: dict[tuple, _CharSet] = {}  # one charset per distinct atom of this rule
+        self._table = {} if table is None else table  # charsets shared across rules
         self._next = 0
 
     def state(self) -> int:
@@ -223,9 +251,10 @@ class _Nfa:
 
     def charset(self, op, arg) -> _CharSet:
         key = (op, tuple(arg)) if op is sre_constants.IN else (op, arg)
-        cs = self.atoms.get(key)
+        cs = self._table.get(key)
         if cs is None:
-            cs = self.atoms[key] = _node_charset(op, arg)
+            cs = self._table[key] = _node_charset(op, arg)
+        self.atoms[key] = cs
         return cs
 
 
@@ -309,7 +338,7 @@ def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token
     if not all(any(cs.contains_ci(ch) for cs in narrow) for ch in token):
         return False  # some character of the token is spelled by no atom
     n = len(token)
-    moves = {cs: _char_moves(cs, token, word_token) for cs in nfa.atoms.values()}
+    moves = {cs: cs.moves(token, word_token) for cs in nfa.atoms.values()}
     # an anchor is a match edge: a boundary before or after the token,
     # and never inside it
     anchor_moves = [(_SEARCH,), (_SEARCH,), ()] + [()] * (n - 1) + [(n + 1,), (n + 1,)]
@@ -336,10 +365,12 @@ def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token
 
 
 def extract_operators(signature, lexicon: OperatorLexicon | None = None) -> TokenizedSignature:
-    """Every lexicon operator the pattern can match as a standalone token."""
+    """Every lexicon operator the pattern can match as a standalone token.
+
+    Rules extracted with one lexicon share its atom table."""
     lexicon = lexicon or default_lexicon()
     cap = max((len(t) for t in lexicon.tokens), default=1) + 2
-    nfa = _Nfa()
+    nfa = _Nfa(lexicon._atoms)
     entry = nfa.state()
     accept = _build_nfa(signature.tree, nfa, entry, cap)
     found = set()

@@ -12,6 +12,7 @@ from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 from sig_audit.errors import RegexDialectError
 from sig_audit.matcher import (
     DetectionMatrix,
+    TextIndex,
     bit_indices,
     compile_signature,
     detection_matrix,
@@ -299,6 +300,56 @@ def test_matrix_matches_per_cell_search(case_sensitive):
             )
 
 
+def with_case_variants(corpus, rng):
+    """The corpus plus payloads differing from one of its own only in
+    case, and payloads and rules with characters IGNORECASE folds onto
+    ASCII letters."""
+    payloads = [v.payload for v in corpus.vectors]
+    payloads += [p.upper() for p in rng.sample(payloads, 3)] + [p.title() for p in rng.sample(payloads, 2)]
+    # "İ".lower() is two characters, while IGNORECASE reads it as "i"
+    payloads += ["ſELECT 1", "\u212aEY LIKE 1", "select \u212a or 1", "İNSERT into t"]
+    patterns = [s.pattern_source for s in corpus.signatures] + ["ſelect\\s+1", "[\u212a]ey", "(?:K|ſ)", "insert\\s"]
+    return Corpus(
+        tuple(Signature(f"R_{k}", p) for k, p in enumerate(patterns)),
+        tuple(
+            AttackVector(f"p_{i}", "none", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for i, p in enumerate(payloads)
+        ),
+    )
+
+
+@pytest.mark.parametrize("case_sensitive", [False, True])
+def test_shared_index_matches_per_cell_search(case_sensitive):
+    """One index over several views gives each view the rows of one
+    ``re.search`` per cell and of a one-view build."""
+    rng = random.Random(78)
+    default = normalize.default_pipeline()
+    no_fold = normalize.Pipeline(
+        transforms=tuple(t for t in normalize.DEFAULT_TRANSFORMS if t != "case_fold"),
+        prefilter=normalize.DEFAULT_PREFILTER,
+    )
+    views = [(normalize.RAW_PIPELINE, False), (default, True), (default, False), (no_fold, True)]
+    for _ in range(40):
+        corpus = with_case_variants(awkward_corpus(rng), rng)
+        compiled = [compile_signature(s, case_sensitive) for s in corpus.signatures]
+        index = TextIndex(corpus, views, case_sensitive)
+        for pipeline, deployed in views:
+            shared = detection_matrix(corpus, pipeline, case_sensitive, deployed, compiled, index=index)
+            assert shared.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed), (
+                [s.pattern_source for s in corpus.signatures],
+                [v.payload for v in corpus.vectors],
+            )
+            assert shared == detection_matrix(corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=deployed)
+
+
+def test_shared_index_refuses_a_view_or_case_mode_it_does_not_hold(corpus):
+    index = TextIndex(corpus, [(normalize.RAW_PIPELINE, False)])
+    with pytest.raises(ValueError):
+        detection_matrix(corpus, normalize.default_pipeline(), index=index)
+    with pytest.raises(ValueError):
+        detection_matrix(corpus, normalize.RAW_PIPELINE, case_sensitive=True, index=index)
+
+
 def test_required_literals_are_sound(corpus):
     """Every text a rule matches contains one of its literals, compared
     in the rule's case mode."""
@@ -360,3 +411,40 @@ def test_matrix_searches_each_distinct_text_at_most_once():
     for c in counted:
         assert len(c.pattern.texts) <= distinct < len(vectors)
         assert len(set(c.pattern.texts)) == len(c.pattern.texts)
+
+    # one index shared by the raw and the deployed view: each rule
+    # searches each key at most once across both
+    views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
+    for case_sensitive in (False, True):
+        counted = [
+            dataclasses.replace(c, pattern=CountingPattern(c.pattern))
+            for c in (compile_signature(s, case_sensitive) for s in corpus.signatures)
+        ]
+        index = TextIndex(corpus, views, case_sensitive)
+        for pipeline, deployed in views:
+            m = detection_matrix(corpus, pipeline, case_sensitive, deployed, counted, index=index)
+            assert m.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed)
+        for c in counted:
+            assert len(c.pattern.texts) <= len(index.keys)
+            assert len(set(c.pattern.texts)) == len(c.pattern.texts)
+
+
+@pytest.mark.parametrize("case_sensitive,raw_searches,shared_searches", [(False, 1, 1), (True, 2, 3)])
+def test_texts_differing_in_case_share_a_key_when_case_insensitive(case_sensitive, raw_searches, shared_searches):
+    corpus = Corpus(
+        (Signature("S_1", r"\w+\s+\w+ 1'"),),  # matches both in either case mode
+        tuple(
+            AttackVector(f"v{i}", "S_1", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for i, p in enumerate(["UNION select 1'", "union SELECT 1'"])
+        ),
+    )
+    # the default pipeline folds both to "union select 1'", which its prefilter forwards
+    views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
+    for shared_views, searches in ((views[:1], raw_searches), (views, shared_searches)):
+        compiled = compile_signature(corpus.signatures[0], case_sensitive)
+        counted = [dataclasses.replace(compiled, pattern=CountingPattern(compiled.pattern))]
+        index = TextIndex(corpus, shared_views, case_sensitive)
+        for pipeline, deployed in shared_views:
+            m = detection_matrix(corpus, pipeline, case_sensitive, deployed, counted, index=index)
+            assert m.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed) == (0b11,)
+        assert len(counted[0].pattern.texts) == searches

@@ -116,6 +116,26 @@ def test_family_member_outside_probe_set_reaches_incompleteness(tmp_path):
     ]
 
 
+def test_cli_family_member_whose_case_swap_is_two_characters(tmp_path, capsys):
+    """``"ß".swapcase()`` is ``"SS"``; the audit neither crashes on it
+    nor finds ``ß`` where no atom holds it."""
+    sig_path = tmp_path / "s.tsv"
+    sig_path.write_text("S_1\t1\\s*[a-c]\\s*1\nS_2\t1\\s*~\\s*1\n", encoding="utf-8")
+    vec_path = tmp_path / "v.tsv"
+    vec_path.write_text("v1\tS_1\texec\tgeneric\t1 a 1\n", encoding="utf-8")
+    fams = tmp_path / "families.json"
+    fams.write_text(json.dumps([{"name": "x", "members": ["ß", "~"]}]), encoding="utf-8")
+    rc = cli.main(["audit", "--signatures", str(sig_path), "--vectors", str(vec_path), "--families", str(fams)])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    incomplete = {
+        f["signature"]: f["evidence"]["violations"]
+        for f in json.loads(captured.out)["findings"]
+        if f["label"] == Label.INCOMPLETE.value
+    }
+    assert incomplete == {"S_2": [{"family": "x", "present": ["~"], "missing": ["ß"]}]}
+
+
 def test_audit_analyses_each_rule_once(monkeypatch, corpus):
     """One audit builds two matrices, compiles each rule once and parses
     each rule's source once, loading included."""

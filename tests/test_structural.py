@@ -5,6 +5,7 @@ import pytest
 
 from sig_audit import structural
 from sig_audit.corpus import Signature
+from sig_audit.errors import RegexDialectError
 from sig_audit.matcher import parse_pattern
 from sig_audit.structural import (
     OperatorLexicon,
@@ -90,6 +91,48 @@ def test_one_charset_per_distinct_atom():
     on_edges = {id(cs) for edges in nfa.edges.values() for kind, cs, _ in edges if kind == "char"}
     assert on_edges == {id(cs) for cs in nfa.atoms.values()}
     assert len(nfa.atoms) == 7  # \s, o, r, [0-9], a, n, d: one object each
+    # a second rule built over the same table reuses its objects
+    other = structural._Nfa(nfa._table)
+    structural._build_nfa(parse_pattern(r"\s*xor\s*[0-9]"), other, other.state(), repeat_cap=6)
+    shared = other.atoms.keys() & nfa.atoms.keys()
+    assert len(shared) == 4 and all(other.atoms[key] is nfa.atoms[key] for key in shared)
+    assert len(other.atoms) == 5 and len(nfa._table) == 8  # x is the one new atom
+
+
+def test_shared_atom_table_gives_the_fresh_extraction(corpus):
+    """Extracting every rule with one lexicon, so one atom table and its
+    cached moves, in any order, equals extracting each with a fresh one."""
+    rng = random.Random(12)
+    from oracles import random_pattern
+
+    patterns = [s.pattern_source for s in corpus.signatures] + [random_pattern(rng) for _ in range(300)]
+    patterns += [r"1\s*[a-c]\s*1", r"1\s*[¬ßs]\s*1", r"1\s*(?:ß|¬)\s*1", r"1\s*SS\s*1"]
+    signatures = []
+    for k, pattern in enumerate(patterns):
+        s = sig(pattern, f"R_{k}")
+        try:
+            s.tree
+        except RegexDialectError:
+            continue
+        signatures.append(s)
+    base = default_lexicon()
+    for word_ops, symbol_ops in [(base.word_ops, base.symbol_ops), (base.word_ops | {"ß"}, base.symbol_ops | {"¬"})]:
+        fresh = {s.id: extract_operators(s, OperatorLexicon(word_ops, symbol_ops)).operators for s in signatures}
+        shared = OperatorLexicon(word_ops, symbol_ops)
+        for s in rng.sample(signatures, len(signatures)):
+            assert extract_operators(s, shared).operators == fresh[s.id], s.pattern_source
+        assert len(shared._atoms) > 20
+
+
+def test_member_whose_case_swap_is_two_characters():
+    """``"ß".swapcase()`` is ``"SS"``; IGNORECASE maps case one character
+    at a time, so only a class or literal holding ``ß`` spells it."""
+    lexicon = OperatorLexicon(word_ops=frozenset({"ß"}), symbol_ops=frozenset({"~"}))
+    assert extract_operators(sig(r"1\s*[a-c]\s*1", "S_1"), lexicon).operators == frozenset()
+    assert extract_operators(sig(r"1\s*[a-z]+\s*1"), lexicon).operators == frozenset()
+    assert extract_operators(sig(r"1\s*[ßs]\s*1"), lexicon).operators == {"ß"}
+    assert extract_operators(sig(r"1\s*~\s*1"), lexicon).operators == {"~"}
+    assert re.search("[a-z]", "ß", re.IGNORECASE) is None
 
 
 @pytest.mark.parametrize("pattern", [r"1\s*¬\s*1", r"1\s*[¬!]\s*1", r"1 (?:¬|~) 1"])
