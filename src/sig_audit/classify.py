@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 from dataclasses import dataclass
 
 from . import matcher, mutate, normalize
 from .corpus import AttackVector, Corpus
 from .errors import IndeterminateExpansion, ParseError
 from .matcher import DetectionMatrix, compile_signature
-from .structural import QuantifierBound, SubRuleSet, TokenizedSignature
+from .structural import PatternTable, QuantifierBound, SubRuleSet, TokenizedSignature
 
 
 class Label(str, enum.Enum):
@@ -165,6 +164,7 @@ def classify_semirelevant(
     logical_ids: frozenset[str],
     case_sensitive: bool = False,
     texts: list[str] | None = None,
+    patterns: PatternTable | None = None,
 ) -> AuditFinding | None:
     """Flag a rule where some criteria never fire on logical vectors.
 
@@ -173,7 +173,8 @@ def classify_semirelevant(
     logical payloads the rule itself matches, when the caller has its
     raw row; by default every logical payload is searched. Both give
     the same answer: a sub-rule puts one branch in place of a group, so
-    every text it matches, its rule matches too.
+    every text it matches, its rule matches too. Each sub-rule is
+    compiled through ``patterns``, once per source.
     """
     if not subs.expansion_complete:
         raise IndeterminateExpansion(subs.signature_id)
@@ -182,12 +183,12 @@ def classify_semirelevant(
 
     if texts is None:
         texts = [v.payload for v in corpus.vectors if v.id in logical_ids]
-    flags = 0 if case_sensitive else re.IGNORECASE
+    patterns = patterns or PatternTable()
     dead = []
     live = 0
     for idx, source in enumerate(subs.subrules):
-        pat = re.compile(source, flags)
-        if any(pat.search(text) for text in texts):
+        search = patterns.compiled(source, subs.signature_id, case_sensitive).pattern.search
+        if any(search(text) for text in texts):
             live += 1
         else:
             dead.append({"index": idx, "source": source})

@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import matcher
@@ -343,28 +344,32 @@ def vectors_to_tsv(vectors) -> str:
     return "\n".join(rows) + "\n"
 
 
+# The JSON writers give the bytes of ``json.dumps(rows, sort_keys=True)``
+# for the rows as objects, written field by field in sorted key order
+# without building an object per row.
+
 def signatures_to_json(signatures) -> str:
-    rows = []
-    for sig in signatures:
-        row = {"id": sig.id, "pattern": sig.pattern_source}
-        if sig.note:
-            row["note"] = sig.note
-        rows.append(row)
-    return json.dumps(rows, sort_keys=True)
+    rows = (
+        f'{{"id": {_json_str(sig.id)}, '
+        + (f'"note": {_json_str(sig.note)}, ' if sig.note else "")
+        + f'"pattern": {_json_str(sig.pattern_source)}}}'
+        for sig in signatures
+    )
+    return "[" + ", ".join(rows) + "]"
 
 
 def vectors_to_json(vectors) -> str:
-    rows = [
-        {
-            "id": vec.id,
-            "target": vec.target_signature_id,
-            "intent": vec.intent.value,
-            "dialects": sorted(d.value for d in vec.dialects),
-            "payload": vec.payload,
-        }
-        for vec in vectors
-    ]
-    return json.dumps(rows, sort_keys=True)
+    dialects: dict[frozenset[Dialect], str] = {}  # one fragment per distinct tag set
+    rows = []
+    for vec in vectors:
+        tags = dialects.get(vec.dialects)
+        if tags is None:
+            tags = dialects[vec.dialects] = json.dumps(sorted(d.value for d in vec.dialects))
+        rows.append(
+            f'{{"dialects": {tags}, "id": {_json_str(vec.id)}, "intent": {_json_str(vec.intent.value)}, '
+            f'"payload": {_json_str(vec.payload)}, "target": {_json_str(vec.target_signature_id)}}}'
+        )
+    return "[" + ", ".join(rows) + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ lazy variants, the usual class escapes). Backreferences, lookaround and
 inline flags are rejected so evaluation cost stays predictable across a
 whole rule set.
 
+A pattern compiles from its one parse: ``parse_pattern`` reads the
+source once, and the tree it returns is checked, read by the structural
+passes and handed to the compiler, which is given the flags as a plain
+int. A pattern compiled that way has ``Pattern.pattern`` None; its
+``.flags`` and its searches are those of ``re.compile(source, flags)``.
+
 The detection matrix holds one packed bit row per signature, bit i set
 when the signature matches transformed vector i. Row subset tests are
 plain integer masking.
@@ -45,10 +51,12 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass
 
-try:  # renamed to a private module in newer interpreters
+try:  # renamed to private modules in newer interpreters
+    from re import _compiler as sre_compile
     from re import _constants as sre_constants
     from re import _parser as sre_parse
 except ImportError:  # pragma: no cover
+    import sre_compile
     import sre_constants
     import sre_parse
 
@@ -92,6 +100,12 @@ def parse_pattern(source: str, signature_id: str | None = None):
 
 def validate_dialect(source: str, signature_id: str | None = None) -> None:
     parse_pattern(source, signature_id)
+
+
+def compile_pattern(source: str, signature_id: str | None = None) -> re.Pattern:
+    """``re.compile(source)`` for a source in the dialect, built from its
+    one parse (the pattern's ``.pattern`` is None)."""
+    return sre_compile.compile(parse_pattern(source, signature_id), 0)
 
 
 def _check_nodes(nodes, sig_id) -> None:
@@ -172,16 +186,22 @@ class CompiledSignature:
 
 
 def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignature:
-    """Validate the dialect (through the signature's one parse,
-    ``Signature.tree``), compile, and read the rule's required literals
-    off the same parse. Matching is case-insensitive by default; rule
-    sets are written lowercase but must catch mixed-case payloads even
-    in raw mode."""
+    """Compile the signature's one parse, ``Signature.tree`` (which also
+    checks the dialect), and read the rule's required literals off it.
+    Matching is case-insensitive by default; rule sets are written
+    lowercase but must catch mixed-case payloads even in raw mode.
+
+    The pattern is built from the tree, so its ``.pattern`` is None; its
+    ``.flags`` and every search equal ``re.compile(source, flags)``'s.
+    The flags go in as a plain int: a ``RegexFlag`` would make each flag
+    test inside the compiler an enum operation, which more than triples
+    the compile time.
+    """
     tree = signature.tree  # parses and checks the dialect on first use
-    flags = 0 if case_sensitive else re.IGNORECASE
+    flags = 0 if case_sensitive else re.IGNORECASE.value
     return CompiledSignature(
         signature_id=signature.id,
-        pattern=re.compile(signature.pattern_source, flags),
+        pattern=sre_compile.compile(tree, flags),
         case_insensitive=not case_sensitive,
         literals=required_literals(tree),
     )

@@ -280,9 +280,10 @@ def targeted_repeats(payload: str, bound: QuantifierBound) -> list[tuple[str, Mu
     Repeats a repeatable character from the bound's class past its cap:
     parenthesis pairs are wrapped (balanced) and whitespace runs are
     extended in place. Quote bounds have no safe insertion site and
-    yield nothing.
+    yield nothing. The bound's class is parsed here only when the bound
+    does not carry its charset.
     """
-    charset = _atom_charset(bound.char_class)
+    charset = bound.charset if bound.charset is not None else _atom_charset(bound.char_class)
     if charset is None:
         return []
     count = bound.max_occurrences + 1

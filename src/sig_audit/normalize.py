@@ -89,10 +89,9 @@ class Pipeline:
                 raise ParseError(f"unknown transform: {name!r}")
         if self.prefilter is not None:
             # Compiled under the same dialect rules as signatures.
-            from .matcher import validate_dialect
+            from .matcher import compile_pattern
 
-            validate_dialect(self.prefilter, signature_id="<prefilter>")
-            object.__setattr__(self, "_prefilter_re", re.compile(self.prefilter))
+            object.__setattr__(self, "_prefilter_re", compile_pattern(self.prefilter, "<prefilter>"))
 
     @property
     def fingerprint(self) -> str:

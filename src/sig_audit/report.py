@@ -209,11 +209,14 @@ def run_audit(
     the bundled set when no paths are given.
 
     Each rule is analysed once: its pattern is parsed once
-    (``Signature.tree``) and compiled once, and the parse tree feeds
-    every structural pass, where one lexicon shares its atom table
-    across rules. Two matrices are built, raw and deployed, over one text
-    index, so a rule searches each distinct text once for both; the
-    bypass set and the inconsistency findings both derive from them.
+    (``Signature.tree``) and compiled from that parse, and the parse tree
+    feeds every structural pass, where one lexicon shares its atom table
+    across rules. One pattern table holds the audit's rules, sub-rules
+    and quantified atoms, so each distinct source is parsed once and
+    compiled at most once, however many rules share it. Two matrices are
+    built, raw and deployed, over one text index, so a rule searches
+    each distinct text once for both; the bypass set and the
+    inconsistency findings both derive from them.
     """
     if corpus is None:
         corpus = corpus_mod.open_corpus(sig_path, vec_path)
@@ -228,6 +231,8 @@ def run_audit(
     lexicon = _lexicon_covering(families)
 
     compiled = [matcher.compile_signature(sig, case_sensitive) for sig in corpus.signatures]
+    # the rules, sub-rules and quantified atoms of this audit, each parsed once
+    patterns = structural.PatternTable(corpus.signatures, compiled)
     # one index for both matrices, so each rule searches each key once;
     # the per-rule passes do not read it, so it is dropped before them
     # and stays out of the audit's peak memory
@@ -262,19 +267,19 @@ def run_audit(
             continue  # dead rules are not probed or expanded further
 
         try:
-            subs = structural.expand_subrules(sig)
+            subs = structural.expand_subrules(sig, patterns)
             # the raw row, in this case mode, already holds every logical
             # payload a sub-rule can match
             logical_hits = [corpus.vectors[i].payload for i in matcher.bit_indices(row & logical_mask)]
             finding = classify.classify_semirelevant(
-                subs, corpus, logical, case_sensitive=case_sensitive, texts=logical_hits
+                subs, corpus, logical, case_sensitive=case_sensitive, texts=logical_hits, patterns=patterns
             )
             if finding:
                 findings.append(finding)
         except IndeterminateExpansion:
             notes.append(f"{sig.id}: sub-rule expansion hit caps, semi-relevance not classified")
 
-        bounds = structural.bounded_specials(sig)
+        bounds = structural.bounded_specials(sig, patterns)
         if bounds:
             seeds = [corpus.vectors[i] for i in detected]
             finding = classify.probe_susceptible(

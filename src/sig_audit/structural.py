@@ -12,13 +12,18 @@ Three views of a rule:
 * quantifier bounds, from the same scan: finitely capped atoms over
   characters an attacker may repeat freely (whitespace, parentheses,
   quotes).
+
+A ``PatternTable`` lets the passes of one audit share their patterns:
+each distinct sub-rule source is parsed once and compiled at most once
+per case mode, a sub-rule spelled like a rule reuses the rule's, and
+each distinct quantified atom is parsed once.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 try:
     from re import _constants as sre_constants
@@ -27,8 +32,10 @@ except ImportError:  # pragma: no cover
     import sre_constants
     import sre_parse
 
+from .corpus import Signature
 from .errors import RegexDialectError
-from .matcher import parse_pattern
+# parse_pattern stays bound here: perfbench/trace.py checks that its wrapper replaces it
+from .matcher import CompiledSignature, compile_signature, parse_pattern  # noqa: F401
 
 # Characters usable an unbounded number of times in an attack payload
 # without changing what the query does.
@@ -85,6 +92,8 @@ class QuantifierBound:
     position: int
     char_class: str
     max_occurrences: int
+    # the parsed ``char_class`` (not compared or exported); None: parse on use
+    charset: _CharSet | None = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +232,56 @@ def _node_charset(op, arg) -> _CharSet:
     if op is C.IN:
         return _in_charset(arg)
     raise RegexDialectError(None, f"not a character atom: {op}")
+
+
+# ---------------------------------------------------------------------------
+# the patterns of one audit
+
+class PatternTable:
+    """The patterns of one audit: each distinct sub-rule source is parsed
+    and checked once and compiled at most once per case mode, through
+    one ``Signature``, and each distinct quantified atom source has one
+    charset.
+
+    Seeded with the audit's rules and, in rule order, their compiled
+    forms, so a sub-rule spelled like a rule needs no parse or code of
+    its own. A sub-rule's parse is let go once it is compiled. The table
+    lives as long as the audit that made it; a standalone pass without
+    one uses a fresh table.
+    """
+
+    def __init__(self, signatures=(), compiled=()):
+        self._checked = {sig.pattern_source for sig in signatures}
+        self._parsed: dict[str, Signature] = {}  # checked sub-rules not compiled yet
+        self._compiled: dict[tuple[str, bool], CompiledSignature] = {}
+        for sig, found in zip(signatures, compiled):
+            self._compiled.setdefault((sig.pattern_source, not found.case_insensitive), found)
+        self._charsets: dict[str, _CharSet | None] = {}
+
+    def check(self, source: str, signature_id: str) -> None:
+        """Parse ``source`` and check its dialect, once per table."""
+        if source not in self._checked:
+            sig = Signature(id=signature_id, pattern_source=source)
+            sig.tree  # parses and checks the dialect
+            self._parsed[source] = sig
+            self._checked.add(source)
+
+    def compiled(self, source: str, signature_id: str, case_sensitive: bool = False) -> CompiledSignature:
+        """``compile_signature`` of ``source``, from its parse when ``check``
+        made one; a new signature takes ``signature_id``."""
+        key = (source, case_sensitive)
+        found = self._compiled.get(key)
+        if found is None:
+            sig = self._parsed.pop(source, None) or Signature(id=signature_id, pattern_source=source)
+            found = self._compiled[key] = compile_signature(sig, case_sensitive)
+            self._checked.add(source)
+        return found
+
+    def charset(self, atom_source: str) -> _CharSet | None:
+        """``_atom_charset(atom_source)``, parsed once."""
+        if atom_source not in self._charsets:
+            self._charsets[atom_source] = _atom_charset(atom_source)
+        return self._charsets[atom_source]
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +569,17 @@ def _first_expandable(src: str) -> tuple[tuple[int, int, list[str]] | None, bool
 _OPEN_END = re.compile(r"(?<!\\)(?:\\\\)*(?:\{[0-9]*(?:,[0-9]*)?|\\0[0-7]?)\Z")
 
 
-def expand_subrules(signature) -> SubRuleSet:
+def expand_subrules(signature, patterns: PatternTable | None = None) -> SubRuleSet:
     """Cross-product expansion of a rule's alternations into sub-rules.
 
     Expansion is leftmost-first and recursive, so a rule like
     ``(?:(?:;|#|--)\\s*(?:drop|alter))`` yields its six criteria in
     reading order. When the product would exceed ``MAX_SUBRULES`` or an
     alternation sits deeper than ``MAX_DEPTH`` groups, the remaining
-    groups are left intact and ``expansion_complete`` is False.
+    groups are left intact and ``expansion_complete`` is False. Each
+    sub-rule's dialect is checked through ``patterns``.
     """
+    patterns = patterns or PatternTable()
     src = signature.pattern_source
     signature.tree  # the source itself must be in the dialect
 
@@ -547,7 +608,7 @@ def expand_subrules(signature) -> SubRuleSet:
 
     for sub in sources:
         if sub != src:
-            parse_pattern(sub, signature.id)
+            patterns.check(sub, signature.id)
     return SubRuleSet(
         signature_id=signature.id,
         subrules=tuple(sources),
@@ -572,13 +633,15 @@ def _atom_charset(atom_src: str) -> _CharSet | None:
     return None
 
 
-def bounded_specials(signature) -> list[QuantifierBound]:
+def bounded_specials(signature, patterns: PatternTable | None = None) -> list[QuantifierBound]:
     """Finitely bounded atoms whose class covers a repeatable character.
 
     An attacker can exceed any finite cap on whitespace, parentheses or
     quotes without changing the query, so each such bound is a candidate
-    bypass point. Unbounded atoms are never reported.
+    bypass point. Unbounded atoms are never reported. Each bound carries
+    its atom's charset from ``patterns``.
     """
+    patterns = patterns or PatternTable()
     src = signature.pattern_source
     signature.tree  # the source must be in the dialect
 
@@ -587,7 +650,7 @@ def bounded_specials(signature) -> list[QuantifierBound]:
         if hi is None:
             continue
         atom_src = src[start:end]
-        cs = _atom_charset(atom_src)
+        cs = patterns.charset(atom_src)
         if cs is not None and any(cs.contains(c) for c in DEFAULT_REPEATABLE):
             bounds.append(
                 QuantifierBound(
@@ -595,6 +658,7 @@ def bounded_specials(signature) -> list[QuantifierBound]:
                     position=start,
                     char_class=atom_src,
                     max_occurrences=hi,
+                    charset=cs,
                 )
             )
     return bounds

@@ -339,3 +339,38 @@ def test_tsv_and_json_forms_load_the_same(corpus):
         assert isinstance(from_tsv, AuditError)
     else:
         assert from_tsv == from_json
+
+
+# strings that json escapes: quotes, backslashes, control characters,
+# non-ASCII (below and above the BMP)
+_json_text = st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\x7f\t\né ſ\U0001f600'), max_size=6)
+
+
+@settings(max_examples=300)
+@given(
+    sigs=st.lists(st.builds(Signature, _json_text, _json_text, st.none() | _json_text), max_size=3),
+    vecs=st.lists(
+        st.builds(
+            AttackVector, _json_text, _json_text, _json_text, st.sampled_from(Intent),
+            st.frozensets(st.sampled_from(Dialect), min_size=1),
+        ),
+        max_size=4,
+    ),
+)
+def test_json_writers_give_the_bytes_of_json_dumps(sigs, vecs):
+    """The row-by-row JSON writers equal ``json.dumps(rows, sort_keys=True)``."""
+    sig_rows = [
+        {"id": s.id, "pattern": s.pattern_source, **({"note": s.note} if s.note else {})} for s in sigs
+    ]
+    vec_rows = [
+        {
+            "id": v.id,
+            "target": v.target_signature_id,
+            "intent": v.intent.value,
+            "dialects": sorted(d.value for d in v.dialects),
+            "payload": v.payload,
+        }
+        for v in vecs
+    ]
+    assert signatures_to_json(sigs) == json.dumps(sig_rows, sort_keys=True)
+    assert vectors_to_json(vecs) == json.dumps(vec_rows, sort_keys=True)

@@ -18,8 +18,10 @@ from sig_audit.matcher import (
     detection_matrix,
     full_pipeline_bypass,
     matches,
+    required_literals,
     validate_dialect,
 )
+from sig_audit.structural import bounded_specials, expand_subrules, extract_operators
 
 
 def sig(pattern, sid="S_x"):
@@ -448,3 +450,53 @@ def test_texts_differing_in_case_share_a_key_when_case_insensitive(case_sensitiv
             m = detection_matrix(corpus, pipeline, case_sensitive, deployed, counted, index=index)
             assert m.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed) == (0b11,)
         assert len(counted[0].pattern.texts) == searches
+
+
+def _dialect_patterns(corpus):
+    """The bundled rules, their sub-rules, the awkward rules and 300
+    random patterns that load."""
+    patterns = [s.pattern_source for s in corpus.signatures]
+    patterns += [sub for s in corpus.signatures for sub in expand_subrules(s).subrules]
+    patterns += AWKWARD_RULES
+    rng = random.Random(31)
+    for _ in range(300):
+        pattern = random_pattern(rng)
+        try:
+            validate_dialect(pattern)
+        except RegexDialectError:
+            continue
+        patterns.append(pattern)
+    return list(dict.fromkeys(patterns))
+
+
+def test_tree_compiled_pattern_equals_re_compile(corpus):
+    """A pattern compiled from its parse searches like ``re.compile`` of
+    its source, with the same flags, in both case modes."""
+    rng = random.Random(32)
+    texts = [v.payload for v in corpus.vectors]
+    texts += [v.payload for _ in range(5) for v in with_case_variants(awkward_corpus(rng), rng).vectors]
+    texts += [t.swapcase() for t in rng.sample(texts, 40)] + AWKWARD
+    texts = list(dict.fromkeys(texts))
+    for pattern in _dialect_patterns(corpus):
+        for case_sensitive in (False, True):
+            compiled = compile_signature(sig(pattern), case_sensitive).pattern
+            reference = re.compile(pattern, 0 if case_sensitive else re.IGNORECASE)
+            assert compiled.pattern is None
+            assert compiled.flags == reference.flags, pattern
+            for text in texts:
+                found, expected = compiled.search(text), reference.search(text)
+                assert (found and found.span()) == (expected and expected.span()), (pattern, text)
+
+
+def test_compiling_leaves_the_parse_as_it_was(corpus):
+    """The structural passes read the same tree before and after it is
+    compiled, in either case mode."""
+    for pattern in _dialect_patterns(corpus):
+        before = sig(pattern)
+        after = sig(pattern)
+        compile_signature(after)
+        compile_signature(after, case_sensitive=True)
+        assert repr(after.tree) == repr(before.tree), pattern
+        assert extract_operators(after) == extract_operators(before), pattern
+        assert required_literals(after.tree) == required_literals(before.tree), pattern
+        assert bounded_specials(after) == bounded_specials(before), pattern

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,10 @@ import pytest
 from sig_audit import classify, cli, matcher, normalize, report, structural
 from sig_audit.classify import Label
 from sig_audit.corpus import (
+    AttackVector,
+    Corpus,
+    Dialect,
+    Intent,
     Signature,
     data_dir,
     load_signatures,
@@ -161,6 +166,81 @@ def test_audit_analyses_each_rule_once(monkeypatch, corpus):
     assert compiled == sorted(s.id for s in corpus.signatures)
     for s in corpus.signatures:
         assert calls["parse_pattern"].count((s.pattern_source, s.id)) == 1, s.id
+
+
+def _count_parses_and_compiles(monkeypatch):
+    """Record the source of every regex parse and the (source, case
+    mode) of every code generation, ``re.compile`` calls included."""
+    parsed, compiled, source_of = [], [], {}
+    real_parse, real_compile = matcher.sre_parse.parse, matcher.sre_compile.compile
+
+    def parse(source, *args, **kwargs):
+        tree = real_parse(source, *args, **kwargs)
+        parsed.append(source)
+        source_of[id(tree)] = (source, tree)  # the tree is kept, so its id stays its own
+        return tree
+
+    def compile_(p, flags=0):
+        source = p if isinstance(p, str) else source_of[id(p)][0]
+        compiled.append((source, bool(flags & re.IGNORECASE)))
+        return real_compile(p, flags)
+
+    re.purge()  # a cached pattern would hide a second parse
+    monkeypatch.setattr(matcher.sre_parse, "parse", parse)
+    monkeypatch.setattr(matcher.sre_compile, "compile", compile_)
+    return parsed, compiled
+
+
+def _shared_subrule_corpus():
+    """Rules sharing sub-rules (one spelled like a rule, one twice in
+    one rule) and a quantified atom."""
+    rules = ["xay", "x(?:a|b)y", "x(?:a|b)y|z|xay", r"a\s?b(?:1|2)", r"a\s?b(?:1|3)", r"c\s?d|e"]
+    payloads = ["xay", "xby", "z", "a b1", "a b2", "a b3", "c d", "e"]
+    return Corpus(
+        tuple(Signature(f"S_{n}", p) for n, p in enumerate(rules, start=1)),
+        tuple(
+            AttackVector(f"v{n}", "none", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for n, p in enumerate(payloads, start=1)
+        ),
+    )
+
+
+@pytest.mark.parametrize("case_sensitive", [False, True])
+@pytest.mark.parametrize("shared", [False, True], ids=["bundled", "shared_subrules"])
+def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensitive, shared):
+    """Rules, sub-rules, quantified atoms and the prefilter: no source is
+    parsed twice in one audit, and none is compiled twice in one case
+    mode."""
+    corpus = _shared_subrule_corpus() if shared else corpus
+    parsed, compiled = _count_parses_and_compiles(monkeypatch)
+    if shared:
+        run_audit(corpus=corpus, case_sensitive=case_sensitive)
+    else:
+        run_audit(case_sensitive=case_sensitive)  # the bundled set, loading included
+    twice = [source for source in set(parsed) if parsed.count(source) > 1]
+    assert twice == []
+    assert [c for c in set(compiled) if compiled.count(c) > 1] == []
+    mode = not case_sensitive
+    rules = {s.pattern_source for s in corpus.signatures}
+    assert {(r, mode) for r in rules} <= set(compiled)
+    assert normalize.DEFAULT_PREFILTER in parsed
+    if shared:
+        # shared sub-rules and the atom were reached, and each parsed once
+        assert {"xby", "a\\s?b1", "z"} <= set(parsed) and "\\s" in parsed
+        assert {("xby", mode), ("a\\s?b1", mode), ("z", mode)} <= set(compiled)
+    else:
+        assert len(set(parsed) - rules) > len(rules)  # sub-rules and atoms
+
+
+def test_cli_structure_prints_the_same_document(capsys):
+    """A bound's charset stays out of the exported structure."""
+    assert cli.main(["structure", "S_6"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "bounds": [\n    {\n      "char_class": "\\"",\n      "max_occurrences": 1,\n'
+        '      "position": 12\n    }\n  ],\n  "expansion_complete": true,\n  "operators": [\n'
+        '    "or"\n  ],\n  "pattern": "(?:\\"\\\\s*or\\\\s*\\"?\\\\d)",\n  "signature": "S_6",\n'
+        '  "subrules": [\n    "(?:\\"\\\\s*or\\\\s*\\"?\\\\d)"\n  ]\n}\n'
+    )
 
 
 def test_empty_vector_file_marks_all_irrelevant(tmp_path):
