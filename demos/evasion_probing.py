@@ -35,7 +35,7 @@ for bound in bounded_specials(sig):
 
 matrix = detection_matrix(corpus, RAW_PIPELINE)
 detected = [v for v in corpus.vectors if v.id in matrix.detected_ids(sig.id)]
-finding = probe_susceptible(sig, detected, bounded_specials(sig))
+finding = probe_susceptible(compile_signature(sig), detected, bounded_specials(sig))
 witness = finding.evidence["witnesses"][0]
 print(f"  seed   {witness['seed_payload']!r} is detected")
 print(f"  mutant {witness['mutant']!r} escapes ({witness['scheme']})")

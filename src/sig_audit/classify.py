@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from . import matcher, mutate, normalize
 from .corpus import AttackVector, Corpus
 from .errors import IndeterminateExpansion, ParseError
-from .matcher import DetectionMatrix, compile_signature
+# compile_signature stays bound here: perfbench/trace.py checks that its wrapper replaces it
+from .matcher import CompiledSignature, DetectionMatrix, compile_signature  # noqa: F401
 from .structural import PatternTable, QuantifierBound, SubRuleSet, TokenizedSignature
 
 
@@ -160,29 +161,24 @@ def classify_irrelevant(
 
 def classify_semirelevant(
     subs: SubRuleSet,
-    corpus: Corpus,
-    logical_ids: frozenset[str],
+    texts: list[str],
     case_sensitive: bool = False,
-    texts: list[str] | None = None,
     patterns: PatternTable | None = None,
 ) -> AuditFinding | None:
     """Flag a rule where some criteria never fire on logical vectors.
 
     Needs a complete expansion; a rule whose every sub-rule is dead is
-    the irrelevant case and is not reported here. ``texts`` holds the
-    logical payloads the rule itself matches, when the caller has its
-    raw row; by default every logical payload is searched. Both give
-    the same answer: a sub-rule puts one branch in place of a group, so
-    every text it matches, its rule matches too. Each sub-rule is
-    compiled through ``patterns``, once per source.
+    the irrelevant case and is not reported here. ``texts`` are the
+    logical payloads to search: all of them, or only those in the rule's
+    raw row, which gives the same answer (a sub-rule puts one branch in
+    place of a group, so every text it matches, its rule matches too).
+    Each sub-rule is compiled through ``patterns``, once per source.
     """
     if not subs.expansion_complete:
         raise IndeterminateExpansion(subs.signature_id)
     if len(subs.subrules) < 2:
         return None
 
-    if texts is None:
-        texts = [v.payload for v in corpus.vectors if v.id in logical_ids]
     patterns = patterns or PatternTable()
     dead = []
     live = 0
@@ -208,23 +204,19 @@ PROBE_BUDGET = 32  # repetition mutants tried per seed and bound
 
 
 def probe_susceptible(
-    signature,
+    compiled: CompiledSignature,
     detected: list[AttackVector],
     bounds: list[QuantifierBound],
-    case_sensitive: bool = False,
-    compiled: matcher.CompiledSignature | None = None,
 ) -> AuditFinding | None:
     """Probe each bound with repetition mutants of detected seeds.
 
     A rule is susceptible when a semantics-preserving mutant that only
     repeats a freely repeatable character escapes it; mutants are matched
-    raw. One witness is kept per (bound, first escaping seed). ``compiled``
-    is the signature already compiled with ``case_sensitive``, if any.
+    raw, in the case mode ``compiled`` was compiled in. One witness is
+    kept per (bound, first escaping seed).
     """
     if not detected or not bounds:
         return None
-    if compiled is None:
-        compiled = compile_signature(signature, case_sensitive)
     witnesses = []
     exploited = []
     for bound in bounds:
@@ -232,8 +224,6 @@ def probe_susceptible(
         for seed in detected:
             mutants = mutate.targeted_repeats(seed.payload, bound)[:PROBE_BUDGET]
             for mutant, scheme in mutants:
-                if not scheme.semantics_preserving:
-                    continue
                 if not matcher.matches(compiled, mutant):
                     found = {
                         "seed_vector": seed.id,
@@ -256,7 +246,7 @@ def probe_susceptible(
     if not witnesses:
         return None
     return AuditFinding(
-        signature_id=signature.id,
+        signature_id=compiled.signature_id,
         label=Label.SUSCEPTIBLE,
         evidence={"bounds": exploited, "witnesses": witnesses},
     )
@@ -309,23 +299,19 @@ def classify_redundant(matrix: DetectionMatrix) -> list[AuditFinding]:
 def classify_inconsistent(
     corpus: Corpus,
     pipeline: normalize.Pipeline,
-    case_sensitive: bool = False,
-    raw: DetectionMatrix | None = None,
-    deployed: DetectionMatrix | None = None,
+    raw: DetectionMatrix,
+    bypassed: frozenset[str],
 ) -> list[AuditFinding]:
     """Rules that raw-match vectors the deployed pipeline lets through.
 
-    Evidence names the stage responsible per vector, found by replaying
-    the stages: a prefilter skip or a transform that mangles the payload
-    out of the rule's reach. ``raw`` (raw pipeline) and ``deployed``
-    (``pipeline`` with its prefilter) are the corpus matrices when the
-    caller has already built them.
+    ``raw`` is the corpus matrix under the raw pipeline and ``bypassed``
+    the ``matcher.full_pipeline_bypass`` set of the corpus under
+    ``pipeline``. Evidence names the stage responsible per vector, found
+    by replaying the stages: a prefilter skip or a transform that
+    mangles the payload out of the rule's reach.
     """
-    bypassed = matcher.full_pipeline_bypass(corpus, pipeline, case_sensitive, deployed=deployed)
     if not bypassed:
         return []
-    if raw is None:
-        raw = matcher.detection_matrix(corpus, normalize.RAW_PIPELINE, case_sensitive)
     stages = {}
     for v in corpus.vectors:
         if v.id in bypassed:

@@ -29,7 +29,8 @@ without its prefilter; an audit's raw and deployed matrices share one,
 so a rule searches each key once for both.
 
 Each rule carries the literals its parse requires (every match contains
-at least one of them), and a key is searched only when it contains one.
+at least one of them), read off the parse when an index first asks for
+them, and a key is searched only when it contains one.
 Containment comes from ``str.find`` over one NUL-joined buffer of the
 keys whose offsets map back to keys, so the precheck never drops a
 match; a literal found across a separator only costs a search. Under
@@ -49,7 +50,7 @@ import warnings
 from bisect import bisect_right
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 try:  # renamed to private modules in newer interpreters
     from re import _compiler as sre_compile
@@ -96,10 +97,6 @@ def parse_pattern(source: str, signature_id: str | None = None):
         raise RegexDialectError(signature_id, "inline flags are not supported")
     _check_nodes(tree, signature_id)
     return tree
-
-
-def validate_dialect(source: str, signature_id: str | None = None) -> None:
-    parse_pattern(source, signature_id)
 
 
 def compile_pattern(source: str, signature_id: str | None = None) -> re.Pattern:
@@ -180,16 +177,22 @@ def _selectivity(literals: frozenset[str]) -> tuple[int, int]:
 class CompiledSignature:
     signature_id: str
     pattern: re.Pattern
-    case_insensitive: bool = True
-    # every match contains one of these, as written in the rule (empty: no such literal)
-    literals: frozenset[str] = frozenset()
+    case_insensitive: bool
+    tree: object = field(compare=False, repr=False)  # the parse ``pattern`` was compiled from
+
+    @functools.cached_property
+    def literals(self) -> frozenset[str]:
+        """Every match contains one of these, as written in the rule
+        (empty: no such literal). Read off the parse on first use: only
+        a ``TextIndex`` asks, so a sub-rule compile never walks it."""
+        return required_literals(self.tree)
 
 
 def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignature:
     """Compile the signature's one parse, ``Signature.tree`` (which also
-    checks the dialect), and read the rule's required literals off it.
-    Matching is case-insensitive by default; rule sets are written
-    lowercase but must catch mixed-case payloads even in raw mode.
+    checks the dialect). Matching is case-insensitive by default; rule
+    sets are written lowercase but must catch mixed-case payloads even
+    in raw mode.
 
     The pattern is built from the tree, so its ``.pattern`` is None; its
     ``.flags`` and every search equal ``re.compile(source, flags)``'s.
@@ -203,7 +206,7 @@ def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignat
         signature_id=signature.id,
         pattern=sre_compile.compile(tree, flags),
         case_insensitive=not case_sensitive,
-        literals=required_literals(tree),
+        tree=tree,
     )
 
 
@@ -483,23 +486,13 @@ def detection_matrix(
     )
 
 
-def full_pipeline_bypass(
-    corpus,
-    pipeline: normalize.Pipeline,
-    case_sensitive: bool = False,
-    deployed: DetectionMatrix | None = None,
-) -> frozenset[str]:
+def full_pipeline_bypass(deployed: DetectionMatrix) -> frozenset[str]:
     """Vector ids that sail through the whole stack.
 
-    A vector is bypassed when the prefilter skips it or no signature
-    matches its transformed payload. ``deployed`` is the corpus matrix
-    under ``pipeline`` with the prefilter applied, when the caller has
-    already built it.
+    ``deployed`` is the corpus matrix under the deployed pipeline with
+    its prefilter applied; a vector is bypassed when the prefilter
+    skips it or no signature matches its transformed payload.
     """
-    if deployed is None:
-        deployed = detection_matrix(
-            corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True
-        )
     covered = 0
     for row in deployed.rows:
         covered |= row

@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .structural import DEFAULT_REPEATABLE, QuantifierBound, _atom_charset
+from .structural import DEFAULT_REPEATABLE, QuantifierBound
 
 _SQL_KEYWORDS = frozenset(
     {
@@ -48,7 +48,6 @@ class MutationScheme:
     kind: str
     char: str | None = None
     count: int = 2
-    semantics_preserving: bool = True
     normalizable: bool = True
 
     @property
@@ -280,16 +279,12 @@ def targeted_repeats(payload: str, bound: QuantifierBound) -> list[tuple[str, Mu
     Repeats a repeatable character from the bound's class past its cap:
     parenthesis pairs are wrapped (balanced) and whitespace runs are
     extended in place. Quote bounds have no safe insertion site and
-    yield nothing. The bound's class is parsed here only when the bound
-    does not carry its charset.
+    yield nothing.
     """
-    charset = bound.charset if bound.charset is not None else _atom_charset(bound.char_class)
-    if charset is None:
-        return []
     count = bound.max_occurrences + 1
     out: list[tuple[str, MutationScheme]] = []
     for char in _REPEAT_ORDER:
-        if char not in DEFAULT_REPEATABLE or not charset.contains(char):
+        if char not in DEFAULT_REPEATABLE or not bound.charset.contains(char):
             continue
         scheme = bounded_repeat(char, count)
         for mutant in _bounded_repeat(payload, char, count):

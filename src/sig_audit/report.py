@@ -127,8 +127,8 @@ class AuditReport:
     def to_csv(self) -> str:
         lines = ["signature,label,detail"]
         for f in self.findings:
-            detail = self._finding_detail(f).replace(",", ";")
-            lines.append(f"{f.signature_id},{f.label.value},{detail}")
+            sid, detail = _csv_field(f.signature_id), _csv_field(self._finding_detail(f))
+            lines.append(f"{sid},{f.label.value},{detail}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -168,6 +168,14 @@ class AuditReport:
             for note in self.notes:
                 out.append(f"  - {note}")
         return "\n".join(out) + "\n"
+
+
+# a comma becomes ";" and a line break its escape, so one finding is one row
+_CSV_FIELD = str.maketrans({",": ";", **{c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}})
+
+
+def _csv_field(text: str) -> str:
+    return text.translate(_CSV_FIELD)
 
 
 def render(report: AuditReport, format: str = "json") -> bytes:
@@ -215,8 +223,9 @@ def run_audit(
     and quantified atoms, so each distinct source is parsed once and
     compiled at most once, however many rules share it. Two matrices are
     built, raw and deployed, over one text index, so a rule searches
-    each distinct text once for both; the bypass set and the
-    inconsistency findings both derive from them.
+    each distinct text once for both. The deployed matrix gives one
+    bypass set, which the report lists and the inconsistency findings
+    read.
     """
     if corpus is None:
         corpus = corpus_mod.open_corpus(sig_path, vec_path)
@@ -272,7 +281,7 @@ def run_audit(
             # payload a sub-rule can match
             logical_hits = [corpus.vectors[i].payload for i in matcher.bit_indices(row & logical_mask)]
             finding = classify.classify_semirelevant(
-                subs, corpus, logical, case_sensitive=case_sensitive, texts=logical_hits, patterns=patterns
+                subs, logical_hits, case_sensitive=case_sensitive, patterns=patterns
             )
             if finding:
                 findings.append(finding)
@@ -282,9 +291,7 @@ def run_audit(
         bounds = structural.bounded_specials(sig, patterns)
         if bounds:
             seeds = [corpus.vectors[i] for i in detected]
-            finding = classify.probe_susceptible(
-                sig, seeds, bounds, case_sensitive=case_sensitive, compiled=compiled_sig
-            )
+            finding = classify.probe_susceptible(compiled_sig, seeds, bounds)
             if finding:
                 findings.append(finding)
 
@@ -292,11 +299,8 @@ def run_audit(
         if finding.signature_id not in irrelevant_ids:
             findings.append(finding)
 
-    findings.extend(
-        classify.classify_inconsistent(
-            corpus, pipeline, case_sensitive, raw=raw_matrix, deployed=deployed
-        )
-    )
+    bypassed = matcher.full_pipeline_bypass(deployed)
+    findings.extend(classify.classify_inconsistent(corpus, pipeline, raw_matrix, bypassed))
     findings.sort(key=AuditFinding.sort_key)
 
     profile = stats.contribution(raw_matrix)
@@ -311,7 +315,7 @@ def run_audit(
             notes.append("set A list does not match this corpus, overlap skipped")
             set_a = None
 
-    bypass_ids = tuple(sorted(matcher.full_pipeline_bypass(corpus, pipeline, deployed=deployed)))
+    bypass_ids = tuple(sorted(bypassed))
 
     category_counts = {label.value: 0 for label in Label}
     for f in findings:

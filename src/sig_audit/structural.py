@@ -92,8 +92,8 @@ class QuantifierBound:
     position: int
     char_class: str
     max_occurrences: int
-    # the parsed ``char_class`` (not compared or exported); None: parse on use
-    charset: _CharSet | None = field(default=None, compare=False, repr=False)
+    # the parsed ``char_class`` (not compared or exported)
+    charset: _CharSet = field(compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ class PatternTable:
 
     Seeded with the audit's rules and, in rule order, their compiled
     forms, so a sub-rule spelled like a rule needs no parse or code of
-    its own. A sub-rule's parse is let go once it is compiled. The table
+    its own. A sub-rule's parse is handed to its compiled form. The table
     lives as long as the audit that made it; a standalone pass without
     one uses a fresh table.
     """

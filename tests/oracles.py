@@ -291,9 +291,9 @@ def random_corpus(rng: random.Random, max_sigs: int = 8, max_vecs: int = 20) -> 
         for _ in range(50):
             pat = random_pattern(rng)
             try:
-                from sig_audit.matcher import validate_dialect
+                from sig_audit.matcher import parse_pattern
 
-                validate_dialect(pat)
+                parse_pattern(pat)
                 break
             except Exception:
                 continue

@@ -11,6 +11,7 @@ import json
 import random
 import time
 
+from audit_inputs import bypass, inconsistent, logical_payloads
 from oracles import (
     naive_rows,
     oracle_incomplete,
@@ -24,7 +25,6 @@ from sig_audit import classify, mutate, normalize, structural
 from sig_audit.classify import (
     Label,
     classify_incomplete,
-    classify_inconsistent,
     classify_irrelevant,
     classify_redundant,
     classify_semirelevant,
@@ -32,7 +32,7 @@ from sig_audit.classify import (
     probe_susceptible,
 )
 from sig_audit.corpus import logical_subset
-from sig_audit.matcher import compile_signature, detection_matrix, full_pipeline_bypass, matches
+from sig_audit.matcher import compile_signature, detection_matrix, matches
 from sig_audit.report import AuditReport, render, run_audit
 from sig_audit.stats import contribution, overlap, partition
 from sig_audit.structural import bounded_specials, expand_subrules, extract_operators
@@ -78,7 +78,7 @@ def test_criterion_1_definition_oracle_equivalence():
             subrule_map[s.id] = subs.subrules
             if s.id in got_irr:
                 continue
-            if classify_semirelevant(subs, c, logical):
+            if classify_semirelevant(subs, logical_payloads(c)):
                 got_semi.add(s.id)
         want_semi = oracle_semirelevant(c, subrule_map) - oracle_irrelevant(c)
         assert got_semi == want_semi, trial
@@ -91,7 +91,7 @@ def test_criterion_1_definition_oracle_equivalence():
         assert got_red == oracle_redundant(c), trial
 
         # inconsistency under the stock pipeline
-        got_inc = {f.signature_id for f in classify_inconsistent(c, pipeline)}
+        got_inc = {f.signature_id for f in inconsistent(c, pipeline)}
         assert got_inc == oracle_inconsistent(c, pipeline), trial
 
     elapsed = time.monotonic() - started
@@ -115,7 +115,7 @@ def test_criterion_2_susceptibility_exemplars(corpus, raw_matrix):
     ]:
         sig = corpus.signature(sid)
         detected = [v for v in corpus.vectors if v.id in raw_matrix.detected_ids(sid)]
-        finding = probe_susceptible(sig, detected, bounded_specials(sig))
+        finding = probe_susceptible(compile_signature(sig), detected, bounded_specials(sig))
         assert finding is not None and finding.label is Label.SUSCEPTIBLE
         assert witness in [w["mutant"] for w in finding.evidence["witnesses"]]
     ok(2, "repetition mutants escape S_63 and S_68 with the documented witnesses")
@@ -136,14 +136,14 @@ def test_criterion_3_redundancy_exemplar(corpus, raw_matrix):
 
 def test_criterion_4_inconsistency_exemplars(corpus, default_pipeline, raw_matrix):
     """Prefilter skips and a normalizer rewrite discard detectable vectors."""
-    bypassed = full_pipeline_bypass(corpus, default_pipeline)
+    bypassed = bypass(corpus, default_pipeline)
     payload_of = {v.id: v.payload for v in corpus.vectors}
     cases = {
         "S_9": "1 or @user",
         "S_75": "1 and 1 or 1 having 1",
         "S_8": '(1)or (5/"1")',
     }
-    findings = classify_inconsistent(corpus, default_pipeline)
+    findings = inconsistent(corpus, default_pipeline)
     flagged = {f.signature_id: f for f in findings}
     for sid, payload in cases.items():
         vid = next(v.id for v in corpus.vectors if v.payload == payload)
@@ -184,7 +184,7 @@ def test_criterion_6_semirelevance_exemplar(corpus):
         alive.append(any(pat.search(p) for p in payloads))
     assert alive == [True, True, False, False, False, False]
 
-    finding = classify_semirelevant(subs, corpus, logical)
+    finding = classify_semirelevant(subs, payloads)
     assert finding is not None
     assert [d["index"] for d in finding.evidence["dead_subrules"]] == [2, 3, 4, 5]
     ok(6, "S_52 expands to 6 sub-rules; indexes 2-5 detect nothing logical")

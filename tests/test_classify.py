@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from audit_inputs import inconsistent, logical_payloads
 from oracles import (
     naive_logical,
     naive_rows,
@@ -19,7 +20,6 @@ from sig_audit.classify import (
     Label,
     RelatedOperatorFamily,
     classify_incomplete,
-    classify_inconsistent,
     classify_irrelevant,
     classify_redundant,
     classify_semirelevant,
@@ -28,7 +28,7 @@ from sig_audit.classify import (
 )
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature, logical_subset
 from sig_audit.errors import IndeterminateExpansion, ParseError
-from sig_audit.matcher import detection_matrix
+from sig_audit.matcher import compile_signature, detection_matrix, matches
 from sig_audit.report import run_audit
 from sig_audit.structural import expand_subrules, extract_operators
 
@@ -108,14 +108,14 @@ def test_shipped_irrelevant_examples_flag_on_bundled_corpus(corpus):
 
 def test_stacked_command_rule_semirelevant(corpus):
     subs = expand_subrules(corpus.signature("S_52"))
-    f = classify_semirelevant(subs, corpus, logical_subset(corpus))
+    f = classify_semirelevant(subs, logical_payloads(corpus))
     assert f is not None and f.label is Label.SEMI_RELEVANT
     assert [d["index"] for d in f.evidence["dead_subrules"]] == [2, 3, 4, 5]
 
 
 def test_quoted_stack_rule_while_branch_dead(corpus):
     subs = expand_subrules(corpus.signature("S_83"))
-    f = classify_semirelevant(subs, corpus, logical_subset(corpus))
+    f = classify_semirelevant(subs, logical_payloads(corpus))
     assert f is not None
     dead_sources = {d["source"] for d in f.evidence["dead_subrules"]}
     assert dead_sources == {r'(?:";\s*while)'}
@@ -123,23 +123,22 @@ def test_quoted_stack_rule_while_branch_dead(corpus):
 
 def test_single_subrule_never_semirelevant(corpus):
     subs = expand_subrules(corpus.signature("S_79"))
-    assert classify_semirelevant(subs, corpus, logical_subset(corpus)) is None
+    assert classify_semirelevant(subs, logical_payloads(corpus)) is None
 
 
 def test_incomplete_expansion_raises():
     pat = "(?:a|b|c)" * 4  # 81 sub-rules, past the cap of 64
     subs = expand_subrules(Signature("S_big", pat))
     with pytest.raises(IndeterminateExpansion):
-        classify_semirelevant(subs, Corpus((Signature("S_big", pat),), ()), frozenset())
+        classify_semirelevant(subs, [])
 
 
 def test_all_dead_subrules_not_semirelevant():
     sig = Signature("S_d", r"(?:zzzq|qqqz)")
     vec = AttackVector("v1", "none", "nothing here", Intent.EXEC_UNAUTHORIZED,
                        frozenset({Dialect.GENERIC}))
-    c = Corpus((sig,), (vec,))
     subs = expand_subrules(sig)
-    assert classify_semirelevant(subs, c, frozenset({"v1"})) is None
+    assert classify_semirelevant(subs, [vec.payload]) is None
 
 
 def _some_payloads_upper(c: Corpus, rng: random.Random) -> Corpus:
@@ -154,19 +153,19 @@ def _some_payloads_upper(c: Corpus, rng: random.Random) -> Corpus:
 @pytest.mark.parametrize("case_sensitive", [False, True])
 def test_audit_semirelevance_equals_search_of_every_logical_payload(corpus, case_sensitive):
     # run_audit searches only the logical payloads in each rule's raw row;
-    # the standalone classifier, given no texts, searches all of them
+    # the standalone classifier, given all of them, searches all of them
     rng = random.Random(2026)
     corpora = [corpus] + [
         _some_payloads_upper(random_corpus(rng, max_sigs=10, max_vecs=30), rng) for _ in range(150)
     ]
     flagged = 0
     for c in corpora:
-        logical = logical_subset(c)
+        texts = logical_payloads(c)
         expected = []
         for s in c.signatures:
             subs = expand_subrules(s)
             if subs.expansion_complete:
-                finding = classify_semirelevant(subs, c, logical, case_sensitive=case_sensitive)
+                finding = classify_semirelevant(subs, texts, case_sensitive=case_sensitive)
                 expected += [finding] if finding else []
         audit = run_audit(corpus=c, case_sensitive=case_sensitive)
         got = [f for f in audit.findings if f.label is Label.SEMI_RELEVANT]
@@ -182,7 +181,7 @@ def test_probe_flags_stacked_keyword_rule(corpus, raw_matrix):
     sig = corpus.signature("S_63")
     bounds = structural.bounded_specials(sig)
     detected = [v for v in corpus.vectors if v.id in raw_matrix.detected_ids("S_63")]
-    f = probe_susceptible(sig, detected, bounds)
+    f = probe_susceptible(compile_signature(sig), detected, bounds)
     assert f is not None and f.label is Label.SUSCEPTIBLE
     assert any(w["mutant"] == "1; Select ((234))" for w in f.evidence["witnesses"])
 
@@ -191,7 +190,7 @@ def test_probe_flags_delay_rule(corpus, raw_matrix):
     sig = corpus.signature("S_68")
     bounds = structural.bounded_specials(sig)
     detected = [v for v in corpus.vectors if v.id in raw_matrix.detected_ids("S_68")]
-    f = probe_susceptible(sig, detected, bounds)
+    f = probe_susceptible(compile_signature(sig), detected, bounds)
     assert f is not None
     assert any(
         w["mutant"] == "1 ; waitfor delay'  00:00:01'" for w in f.evidence["witnesses"]
@@ -201,17 +200,15 @@ def test_probe_flags_delay_rule(corpus, raw_matrix):
 def test_probe_without_bounds_returns_nothing(corpus, raw_matrix):
     sig = corpus.signature("S_79")
     detected = [v for v in corpus.vectors if v.id in raw_matrix.detected_ids("S_79")]
-    assert probe_susceptible(sig, detected, []) is None
+    assert probe_susceptible(compile_signature(sig), detected, []) is None
 
 
 def test_probe_witnesses_reverify(corpus, raw_matrix):
-    from sig_audit.matcher import compile_signature, matches
-
     for sid in ("S_63", "S_68", "S_21"):
         sig = corpus.signature(sid)
         bounds = structural.bounded_specials(sig)
         detected = [v for v in corpus.vectors if v.id in raw_matrix.detected_ids(sid)]
-        f = probe_susceptible(sig, detected, bounds)
+        f = probe_susceptible(compile_signature(sig), detected, bounds)
         assert f is not None, sid
         compiled = compile_signature(sig)
         for w in f.evidence["witnesses"]:
@@ -289,7 +286,7 @@ def test_redundancy_transitively_consistent(raw_matrix):
 # inconsistent
 
 def test_documented_inconsistencies(corpus, default_pipeline):
-    findings = classify_inconsistent(corpus, default_pipeline)
+    findings = inconsistent(corpus, default_pipeline)
     by_id = {f.signature_id: f for f in findings}
     assert "S_9" in by_id
     assert {v["id"]: v["stage"] for v in by_id["S_9"].evidence["vectors"]}["v09_1"] == "prefilter-skip"
@@ -300,7 +297,7 @@ def test_documented_inconsistencies(corpus, default_pipeline):
 
 
 def test_raw_pipeline_gives_no_inconsistency(corpus):
-    assert classify_inconsistent(corpus, normalize.RAW_PIPELINE) == []
+    assert inconsistent(corpus, normalize.RAW_PIPELINE) == []
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +325,7 @@ def test_oracle_equivalence_sample():
             got_red.add((f.signature_id, kind, f.evidence[kind]))
         assert got_red == oracle_redundant(c)
 
-        got_inc = {f.signature_id for f in classify_inconsistent(c, pipeline)}
+        got_inc = {f.signature_id for f in inconsistent(c, pipeline)}
         assert got_inc == oracle_inconsistent(c, pipeline)
 
 
@@ -350,5 +347,5 @@ def test_irrelevant_and_semirelevant_mutually_exclusive(corpus, raw_matrix):
     for s in corpus.signatures:
         irr = classify_irrelevant(s.id, raw_matrix.detected_ids(s.id), logical)
         subs = expand_subrules(s)
-        semi = classify_semirelevant(subs, corpus, logical)
+        semi = classify_semirelevant(subs, logical_payloads(corpus))
         assert not (irr and semi), s.id

@@ -7,9 +7,9 @@ documentation rely on.
 
 import re
 
+from audit_inputs import bypass
 from sig_audit import normalize
 from sig_audit.corpus import Dialect, data_dir, load_signatures
-from sig_audit.matcher import full_pipeline_bypass
 
 
 def test_shape(corpus):
@@ -44,7 +44,7 @@ def test_no_empty_or_duplicate_rows(raw_matrix):
 
 
 def test_bypass_is_exactly_the_three_documented(corpus, default_pipeline):
-    assert full_pipeline_bypass(corpus, default_pipeline) == {"v08_1", "v09_1", "v75_1"}
+    assert bypass(corpus, default_pipeline) == {"v08_1", "v09_1", "v75_1"}
 
 
 def test_comment_prefixed_stacked_commands_never_occur(corpus):

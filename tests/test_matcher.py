@@ -6,8 +6,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from audit_inputs import bypass, logical_payloads
 from oracles import naive_search, random_corpus, random_pattern, random_payload
-from sig_audit import normalize
+from sig_audit import matcher, normalize
+from sig_audit.classify import Label, classify_semirelevant
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 from sig_audit.errors import RegexDialectError
 from sig_audit.matcher import (
@@ -18,10 +20,11 @@ from sig_audit.matcher import (
     detection_matrix,
     full_pipeline_bypass,
     matches,
+    parse_pattern,
     required_literals,
-    validate_dialect,
 )
-from sig_audit.structural import bounded_specials, expand_subrules, extract_operators
+from sig_audit.report import run_audit
+from sig_audit.structural import PatternTable, bounded_specials, expand_subrules, extract_operators
 
 
 def sig(pattern, sid="S_x"):
@@ -44,7 +47,7 @@ def test_compile_table_rule():
 )
 def test_dialect_rejections(pattern, why):
     with pytest.raises(RegexDialectError):
-        validate_dialect(pattern)
+        parse_pattern(pattern)
 
 
 def test_dialect_accepts_supported_constructs():
@@ -55,7 +58,7 @@ def test_dialect_accepts_supported_constructs():
         r"(n?and|x?or|not)\s+",
         r"a.b",
     ]:
-        validate_dialect(pat)
+        parse_pattern(pat)
 
 
 def test_matches_case_insensitive_substring():
@@ -120,7 +123,7 @@ def test_every_bundled_vector_detected_by_its_target_raw(corpus, raw_matrix):
 
 
 def test_bypass_documented_vectors(corpus, default_pipeline):
-    bypassed = full_pipeline_bypass(corpus, default_pipeline)
+    bypassed = bypass(corpus, default_pipeline)
     payload_of = {v.id: v.payload for v in corpus.vectors}
     assert {payload_of[vid] for vid in bypassed} == {
         "1 or @user",
@@ -137,14 +140,14 @@ def test_bypass_zero_signature_corpus():
                      frozenset({Dialect.GENERIC})),
     )
     c = Corpus((), vectors)
-    assert full_pipeline_bypass(c, normalize.default_pipeline()) == {"v1"}
+    assert bypass(c, normalize.default_pipeline()) == {"v1"}
 
 
 def test_bypass_monotone_in_prefilter(corpus):
     transforms = normalize.DEFAULT_TRANSFORMS
     without = normalize.Pipeline(transforms=transforms)
     with_pf = normalize.Pipeline(transforms=transforms, prefilter=normalize.DEFAULT_PREFILTER)
-    assert full_pipeline_bypass(corpus, without) <= full_pipeline_bypass(corpus, with_pf)
+    assert bypass(corpus, without) <= bypass(corpus, with_pf)
 
 
 def test_bypass_disjoint_from_prefiltered_matrix(corpus, default_pipeline):
@@ -152,7 +155,7 @@ def test_bypass_disjoint_from_prefiltered_matrix(corpus, default_pipeline):
     covered = set()
     for sid in deployed.signature_ids:
         covered |= deployed.detected_ids(sid)
-    assert not covered & full_pipeline_bypass(corpus, default_pipeline)
+    assert not covered & full_pipeline_bypass(deployed)
 
 
 def test_matrix_csv_and_json_round_trip(raw_matrix):
@@ -245,9 +248,6 @@ def test_precompiled_signatures_give_the_same_matrices(corpus, raw_matrix, defau
     deployed = detection_matrix(corpus, default_pipeline, apply_prefilter=True)
     again = detection_matrix(corpus, default_pipeline, apply_prefilter=True, compiled=compiled)
     assert again == deployed
-    assert full_pipeline_bypass(corpus, default_pipeline, deployed=deployed) == full_pipeline_bypass(
-        corpus, default_pipeline
-    )
 
 
 # payloads the distinct-text index must treat exactly: repeats, case flips,
@@ -387,6 +387,33 @@ def test_required_literals_read_off_the_parse():
         assert compile_signature(sig(pattern)).literals == literals, pattern
 
 
+def test_literals_are_walked_only_for_rules_an_index_searches(monkeypatch, corpus):
+    walks, depth = [], [0]
+    real = matcher.required_literals
+
+    def counting(nodes):
+        if not depth[0]:
+            walks.append(nodes)
+        depth[0] += 1
+        try:
+            return real(nodes)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(matcher, "required_literals", counting)
+    # sub-rules compile for semi-relevance and never reach an index
+    rule = corpus.signature("S_52")
+    compiled = compile_signature(rule)
+    patterns = PatternTable([rule], [compiled])
+    subs = expand_subrules(rule, patterns)
+    assert classify_semirelevant(subs, logical_payloads(corpus), patterns=patterns)
+    assert walks == []
+    # an audit walks each rule's parse once, for the index
+    rep = run_audit(corpus=corpus)
+    assert any(f.label is Label.SEMI_RELEVANT for f in rep.findings)
+    assert sorted(map(id, walks)) == sorted(id(s.tree) for s in corpus.signatures)
+
+
 class CountingPattern:
     def __init__(self, pattern):
         self.pattern, self.texts = pattern, []
@@ -462,7 +489,7 @@ def _dialect_patterns(corpus):
     for _ in range(300):
         pattern = random_pattern(rng)
         try:
-            validate_dialect(pattern)
+            parse_pattern(pattern)
         except RegexDialectError:
             continue
         patterns.append(pattern)

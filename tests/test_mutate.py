@@ -9,7 +9,8 @@ from sig_audit.mutate import (
     parse_scheme,
     targeted_repeats,
 )
-from sig_audit.structural import QuantifierBound
+from sig_audit.corpus import Signature
+from sig_audit.structural import bounded_specials
 
 PAYLOADS = st.text(
     alphabet="abcsel 012;'\"()=<>-un", min_size=1, max_size=24
@@ -94,8 +95,14 @@ def test_paren_schemes_preserve_balance(payload):
         assert _balance(mutant) == before
 
 
+def bound_on(char_class, max_occurrences):
+    """The one bound of a rule that caps ``char_class`` at ``max_occurrences``."""
+    [bound] = bounded_specials(Signature("S_x", f"x{char_class}{{0,{max_occurrences}}}"))
+    return bound
+
+
 def test_targeted_repeats_space_extension():
-    bound = QuantifierBound("S_68", 18, r"\s", 1)
+    bound = bound_on(r"\s", 1)
     seed = "waitfor delay' 00:00:01'"
     muts = [m for m, _ in targeted_repeats(seed, bound)]
     assert "waitfor delay'  00:00:01'" in muts
@@ -104,21 +111,24 @@ def test_targeted_repeats_space_extension():
 
 
 def test_targeted_repeats_paren_wrap():
-    bound = QuantifierBound("S_63", 0, r"[\(]", 1)
+    bound = bound_on(r"[\(]", 1)
     muts = [m for m, _ in targeted_repeats("1; Select (234)", bound)]
     assert muts == ["1; Select ((234))"]
 
 
 def test_targeted_repeats_no_sites():
-    bound = QuantifierBound("S_x", 0, r"[\(]", 1)
+    bound = bound_on(r"[\(]", 1)
     assert targeted_repeats("abc", bound) == []
     # quote bounds have no safe insertion site
-    qbound = QuantifierBound("S_x", 0, '"', 1)
+    qbound = bound_on('"', 1)
     assert targeted_repeats('a "x" b', qbound) == []
 
 
 def test_targeted_repeats_schemes_are_semantics_preserving():
-    bound = QuantifierBound("S_x", 0, r"\s", 2)
-    for _, scheme in targeted_repeats("a b c", bound):
-        assert scheme.semantics_preserving
+    bound = bound_on(r"\s", 2)
+    mutants = targeted_repeats("a b c", bound)
+    assert mutants
+    for _, scheme in mutants:
+        # a repeat of a freely repeatable character, one past the cap
+        assert scheme.kind == "bounded_repeat"
         assert scheme.count == 3

@@ -71,6 +71,24 @@ def test_render_csv_contains_redundancy_row(audit):
     assert "S_32,Redundant,S_26" in csv.splitlines()
 
 
+@pytest.mark.parametrize("sid", ["S_1", "S,1\nb"])
+def test_render_csv_keeps_each_finding_on_one_row(sid):
+    # a JSON corpus may hold line breaks in payloads and ids
+    c = Corpus(
+        (Signature(sid, r"or\s{0,1}1"),),
+        tuple(
+            AttackVector(f"v{i}", sid, p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for i, p in enumerate(["x or\n1", "x or 1"])
+        ),
+    )
+    rep = run_audit(corpus=c, raw=True)
+    lines = rep.to_csv().splitlines()
+    assert len(lines) == 1 + len(rep.findings)
+    row = sid.replace(",", ";").replace("\n", "\\n")
+    assert f"{row},Susceptible,x or\\n 1" in lines
+    assert all(line.count(",") == 2 for line in lines)
+
+
 def test_render_empty_report():
     from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 
@@ -166,6 +184,22 @@ def test_audit_analyses_each_rule_once(monkeypatch, corpus):
     assert compiled == sorted(s.id for s in corpus.signatures)
     for s in corpus.signatures:
         assert calls["parse_pattern"].count((s.pattern_source, s.id)) == 1, s.id
+
+
+def test_audit_works_out_the_bypass_set_once(monkeypatch):
+    calls = []
+    real = matcher.full_pipeline_bypass
+
+    def counting(deployed):
+        calls.append(deployed)
+        return real(deployed)
+
+    monkeypatch.setattr(matcher, "full_pipeline_bypass", counting)
+    rep = run_audit()
+    assert len(calls) == 1
+    assert rep.bypass_ids == ("v08_1", "v09_1", "v75_1")
+    inconsistent = {v["id"] for f in rep.findings if f.label is Label.INCONSISTENT for v in f.evidence["vectors"]}
+    assert inconsistent == set(rep.bypass_ids)
 
 
 def _count_parses_and_compiles(monkeypatch):

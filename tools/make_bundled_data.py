@@ -23,7 +23,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from sig_audit import classify, normalize, structural  # noqa: E402
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature  # noqa: E402
 from sig_audit.corpus import signatures_to_tsv, vectors_to_tsv  # noqa: E402
-from sig_audit.matcher import detection_matrix, full_pipeline_bypass  # noqa: E402
+from sig_audit.matcher import compile_signature, detection_matrix, full_pipeline_bypass  # noqa: E402
 
 R = "reconstructed: repaired from a damaged printed listing"
 RV = None  # transcribed verbatim
@@ -778,7 +778,7 @@ def main():
           f"got {sorted(skipped)}")
 
     # deployed-pipeline bypass set is exactly the three documented ones
-    bypass = full_pipeline_bypass(corpus, default)
+    bypass = full_pipeline_bypass(detection_matrix(corpus, default, apply_prefilter=True))
     check("bypass set == the three documented vectors", set(bypass) == BYPASS_IDS,
           f"got {sorted(bypass)}")
 
@@ -872,13 +872,13 @@ def main():
         sig = corpus.signature(sid)
         bounds = structural.bounded_specials(sig)
         detected = [v for v in corpus.vectors if v.id in rows[sid]]
-        finding = classify.probe_susceptible(sig, detected, bounds)
+        finding = classify.probe_susceptible(compile_signature(sig), detected, bounds)
         got = [w["mutant"] for w in finding.evidence["witnesses"]] if finding else []
         check(f"{sid} probe witness is the documented mutant", witness in got,
               f"got {got}")
 
     # inconsistency exemplars
-    inc = classify.classify_inconsistent(corpus, default)
+    inc = classify.classify_inconsistent(corpus, default, m_raw, bypass)
     inc_ids = {f.signature_id for f in inc}
     for sid, vid in [("S_9", "v09_1"), ("S_75", "v75_1"), ("S_8", "v08_1")]:
         hit = any(
@@ -890,7 +890,7 @@ def main():
     # S_52 sub-rule deadness over the corpus (indexes 2..5)
     subs = structural.expand_subrules(corpus.signature("S_52"))
     check("S_52 expands to 6 sub-rules", len(subs.subrules) == 6, str(subs.subrules))
-    f52 = classify.classify_semirelevant(subs, corpus, frozenset(payloads))
+    f52 = classify.classify_semirelevant(subs, list(payloads.values()))
     dead_idx = sorted(d["index"] for d in f52.evidence["dead_subrules"]) if f52 else []
     check("S_52 dead sub-rule indexes == [2,3,4,5]", dead_idx == [2, 3, 4, 5], str(dead_idx))
 
