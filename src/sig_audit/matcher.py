@@ -264,10 +264,11 @@ class DetectionMatrix:
         return bits
 
     def to_csv(self) -> str:
+        """One line per signature; ids are escaped with ``csv_field``."""
         n = len(self.vector_ids)
-        lines = ["signature_id," + ",".join(self.vector_ids)]
+        lines = ["signature_id," + ",".join(map(csv_field, self.vector_ids))]
         for sid, row in zip(self.signature_ids, self.rows):
-            lines.append(f"{sid}," + ",".join(_cell_digits(row, n)))
+            lines.append(f"{csv_field(sid)}," + ",".join(_cell_digits(row, n)))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -327,6 +328,22 @@ def _id_list(doc: dict, key: str) -> tuple[str, ...]:
             raise ParseError(f"matrix JSON {key!r} repeats id {x!r}")
         seen.add(x)
     return tuple(ids)
+
+
+# a line break becomes its backslash escape, so one record stays on one
+# line; in a CSV field a comma also becomes ";"
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+_CSV_FIELD = {**_ONE_LINE, ord(","): ";"}
+
+
+def one_line(text: str) -> str:
+    """``text`` with each line break escaped."""
+    return text.translate(_ONE_LINE)
+
+
+def csv_field(text: str) -> str:
+    """``one_line(text)`` with each comma as ``;``: one CSV field."""
+    return text.translate(_CSV_FIELD)
 
 
 def _cell_digits(row: int, n: int) -> str:

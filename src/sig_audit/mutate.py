@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .structural import DEFAULT_REPEATABLE, QuantifierBound
+from .structural import QuantifierBound
 
 _SQL_KEYWORDS = frozenset(
     {
@@ -279,12 +279,13 @@ def targeted_repeats(payload: str, bound: QuantifierBound) -> list[tuple[str, Mu
     Repeats a repeatable character from the bound's class past its cap:
     parenthesis pairs are wrapped (balanced) and whitespace runs are
     extended in place. Quote bounds have no safe insertion site and
-    yield nothing.
+    yield nothing. A class holding both parentheses wraps once, under
+    the ``(`` scheme.
     """
     count = bound.max_occurrences + 1
     out: list[tuple[str, MutationScheme]] = []
     for char in _REPEAT_ORDER:
-        if char not in DEFAULT_REPEATABLE or not bound.charset.contains(char):
+        if not bound.charset.contains(char) or char == ")" and bound.charset.contains("("):
             continue
         scheme = bounded_repeat(char, count)
         for mutant in _bounded_repeat(payload, char, count):

@@ -95,11 +95,7 @@ class Pipeline:
 
     @property
     def fingerprint(self) -> str:
-        blob = json.dumps(
-            {"transforms": list(self.transforms), "prefilter": self.prefilter},
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
     def to_json(self) -> str:
         return json.dumps(

@@ -127,7 +127,7 @@ class AuditReport:
     def to_csv(self) -> str:
         lines = ["signature,label,detail"]
         for f in self.findings:
-            sid, detail = _csv_field(f.signature_id), _csv_field(self._finding_detail(f))
+            sid, detail = matcher.csv_field(f.signature_id), matcher.csv_field(self._finding_detail(f))
             lines.append(f"{sid},{f.label.value},{detail}")
         return "\n".join(lines) + "\n"
 
@@ -161,21 +161,13 @@ class AuditReport:
             out.append("")
             out.append(f"{label.value} ({len(group)})")
             for f in group:
-                out.append(f"  {f.signature_id:<6} {self._finding_detail(f)}")
+                out.append(f"  {matcher.one_line(f.signature_id):<6} {matcher.one_line(self._finding_detail(f))}")
         if self.notes:
             out.append("")
             out.append("notes")
             for note in self.notes:
                 out.append(f"  - {note}")
         return "\n".join(out) + "\n"
-
-
-# a comma becomes ";" and a line break its escape, so one finding is one row
-_CSV_FIELD = str.maketrans({",": ";", **{c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}})
-
-
-def _csv_field(text: str) -> str:
-    return text.translate(_CSV_FIELD)
 
 
 def render(report: AuditReport, format: str = "json") -> bytes:
@@ -187,18 +179,6 @@ def render(report: AuditReport, format: str = "json") -> bytes:
     if format == "csv":
         return report.to_csv().encode("utf-8")
     raise ValueError(f"unknown format: {format!r}")
-
-
-def _lexicon_covering(families) -> structural.OperatorLexicon:
-    """The default lexicon extended with every family member, so custom
-    families can actually be found in pattern sources."""
-    base = structural.default_lexicon()
-    members = {m for fam in families for m in fam.members}
-    words = {m for m in members if all(ch.isalnum() or ch == "_" for ch in m)}
-    return structural.OperatorLexicon(
-        word_ops=base.word_ops | words,
-        symbol_ops=base.symbol_ops | (members - words),
-    )
 
 
 def run_audit(
@@ -237,7 +217,8 @@ def run_audit(
             "they are reverse engineered from observed bypasses, not vendor source"
         )
     families = families if families is not None else classify.default_families()
-    lexicon = _lexicon_covering(families)
+    # the Incomplete check reads family members only, so only they are looked for
+    lexicon = structural.OperatorLexicon(frozenset().union(*(fam.members for fam in families)))
 
     compiled = [matcher.compile_signature(sig, case_sensitive) for sig in corpus.signatures]
     # the rules, sub-rules and quantified atoms of this audit, each parsed once

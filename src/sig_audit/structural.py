@@ -5,13 +5,14 @@ Three views of a rule:
 * operator extraction, from the rule's parse: which SQL operators the
   rule can actually match as standalone tokens (word operators only
   count where the pattern admits a word boundary on both sides, so
-  ``or`` buried in a longer literal like ``preorder`` never counts);
-* sub-rule expansion, from one span scan of the source: cross product
-  of the alternations inside unquantified groups, giving the individual
-  criteria a rule ORs together;
-* quantifier bounds, from the same scan: finitely capped atoms over
-  characters an attacker may repeat freely (whitespace, parentheses,
-  quotes).
+  ``or`` buried in a longer literal like ``preorder`` never counts;
+  which characters an atom matches is asked of ``re`` itself);
+* sub-rule expansion, from span scans of the source and of each source
+  it splices: cross product of the alternations inside unquantified
+  groups, giving the individual criteria a rule ORs together;
+* quantifier bounds, from a span scan of the source: finitely capped
+  atoms over characters an attacker may repeat freely (whitespace,
+  parentheses, quotes).
 
 A ``PatternTable`` lets the passes of one audit share their patterns:
 each distinct sub-rule source is parsed once and compiled at most once
@@ -26,9 +27,11 @@ import re
 from dataclasses import dataclass, field
 
 try:
+    from re import _compiler as sre_compile
     from re import _constants as sre_constants
     from re import _parser as sre_parse
 except ImportError:  # pragma: no cover
+    import sre_compile
     import sre_constants
     import sre_parse
 
@@ -44,19 +47,14 @@ DEFAULT_REPEATABLE = frozenset(" \t()'\"")
 
 @dataclass(frozen=True)
 class OperatorLexicon:
-    """Operator tokens split by how they are located in a pattern.
+    """The operator tokens to look for in a pattern.
 
-    Word operators need token boundaries; symbol operators are matched
-    verbatim as maximal runs (a literal ``\\|\\|`` yields ``||``, not
-    two ``|``).
+    A token of word characters only needs token boundaries; any other
+    token is matched verbatim as a maximal run (a literal ``\\|\\|``
+    yields ``||``, not two ``|``).
     """
 
-    word_ops: frozenset[str]
-    symbol_ops: frozenset[str]
-
-    @property
-    def tokens(self) -> frozenset[str]:
-        return self.word_ops | self.symbol_ops
+    tokens: frozenset[str]
 
     @functools.cached_property
     def _atoms(self) -> dict[tuple, "_CharSet"]:
@@ -67,10 +65,7 @@ class OperatorLexicon:
 
 
 def default_lexicon() -> OperatorLexicon:
-    return OperatorLexicon(
-        word_ops=frozenset({"and", "or", "xor", "nand", "not"}),
-        symbol_ops=frozenset({"||", "&&", "^", "|", "&"}),
-    )
+    return OperatorLexicon(frozenset({"and", "or", "xor", "nand", "not", "||", "&&", "^", "|", "&"}))
 
 
 @dataclass(frozen=True)
@@ -100,63 +95,66 @@ class QuantifierBound:
 # character set abstraction over parsed class nodes
 
 _PROBE_CHARS = [chr(c) for c in range(32, 127)] + ["\t", "\n", "\xa0"]
+_PROBE_TEXT = "".join(_PROBE_CHARS)
 _PROBE_BIT = {ch: 1 << i for i, ch in enumerate(_PROBE_CHARS)}
-_ALL_PROBES = (1 << len(_PROBE_CHARS)) - 1
+_WORD = re.compile(r"\w")
 
 
-def _is_word(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _probe_mask(pattern: re.Pattern) -> int:
+    """Bit mask of the probe characters that ``pattern``, one character
+    wide, matches."""
+    return sum(_PROBE_BIT[ch] for ch in pattern.findall(_PROBE_TEXT))
 
 
-def _probe_mask(pred) -> int:
-    """Bit mask of the probe characters that satisfy ``pred``."""
-    return sum(bit for ch, bit in _PROBE_BIT.items() if pred(ch))
+_WORD_PROBES = _probe_mask(_WORD)
 
 
-_WORD_PROBES = _probe_mask(_is_word)
+def _compile_atom(node, flags: int) -> re.Pattern:
+    """The one-node parse tree ``node`` compiled as a str pattern (the
+    flags as a plain int, as ``compile_signature`` passes them)."""
+    state = sre_parse.State()
+    state.flags = sre_constants.SRE_FLAG_UNICODE
+    return sre_compile.compile(sre_parse.SubPattern(state, [node]), flags)
 
 
 class _CharSet:
-    """Membership of one parsed atom (literal, class, dot).
+    """Membership of one parsed atom (literal, class, dot), as ``re``
+    decides it.
 
-    ``mask`` holds the atom's probe characters, computed once, so the
-    NFA walk answers its questions with integer masking. Characters
-    outside the probe set (custom family members can hold any) fall
-    back to the predicate. Case-insensitive membership is cached per
-    character and move tables per token, since one atom serves every
-    rule extracted with a lexicon.
+    The atom is compiled twice, plain and under ``re.IGNORECASE``, and
+    ``mask`` and ``folded`` hold the probe characters each matches, read
+    once, so the NFA walk answers its questions with integer masking.
+    Characters outside the probe set (custom family members can hold
+    any) ask the compiled atom. Move tables are cached per token, since
+    one atom serves every rule extracted with a lexicon.
     """
 
-    __slots__ = ("_pred", "mask", "narrow", "can_word", "can_nonword", "_ci", "_moves")
+    __slots__ = ("_match", "_match_ci", "mask", "folded", "narrow", "can_word", "can_nonword", "_moves")
 
     # atoms realizing more probe characters than this are treated as
     # wildcards: they can carry a boundary but never spell an operator
     _NARROW = 16
 
-    def __init__(self, predicate, mask: int):
-        self._pred = predicate
-        self.mask = mask
-        self.narrow = mask.bit_count() <= self._NARROW
-        self.can_word = bool(mask & _WORD_PROBES)
-        self.can_nonword = bool(mask & ~_WORD_PROBES)
-        self._ci: dict[str, bool] = {}
+    def __init__(self, node):
+        plain, ci = _compile_atom(node, 0), _compile_atom(node, re.IGNORECASE.value)
+        self._match, self._match_ci = plain.fullmatch, ci.fullmatch
+        self.mask, self.folded = _probe_mask(plain), _probe_mask(ci)
+        self.narrow = self.mask.bit_count() <= self._NARROW
+        self.can_word = bool(self.mask & _WORD_PROBES)
+        self.can_nonword = bool(self.mask & ~_WORD_PROBES)
         self._moves: dict[tuple[str, bool], list[tuple[int, ...]]] = {}
 
     def contains(self, ch: str) -> bool:
         bit = _PROBE_BIT.get(ch)
         if bit is None:
-            return self._pred(ch)
+            return self._match(ch) is not None
         return bool(self.mask & bit)
 
     def contains_ci(self, ch: str) -> bool:
-        hit = self._ci.get(ch)
-        if hit is None:
-            # re.IGNORECASE uses the simple, one-character case mapping:
-            # the swap of "ß" is "SS", which no single character matches
-            swapped = ch.swapcase()
-            hit = self.contains(ch) or (len(swapped) == 1 and self.contains(swapped))
-            self._ci[ch] = hit
-        return hit
+        bit = _PROBE_BIT.get(ch)
+        if bit is None:
+            return self._match_ci(ch) is not None
+        return bool(self.folded & bit)
 
     def moves(self, token: str, word_token: bool) -> list[tuple[int, ...]]:
         """``_char_moves(self, token, word_token)``, computed once."""
@@ -168,70 +166,6 @@ class _CharSet:
 
     def can_other_than(self, ch: str) -> bool:
         return bool(self.mask & ~_PROBE_BIT.get(ch, 0))
-
-
-def _category_pred(category):
-    C = sre_constants
-    if category == C.CATEGORY_DIGIT:
-        return lambda ch: ch.isdigit()
-    if category == C.CATEGORY_NOT_DIGIT:
-        return lambda ch: not ch.isdigit()
-    if category == C.CATEGORY_SPACE:
-        return lambda ch: ch.isspace()
-    if category == C.CATEGORY_NOT_SPACE:
-        return lambda ch: not ch.isspace()
-    if category == C.CATEGORY_WORD:
-        return _is_word
-    if category == C.CATEGORY_NOT_WORD:
-        return lambda ch: not _is_word(ch)
-    raise RegexDialectError(None, f"unsupported category: {category}")
-
-
-def _range_mask(lo: int, hi: int) -> int:
-    return sum(bit for ch, bit in _PROBE_BIT.items() if lo <= ord(ch) <= hi)
-
-
-def _in_charset(items) -> _CharSet:
-    C = sre_constants
-    negate = bool(items) and items[0][0] is C.NEGATE
-    if negate:
-        items = items[1:]
-    preds = []
-    mask = 0
-    for op, arg in items:
-        if op is C.LITERAL:
-            preds.append(lambda ch, c=chr(arg): ch == c)
-            mask |= _PROBE_BIT.get(chr(arg), 0)
-        elif op is C.RANGE:
-            lo, hi = arg
-            preds.append(lambda ch, lo=lo, hi=hi: lo <= ord(ch) <= hi)
-            mask |= _range_mask(lo, hi)
-        elif op is C.CATEGORY:
-            preds.append(_category_pred(arg))
-            mask |= _probe_mask(preds[-1])
-        else:
-            raise RegexDialectError(None, f"unsupported class item: {op}")
-
-    def pred(ch):
-        hit = any(p(ch) for p in preds)
-        return not hit if negate else hit
-
-    return _CharSet(pred, _ALL_PROBES & ~mask if negate else mask)
-
-
-def _node_charset(op, arg) -> _CharSet:
-    C = sre_constants
-    if op is C.LITERAL:
-        c = chr(arg)
-        return _CharSet(lambda ch: ch == c, _PROBE_BIT.get(c, 0))
-    if op is C.NOT_LITERAL:
-        c = chr(arg)
-        return _CharSet(lambda ch: ch != c, _ALL_PROBES & ~_PROBE_BIT.get(c, 0))
-    if op is C.ANY:
-        return _CharSet(lambda ch: ch != "\n", _ALL_PROBES & ~_PROBE_BIT["\n"])
-    if op is C.IN:
-        return _in_charset(arg)
-    raise RegexDialectError(None, f"not a character atom: {op}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +246,7 @@ class _Nfa:
         key = (op, tuple(arg)) if op is sre_constants.IN else (op, arg)
         cs = self._table.get(key)
         if cs is None:
-            cs = self._table[key] = _node_charset(op, arg)
+            cs = self._table[key] = _CharSet((op, arg))
         self.atoms[key] = cs
         return cs
 
@@ -432,19 +366,17 @@ def extract_operators(signature, lexicon: OperatorLexicon | None = None) -> Toke
     nfa = _Nfa(lexicon._atoms)
     entry = nfa.state()
     accept = _build_nfa(signature.tree, nfa, entry, cap)
-    found = set()
-    for token in lexicon.word_ops:
-        if _token_realizable(nfa, entry, accept, token, word_token=True):
-            found.add(token)
-    for token in lexicon.symbol_ops:
-        if _token_realizable(nfa, entry, accept, token, word_token=False):
-            found.add(token)
-    return TokenizedSignature(signature_id=signature.id, operators=frozenset(found))
+    found = frozenset(
+        token
+        for token in lexicon.tokens
+        if _token_realizable(nfa, entry, accept, token, word_token=all(map(_WORD.match, token)))
+    )
+    return TokenizedSignature(signature_id=signature.id, operators=found)
 
 
 # ---------------------------------------------------------------------------
-# one span scan of the source, shared by expansion and bound analysis,
-# in the token grammar of the sources `parse_pattern` accepts
+# span scans of a source, read by expansion and bound analysis, in the
+# token grammar of the sources `parse_pattern` accepts
 
 # A comment or the no-op ``(?u)`` (the one inline flag the load check
 # lets through) is transparent: a quantifier after one still binds to
@@ -629,7 +561,7 @@ def _atom_charset(atom_src: str) -> _CharSet | None:
     op, arg = tree[0]
     C = sre_constants
     if op in (C.LITERAL, C.NOT_LITERAL, C.ANY, C.IN):
-        return _node_charset(op, arg)
+        return _CharSet((op, arg))
     return None
 
 

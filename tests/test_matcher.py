@@ -167,6 +167,11 @@ def test_matrix_csv_and_json_round_trip(raw_matrix):
     assert lines[0].startswith("signature_id,")
 
 
+def test_matrix_csv_escapes_ids_like_the_report_csv():
+    m = DetectionMatrix(("S,1", "S\n2"), ("v,0", "v1"), (0b01, 0b10), "fp")
+    assert m.to_csv() == "signature_id,v;0,v1\nS;1,1,0\nS\\n2,0,1\n"
+
+
 def _reference_json(m):
     """``to_json`` as ``json.dumps`` of the document with per-bit int cells."""
     cells = {sid: [row >> i & 1 for i in range(len(m.vector_ids))] for sid, row in zip(m.signature_ids, m.rows)}

@@ -116,6 +116,15 @@ def test_targeted_repeats_paren_wrap():
     assert muts == ["1; Select ((234))"]
 
 
+def test_targeted_repeats_wraps_once_for_a_class_with_both_parentheses():
+    bound = bound_on(r"[\s()]", 1)
+    assert targeted_repeats("select (1)", bound) == [
+        ("select  (1)", bounded_repeat(" ", 2)),
+        ("select \t(1)", bounded_repeat("\t", 2)),
+        ("select ((1))", bounded_repeat("(", 2)),
+    ]
+
+
 def test_targeted_repeats_no_sites():
     bound = bound_on(r"[\(]", 1)
     assert targeted_repeats("abc", bound) == []

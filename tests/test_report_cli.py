@@ -89,6 +89,22 @@ def test_render_csv_keeps_each_finding_on_one_row(sid):
     assert all(line.count(",") == 2 for line in lines)
 
 
+@pytest.mark.parametrize("sid", ["S_1", "S,1\nb"])
+def test_render_text_keeps_each_finding_on_one_line(sid):
+    c = Corpus(
+        (Signature(sid, r"or\s{0,1}1"),),
+        tuple(
+            AttackVector(f"v{i}", sid, p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for i, p in enumerate(["x or\n1", "x or 1"])
+        ),
+    )
+    rep = run_audit(corpus=c, raw=True)
+    lines = rep.to_text().splitlines()
+    row = sid.replace("\n", "\\n")
+    assert f"  {row:<6} x or\\n 1" in lines
+    assert lines[-1] == lines[lines.index("Susceptible (1)") + 1]
+
+
 def test_render_empty_report():
     from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 
@@ -137,6 +153,28 @@ def test_family_member_outside_probe_set_reaches_incompleteness(tmp_path):
     assert [f.evidence["violations"] for f in incomplete] == [
         [{"family": "negation", "present": ["¬"], "missing": ["!"]}]
     ]
+
+
+def test_audit_extracts_exactly_the_family_members(monkeypatch, tmp_path, capsys):
+    """The Incomplete check reads family members only, so the audit looks
+    for those tokens and no others, custom ``--families`` members included."""
+    looked_for = []
+    real = structural.extract_operators
+
+    def recording(signature, lexicon=None):
+        looked_for.append(lexicon.tokens)
+        return real(signature, lexicon)
+
+    monkeypatch.setattr(structural, "extract_operators", recording)
+    stock = frozenset({"and", "or", "xor", "||", "&&", "^", "|", "&"})
+    run_audit()
+    assert looked_for == [stock] * 83
+    fams = tmp_path / "families.json"
+    fams.write_text(json.dumps([{"name": "negation", "members": ["not", "!"]}]), encoding="utf-8")
+    looked_for.clear()
+    assert cli.main(["audit", "--families", str(fams)]) == 0
+    capsys.readouterr()
+    assert looked_for == [stock | {"not", "!"}] * 83
 
 
 def test_cli_family_member_whose_case_swap_is_two_characters(tmp_path, capsys):
@@ -204,8 +242,10 @@ def test_audit_works_out_the_bypass_set_once(monkeypatch):
 
 def _count_parses_and_compiles(monkeypatch):
     """Record the source of every regex parse and the (source, case
-    mode) of every code generation, ``re.compile`` calls included."""
-    parsed, compiled, source_of = [], [], {}
+    mode) of every code generation, ``re.compile`` calls included. A
+    character atom compiled from its one node, not from a parse, is
+    recorded apart as (node, case mode)."""
+    parsed, compiled, atoms, source_of = [], [], [], {}
     real_parse, real_compile = matcher.sre_parse.parse, matcher.sre_compile.compile
 
     def parse(source, *args, **kwargs):
@@ -215,14 +255,20 @@ def _count_parses_and_compiles(monkeypatch):
         return tree
 
     def compile_(p, flags=0):
-        source = p if isinstance(p, str) else source_of[id(p)][0]
-        compiled.append((source, bool(flags & re.IGNORECASE)))
+        if isinstance(p, str) or id(p) in source_of:
+            source = p if isinstance(p, str) else source_of[id(p)][0]
+            compiled.append((source, bool(flags & re.IGNORECASE)))
+        else:
+            (node,) = p.data  # an atom: one literal, class or dot
+            C = structural.sre_constants
+            assert node[0] in (C.LITERAL, C.NOT_LITERAL, C.ANY, C.IN), node
+            atoms.append((repr(node), bool(flags & re.IGNORECASE)))
         return real_compile(p, flags)
 
     re.purge()  # a cached pattern would hide a second parse
     monkeypatch.setattr(matcher.sre_parse, "parse", parse)
     monkeypatch.setattr(matcher.sre_compile, "compile", compile_)
-    return parsed, compiled
+    return parsed, compiled, atoms
 
 
 def _shared_subrule_corpus():
@@ -246,7 +292,7 @@ def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensit
     parsed twice in one audit, and none is compiled twice in one case
     mode."""
     corpus = _shared_subrule_corpus() if shared else corpus
-    parsed, compiled = _count_parses_and_compiles(monkeypatch)
+    parsed, compiled, atoms = _count_parses_and_compiles(monkeypatch)
     if shared:
         run_audit(corpus=corpus, case_sensitive=case_sensitive)
     else:
@@ -258,6 +304,10 @@ def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensit
     rules = {s.pattern_source for s in corpus.signatures}
     assert {(r, mode) for r in rules} <= set(compiled)
     assert normalize.DEFAULT_PREFILTER in parsed
+    # an atom compiles plain and folded together, once for operator
+    # extraction and at most once more as a quantified atom
+    assert atoms and sorted(a for a, ci in atoms if ci) == sorted(a for a, ci in atoms if not ci)
+    assert max(map(atoms.count, atoms)) <= 2
     if shared:
         # shared sub-rules and the atom were reached, and each parsed once
         assert {"xby", "a\\s?b1", "z"} <= set(parsed) and "\\s" in parsed

@@ -2,8 +2,10 @@ import random
 import re
 
 import pytest
+from oracles import _in_match
 
 from sig_audit import structural
+from sig_audit.classify import default_families
 from sig_audit.corpus import Signature
 from sig_audit.errors import RegexDialectError
 from sig_audit.matcher import parse_pattern
@@ -72,13 +74,32 @@ def _atoms(nodes):
             yield from _atoms(arg[2])
 
 
+def _class_items(op, arg):
+    """The atom as the items of a class: (negated, items)."""
+    C = structural.sre_constants
+    if op is C.IN:
+        negate = bool(arg) and arg[0][0] is C.NEGATE
+        return negate, arg[1:] if negate else arg
+    if op is C.LITERAL:
+        return False, [(C.LITERAL, arg)]
+    if op is C.NOT_LITERAL:
+        return True, [(C.LITERAL, arg)]
+    return True, [(C.LITERAL, ord("\n"))]  # ANY
+
+
 def test_atom_masks_agree_with_predicates(corpus):
+    """Each bundled atom's membership, plain and case-insensitive, equals
+    the oracle's class matcher on the probe characters (all ASCII or
+    caseless, so folding is trying both cases before any negation)."""
     checked = 0
     for s in corpus.signatures:
         for op, arg in _atoms(parse_pattern(s.pattern_source, s.id)):
-            cs = structural._node_charset(op, arg)
+            cs = structural._CharSet((op, arg))
+            negate, items = _class_items(op, arg)
             for ch in structural._PROBE_CHARS:
-                assert cs.contains(ch) == cs._pred(ch), (s.id, op, arg, ch)
+                assert cs.contains(ch) == (_in_match(items, ch) != negate), (s.id, op, arg, ch)
+                folded = any(_in_match(items, c) for c in {ch, ch.lower(), ch.upper()})
+                assert cs.contains_ci(ch) == (folded != negate), (s.id, op, arg, ch)
             checked += 1
     assert checked > 500
 
@@ -115,10 +136,10 @@ def test_shared_atom_table_gives_the_fresh_extraction(corpus):
         except RegexDialectError:
             continue
         signatures.append(s)
-    base = default_lexicon()
-    for word_ops, symbol_ops in [(base.word_ops, base.symbol_ops), (base.word_ops | {"ß"}, base.symbol_ops | {"¬"})]:
-        fresh = {s.id: extract_operators(s, OperatorLexicon(word_ops, symbol_ops)).operators for s in signatures}
-        shared = OperatorLexicon(word_ops, symbol_ops)
+    base = default_lexicon().tokens
+    for tokens in [base, base | {"ß", "¬"}]:
+        fresh = {s.id: extract_operators(s, OperatorLexicon(tokens)).operators for s in signatures}
+        shared = OperatorLexicon(tokens)
         for s in rng.sample(signatures, len(signatures)):
             assert extract_operators(s, shared).operators == fresh[s.id], s.pattern_source
         assert len(shared._atoms) > 20
@@ -127,7 +148,7 @@ def test_shared_atom_table_gives_the_fresh_extraction(corpus):
 def test_member_whose_case_swap_is_two_characters():
     """``"ß".swapcase()`` is ``"SS"``; IGNORECASE maps case one character
     at a time, so only a class or literal holding ``ß`` spells it."""
-    lexicon = OperatorLexicon(word_ops=frozenset({"ß"}), symbol_ops=frozenset({"~"}))
+    lexicon = OperatorLexicon(frozenset({"ß", "~"}))
     assert extract_operators(sig(r"1\s*[a-c]\s*1", "S_1"), lexicon).operators == frozenset()
     assert extract_operators(sig(r"1\s*[a-z]+\s*1"), lexicon).operators == frozenset()
     assert extract_operators(sig(r"1\s*[ßs]\s*1"), lexicon).operators == {"ß"}
@@ -135,19 +156,64 @@ def test_member_whose_case_swap_is_two_characters():
     assert re.search("[a-z]", "ß", re.IGNORECASE) is None
 
 
+def test_digit_class_does_not_spell_superscript_two():
+    """``"²".isdigit()`` holds, but ``re``'s ``\\d`` takes decimal digits only."""
+    lexicon = OperatorLexicon(frozenset({"²"}))
+    assert extract_operators(sig(r"1 \d 1"), lexicon).operators == frozenset()
+    assert extract_operators(sig(r"1 [²] 1"), lexicon).operators == {"²"}
+
+
+@pytest.mark.parametrize(
+    "pattern,text,token",
+    [
+        ("[\u212a]or", "kor", "kor"),
+        ("1 [\u212a] 1", "1 k 1", "k"),
+        ("1 [s]elect 1", "1 \u017felect 1", "\u017felect"),
+        ("1 \u017felect 1", "1 select 1", "select"),
+    ],
+)
+def test_atoms_read_through_case_folding(pattern, text, token):
+    """Under ``re.IGNORECASE`` the Kelvin sign matches ``k`` and the long s
+    matches ``s``, though neither is the other's ``swapcase``."""
+    assert re.fullmatch(pattern, text, re.IGNORECASE)
+    assert extract_operators(sig(pattern), OperatorLexicon(frozenset({token}))).operators == {token}
+
+
+def test_family_member_lexicon_gives_the_default_lexicons_members(corpus):
+    """Looking for the family members only (so ``repeat_cap`` is 5, not
+    6) gives each member the answer the default lexicon gives."""
+    from oracles import random_pattern
+
+    members = frozenset().union(*(fam.members for fam in default_families()))
+    lexicon = OperatorLexicon(members)
+    rng = random.Random(13)
+    patterns = [s.pattern_source for s in corpus.signatures] + [random_pattern(rng) for _ in range(500)]
+    patterns += [r"x(?:a|n|d|\s){4,9}y", r"(?:[|&]\s?){3,}", r"\W(?:x|o|r){2,6}\W", r"o\s{0,6}r"]
+    checked = 0
+    for k, pattern in enumerate(patterns):
+        s = sig(pattern, f"R_{k}")
+        try:
+            s.tree
+        except RegexDialectError:
+            continue
+        assert extract_operators(s, lexicon).operators == extract_operators(s).operators & members, pattern
+        checked += 1
+    assert checked > 400
+
+
 @pytest.mark.parametrize("pattern", [r"1\s*¬\s*1", r"1\s*[¬!]\s*1", r"1 (?:¬|~) 1"])
 def test_member_outside_probe_set_is_extracted(pattern):
-    lexicon = OperatorLexicon(word_ops=frozenset({"not"}), symbol_ops=frozenset({"¬", "!"}))
+    lexicon = OperatorLexicon(frozenset({"not", "¬", "!"}))
     assert "¬" in extract_operators(sig(pattern), lexicon).operators
 
 
 def test_glued_member_outside_probe_set_is_not_standalone():
-    lexicon = OperatorLexicon(word_ops=frozenset(), symbol_ops=frozenset({"¬", "¬¬"}))
+    lexicon = OperatorLexicon(frozenset({"¬", "¬¬"}))
     assert extract_operators(sig(r"1¬¬1"), lexicon).operators == {"¬¬"}
 
 
 def test_lexicon_monotonicity():
-    small = OperatorLexicon(word_ops=frozenset({"or"}), symbol_ops=frozenset())
+    small = OperatorLexicon(frozenset({"or"}))
     big = default_lexicon()
     rng = random.Random(7)
     from oracles import random_pattern
