@@ -48,12 +48,10 @@ from .normalize import Pipeline, RAW_PIPELINE, apply, default_pipeline, prefilte
 from .report import AuditReport, render, run_audit
 from .stats import ContributionProfile, OverlapStats, contribution, overlap, partition
 from .structural import (
-    OperatorLexicon,
     QuantifierBound,
     SubRuleSet,
     TokenizedSignature,
     bounded_specials,
-    default_lexicon,
     expand_subrules,
     extract_operators,
 )

@@ -44,8 +44,8 @@ class RelatedOperatorFamily:
     members: frozenset[str]
 
     def __post_init__(self):
-        if len(self.members) < 2:
-            raise ValueError("a related-operator family needs at least 2 members")
+        if len(self.members) < 2 or "" in self.members:
+            raise ValueError("a related-operator family needs at least 2 members, none empty")
 
 
 def default_families() -> list[RelatedOperatorFamily]:

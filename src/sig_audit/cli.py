@@ -116,9 +116,10 @@ def _cmd_structure(args) -> int:
         sig = corpus.signature(args.sig_id)
     except KeyError:
         raise AuditError(f"no such signature: {args.sig_id}") from None
-    tokenized = structural.extract_operators(sig)
-    subs = structural.expand_subrules(sig)
-    bounds = structural.bounded_specials(sig)
+    patterns = structural.PatternTable([sig])
+    tokenized = structural.extract_operators(sig, patterns=patterns)
+    subs = structural.expand_subrules(sig, patterns)
+    bounds = structural.bounded_specials(sig, patterns)
     doc = {
         "signature": sig.id,
         "pattern": sig.pattern_source,

@@ -144,7 +144,7 @@ class AuditReport:
         top = self.profile.top() if self.profile.entries else None
         if top:
             out.append(
-                f"top contributor: {top.signature_id} "
+                f"top contributor: {matcher.one_line(top.signature_id)} "
                 f"({top.count}/{self.profile.total_vectors}, {top.share_pct}%)"
             )
         if self.overlap:
@@ -166,7 +166,7 @@ class AuditReport:
             out.append("")
             out.append("notes")
             for note in self.notes:
-                out.append(f"  - {note}")
+                out.append(f"  - {matcher.one_line(note)}")
         return "\n".join(out) + "\n"
 
 
@@ -198,14 +198,14 @@ def run_audit(
 
     Each rule is analysed once: its pattern is parsed once
     (``Signature.tree``) and compiled from that parse, and the parse tree
-    feeds every structural pass, where one lexicon shares its atom table
-    across rules. One pattern table holds the audit's rules, sub-rules
-    and quantified atoms, so each distinct source is parsed once and
-    compiled at most once, however many rules share it. Two matrices are
-    built, raw and deployed, over one text index, so a rule searches
-    each distinct text once for both. The deployed matrix gives one
-    bypass set, which the report lists and the inconsistency findings
-    read.
+    feeds every structural pass. One pattern table holds the audit's
+    rules, sub-rules and atoms, so each distinct source is parsed once
+    and compiled at most once, however many rules share it, and each
+    distinct atom has one charset, which operator extraction and bound
+    analysis share. Two matrices are built, raw and deployed, over one
+    text index, so a rule searches each distinct text once for both. The
+    deployed matrix gives one bypass set, which the report lists and the
+    inconsistency findings read.
     """
     if corpus is None:
         corpus = corpus_mod.open_corpus(sig_path, vec_path)
@@ -218,10 +218,10 @@ def run_audit(
         )
     families = families if families is not None else classify.default_families()
     # the Incomplete check reads family members only, so only they are looked for
-    lexicon = structural.OperatorLexicon(frozenset().union(*(fam.members for fam in families)))
+    tokens = frozenset().union(*(fam.members for fam in families))
 
     compiled = [matcher.compile_signature(sig, case_sensitive) for sig in corpus.signatures]
-    # the rules, sub-rules and quantified atoms of this audit, each parsed once
+    # the rules, sub-rules and atoms of this audit, each parsed once
     patterns = structural.PatternTable(corpus.signatures, compiled)
     # one index for both matrices, so each rule searches each key once;
     # the per-rule passes do not read it, so it is dropped before them
@@ -242,7 +242,7 @@ def run_audit(
     findings: list[AuditFinding] = []
     irrelevant_ids = set()
     for sig, compiled_sig in zip(corpus.signatures, compiled):
-        tokenized = structural.extract_operators(sig, lexicon)
+        tokenized = structural.extract_operators(sig, tokens, patterns)
         finding = classify.classify_incomplete(tokenized, families)
         if finding:
             findings.append(finding)

@@ -17,12 +17,12 @@ Three views of a rule:
 A ``PatternTable`` lets the passes of one audit share their patterns:
 each distinct sub-rule source is parsed once and compiled at most once
 per case mode, a sub-rule spelled like a rule reuses the rule's, and
-each distinct quantified atom is parsed once.
+each distinct atom has one charset, which operator extraction and bound
+analysis both read.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 
@@ -44,28 +44,11 @@ from .matcher import CompiledSignature, compile_signature, parse_pattern  # noqa
 # without changing what the query does.
 DEFAULT_REPEATABLE = frozenset(" \t()'\"")
 
-
-@dataclass(frozen=True)
-class OperatorLexicon:
-    """The operator tokens to look for in a pattern.
-
-    A token of word characters only needs token boundaries; any other
-    token is matched verbatim as a maximal run (a literal ``\\|\\|``
-    yields ``||``, not two ``|``).
-    """
-
-    tokens: frozenset[str]
-
-    @functools.cached_property
-    def _atoms(self) -> dict[tuple, "_CharSet"]:
-        """One charset per distinct parsed atom, shared by every rule
-        extracted with this lexicon; each caches its per-token moves.
-        It lives as long as the lexicon (not compared or exported)."""
-        return {}
-
-
-def default_lexicon() -> OperatorLexicon:
-    return OperatorLexicon(frozenset({"and", "or", "xor", "nand", "not", "||", "&&", "^", "|", "&"}))
+# The operator tokens looked for when none are given. A token of word
+# characters only needs token boundaries; any other token is matched
+# verbatim as a maximal run (a literal ``\\|\\|`` yields ``||``, not
+# two ``|``).
+DEFAULT_OPERATORS = frozenset({"and", "or", "xor", "nand", "not", "||", "&&", "^", "|", "&"})
 
 
 @dataclass(frozen=True)
@@ -98,6 +81,8 @@ _PROBE_CHARS = [chr(c) for c in range(32, 127)] + ["\t", "\n", "\xa0"]
 _PROBE_TEXT = "".join(_PROBE_CHARS)
 _PROBE_BIT = {ch: 1 << i for i, ch in enumerate(_PROBE_CHARS)}
 _WORD = re.compile(r"\w")
+# the parse nodes of one character: literal, negated literal, dot, class
+_ATOM_OPS = (sre_constants.LITERAL, sre_constants.NOT_LITERAL, sre_constants.ANY, sre_constants.IN)
 
 
 def _probe_mask(pattern: re.Pattern) -> int:
@@ -126,7 +111,7 @@ class _CharSet:
     once, so the NFA walk answers its questions with integer masking.
     Characters outside the probe set (custom family members can hold
     any) ask the compiled atom. Move tables are cached per token, since
-    one atom serves every rule extracted with a lexicon.
+    one atom serves every rule of an audit.
     """
 
     __slots__ = ("_match", "_match_ci", "mask", "folded", "narrow", "can_word", "can_nonword", "_moves")
@@ -142,7 +127,7 @@ class _CharSet:
         self.narrow = self.mask.bit_count() <= self._NARROW
         self.can_word = bool(self.mask & _WORD_PROBES)
         self.can_nonword = bool(self.mask & ~_WORD_PROBES)
-        self._moves: dict[tuple[str, bool], list[tuple[int, ...]]] = {}
+        self._moves: dict[str, list[tuple[int, ...]]] = {}
 
     def contains(self, ch: str) -> bool:
         bit = _PROBE_BIT.get(ch)
@@ -156,12 +141,11 @@ class _CharSet:
             return self._match_ci(ch) is not None
         return bool(self.folded & bit)
 
-    def moves(self, token: str, word_token: bool) -> list[tuple[int, ...]]:
-        """``_char_moves(self, token, word_token)``, computed once."""
-        key = (token, word_token)
-        table = self._moves.get(key)
+    def moves(self, token: str) -> list[tuple[int, ...]]:
+        """``_char_moves(self, token)``, computed once."""
+        table = self._moves.get(token)
         if table is None:
-            table = self._moves[key] = _char_moves(self, token, word_token)
+            table = self._moves[token] = _char_moves(self, token)
         return table
 
     def can_other_than(self, ch: str) -> bool:
@@ -174,48 +158,65 @@ class _CharSet:
 class PatternTable:
     """The patterns of one audit: each distinct sub-rule source is parsed
     and checked once and compiled at most once per case mode, through
-    one ``Signature``, and each distinct quantified atom source has one
-    charset.
+    one ``Signature``, and each distinct atom has one charset.
 
     Seeded with the audit's rules and, in rule order, their compiled
     forms, so a sub-rule spelled like a rule needs no parse or code of
-    its own. A sub-rule's parse is handed to its compiled form. The table
-    lives as long as the audit that made it; a standalone pass without
-    one uses a fresh table.
+    its own. A sub-rule's parse is handed to its compiled form. Atoms are
+    keyed by parse node, so a rule's atom and the same atom quantified
+    share one charset and its cached moves. The table lives as long as
+    the audit that made it; a standalone pass without one uses a fresh
+    table.
     """
 
     def __init__(self, signatures=(), compiled=()):
-        self._checked = {sig.pattern_source for sig in signatures}
-        self._parsed: dict[str, Signature] = {}  # checked sub-rules not compiled yet
+        self._signatures: dict[str, Signature] = {}  # every source checked
+        for sig in signatures:
+            self._signatures.setdefault(sig.pattern_source, sig)
         self._compiled: dict[tuple[str, bool], CompiledSignature] = {}
         for sig, found in zip(signatures, compiled):
             self._compiled.setdefault((sig.pattern_source, not found.case_insensitive), found)
-        self._charsets: dict[str, _CharSet | None] = {}
+        # keyed by atom node, and by quantified-atom source (None: no atom)
+        self._atoms: dict[tuple | str, _CharSet | None] = {}
 
     def check(self, source: str, signature_id: str) -> None:
         """Parse ``source`` and check its dialect, once per table."""
-        if source not in self._checked:
+        if source not in self._signatures:
             sig = Signature(id=signature_id, pattern_source=source)
-            sig.tree  # parses and checks the dialect
-            self._parsed[source] = sig
-            self._checked.add(source)
+            sig.tree  # parses and checks the dialect; a bad source is not kept
+            self._signatures[source] = sig
 
     def compiled(self, source: str, signature_id: str, case_sensitive: bool = False) -> CompiledSignature:
-        """``compile_signature`` of ``source``, from its parse when ``check``
-        made one; a new signature takes ``signature_id``."""
+        """``compile_signature`` of ``source``, from its parse when the
+        table holds one; a new signature takes ``signature_id``."""
         key = (source, case_sensitive)
         found = self._compiled.get(key)
         if found is None:
-            sig = self._parsed.pop(source, None) or Signature(id=signature_id, pattern_source=source)
+            sig = self._signatures.get(source) or Signature(id=signature_id, pattern_source=source)
             found = self._compiled[key] = compile_signature(sig, case_sensitive)
-            self._checked.add(source)
+            self._signatures[source] = sig
         return found
 
+    def atom(self, node) -> _CharSet:
+        """The charset of one parsed literal, class or dot."""
+        op, arg = node
+        key = (op, tuple(arg)) if op is sre_constants.IN else node
+        cs = self._atoms.get(key)
+        if cs is None:
+            cs = self._atoms[key] = _CharSet(node)
+        return cs
+
     def charset(self, atom_source: str) -> _CharSet | None:
-        """``_atom_charset(atom_source)``, parsed once."""
-        if atom_source not in self._charsets:
-            self._charsets[atom_source] = _atom_charset(atom_source)
-        return self._charsets[atom_source]
+        """``atom`` of the one node ``atom_source`` parses to, parsed once;
+        None when it does not parse to one literal, class or dot."""
+        if atom_source not in self._atoms:
+            try:
+                tree = sre_parse.parse(atom_source)
+            except Exception:
+                tree = ()
+            atomic = len(tree) == 1 and tree[0][0] in _ATOM_OPS
+            self._atoms[atom_source] = self.atom(tree[0]) if atomic else None
+        return self._atoms[atom_source]
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +228,9 @@ _ANCHOR = "anchor"
 
 
 class _Nfa:
-    def __init__(self, table: dict[tuple, _CharSet] | None = None):
+    def __init__(self):
         self.edges: dict[int, list[tuple[str, object, int]]] = {}
-        self.atoms: dict[tuple, _CharSet] = {}  # one charset per distinct atom of this rule
-        self._table = {} if table is None else table  # charsets shared across rules
+        self.atoms: set[_CharSet] = set()  # the charsets on this rule's edges
         self._next = 0
 
     def state(self) -> int:
@@ -242,36 +242,32 @@ class _Nfa:
     def add(self, src: int, kind: str, payload, dst: int) -> None:
         self.edges[src].append((kind, payload, dst))
 
-    def charset(self, op, arg) -> _CharSet:
-        key = (op, tuple(arg)) if op is sre_constants.IN else (op, arg)
-        cs = self._table.get(key)
-        if cs is None:
-            cs = self._table[key] = _CharSet((op, arg))
-        self.atoms[key] = cs
-        return cs
 
-
-def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int) -> int:
-    """Thompson-style construction; returns the exit state."""
+def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int, patterns: PatternTable) -> int:
+    """Thompson-style construction, each atom's charset from ``patterns``;
+    returns the exit state."""
     C = sre_constants
     cur = entry
-    for op, arg in nodes:
-        if op in (C.LITERAL, C.NOT_LITERAL, C.ANY, C.IN):
+    for node in nodes:
+        op, arg = node
+        if op in _ATOM_OPS:
+            cs = patterns.atom(node)
+            nfa.atoms.add(cs)
             nxt = nfa.state()
-            nfa.add(cur, _CHAR, nfa.charset(op, arg), nxt)
+            nfa.add(cur, _CHAR, cs, nxt)
             cur = nxt
         elif op is C.AT:
             nxt = nfa.state()
             nfa.add(cur, _ANCHOR, arg, nxt)
             cur = nxt
         elif op is C.SUBPATTERN:
-            cur = _build_nfa(arg[3], nfa, cur, repeat_cap)
+            cur = _build_nfa(arg[3], nfa, cur, repeat_cap, patterns)
         elif op is C.BRANCH:
             exits = []
             for branch in arg[1]:
                 b_entry = nfa.state()
                 nfa.add(cur, _EPS, None, b_entry)
-                exits.append(_build_nfa(branch, nfa, b_entry, repeat_cap))
+                exits.append(_build_nfa(branch, nfa, b_entry, repeat_cap, patterns))
             nxt = nfa.state()
             for e in exits:
                 nfa.add(e, _EPS, None, nxt)
@@ -281,10 +277,10 @@ def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int) -> int:
             lo = min(lo, repeat_cap)
             hi = repeat_cap if hi is C.MAXREPEAT or hi > repeat_cap else hi
             for _ in range(lo):
-                cur = _build_nfa(body, nfa, cur, repeat_cap)
+                cur = _build_nfa(body, nfa, cur, repeat_cap, patterns)
             for _ in range(hi - lo):
                 skip_from = cur
-                cur = _build_nfa(body, nfa, cur, repeat_cap)
+                cur = _build_nfa(body, nfa, cur, repeat_cap, patterns)
                 nfa.add(skip_from, _EPS, None, cur)
         else:
             raise RegexDialectError(None, f"unsupported construct: {op}")
@@ -300,10 +296,10 @@ _GLUED = -2
 _SEARCH = -1
 
 
-def _char_moves(cs: _CharSet, token: str, word_token: bool) -> list[tuple[int, ...]]:
+def _char_moves(cs: _CharSet, token: str) -> list[tuple[int, ...]]:
     """Progress reachable over one ``cs`` edge, for each progress value."""
     n = len(token)
-    if word_token:
+    if all(map(_WORD.match, token)):
         opens = closes = cs.can_nonword
         glues = cs.can_word
     else:
@@ -317,7 +313,7 @@ def _char_moves(cs: _CharSet, token: str, word_token: bool) -> list[tuple[int, .
     return moves
 
 
-def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token: bool) -> bool:
+def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str) -> bool:
     """Can the pattern spell ``token`` as a standalone occurrence?
 
     Standalone means: for word tokens, non-word characters (or the match
@@ -327,11 +323,11 @@ def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token
     admits every operator and says nothing about what the rule was
     written to catch.
     """
-    narrow = [cs for cs in nfa.atoms.values() if cs.narrow]
+    narrow = [cs for cs in nfa.atoms if cs.narrow]
     if not all(any(cs.contains_ci(ch) for cs in narrow) for ch in token):
         return False  # some character of the token is spelled by no atom
     n = len(token)
-    moves = {cs: cs.moves(token, word_token) for cs in nfa.atoms.values()}
+    moves = {cs: cs.moves(token) for cs in nfa.atoms}
     # an anchor is a match edge: a boundary before or after the token,
     # and never inside it
     anchor_moves = [(_SEARCH,), (_SEARCH,), ()] + [()] * (n - 1) + [(n + 1,), (n + 1,)]
@@ -357,20 +353,18 @@ def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, word_token
     return False
 
 
-def extract_operators(signature, lexicon: OperatorLexicon | None = None) -> TokenizedSignature:
-    """Every lexicon operator the pattern can match as a standalone token.
+def extract_operators(
+    signature, tokens: frozenset[str] = DEFAULT_OPERATORS, patterns: PatternTable | None = None
+) -> TokenizedSignature:
+    """Every one of ``tokens`` the pattern can match as a standalone token.
 
-    Rules extracted with one lexicon share its atom table."""
-    lexicon = lexicon or default_lexicon()
-    cap = max((len(t) for t in lexicon.tokens), default=1) + 2
-    nfa = _Nfa(lexicon._atoms)
+    Each atom's charset, with its cached moves, comes from ``patterns``."""
+    patterns = patterns or PatternTable()
+    cap = max(map(len, tokens), default=1) + 2
+    nfa = _Nfa()
     entry = nfa.state()
-    accept = _build_nfa(signature.tree, nfa, entry, cap)
-    found = frozenset(
-        token
-        for token in lexicon.tokens
-        if _token_realizable(nfa, entry, accept, token, word_token=all(map(_WORD.match, token)))
-    )
+    accept = _build_nfa(signature.tree, nfa, entry, cap, patterns)
+    found = frozenset(token for token in tokens if _token_realizable(nfa, entry, accept, token))
     return TokenizedSignature(signature_id=signature.id, operators=found)
 
 
@@ -550,20 +544,6 @@ def expand_subrules(signature, patterns: PatternTable | None = None) -> SubRuleS
 
 # ---------------------------------------------------------------------------
 # bounded quantifiers on freely repeatable characters
-
-def _atom_charset(atom_src: str) -> _CharSet | None:
-    try:
-        tree = sre_parse.parse(atom_src)
-    except Exception:
-        return None
-    if len(tree) != 1:
-        return None
-    op, arg = tree[0]
-    C = sre_constants
-    if op in (C.LITERAL, C.NOT_LITERAL, C.ANY, C.IN):
-        return _CharSet((op, arg))
-    return None
-
 
 def bounded_specials(signature, patterns: PatternTable | None = None) -> list[QuantifierBound]:
     """Finitely bounded atoms whose class covers a repeatable character.

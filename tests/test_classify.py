@@ -77,6 +77,13 @@ def test_load_families_rejects_fewer_than_two_members(members):
         classify.load_families(f'[{{"name": "x", "members": {members}}}]')
 
 
+def test_family_rejects_an_empty_member():
+    with pytest.raises(ValueError, match="none empty"):
+        RelatedOperatorFamily("e", frozenset({"", "or"}))
+    with pytest.raises(ParseError, match="list of operator strings"):
+        classify.load_families('[{"name": "e", "members": ["", "or"]}]')
+
+
 # ---------------------------------------------------------------------------
 # irrelevant
 

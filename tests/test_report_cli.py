@@ -105,6 +105,29 @@ def test_render_text_keeps_each_finding_on_one_line(sid):
     assert lines[-1] == lines[lines.index("Susceptible (1)") + 1]
 
 
+def _one_rule_corpus(sid, pattern, payload):
+    vector = AttackVector("v1", sid, payload, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+    return Corpus((Signature(sid, pattern),), (vector,))
+
+
+def test_render_text_keeps_the_top_contributor_on_one_line():
+    rep = run_audit(corpus=_one_rule_corpus("S\n1", "zzz9", "zzz9"), raw=True)
+    lines = rep.to_text().splitlines()
+    assert "top contributor: S\\n1 (1/1, 100.0%)" in lines
+    assert json.loads(render(rep, "json"))["profile"]["ranking"][0]["signature"] == "S\n1"
+
+
+def test_render_text_keeps_each_note_on_one_line():
+    # 2**7 sub-rules exceed the expansion cap, which the audit notes
+    rep = run_audit(corpus=_one_rule_corpus("S\n2", "(?:a|b)" * 7, "abababa"), raw=True)
+    note = "S\n2: sub-rule expansion hit caps, semi-relevance not classified"
+    assert rep.notes == (note,)
+    lines = rep.to_text().splitlines()
+    assert lines[-1] == "  - " + note.replace("\n", "\\n")
+    assert lines[-2] == "notes"
+    assert json.loads(render(rep, "json"))["notes"] == [note]
+
+
 def test_render_empty_report():
     from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 
@@ -161,9 +184,9 @@ def test_audit_extracts_exactly_the_family_members(monkeypatch, tmp_path, capsys
     looked_for = []
     real = structural.extract_operators
 
-    def recording(signature, lexicon=None):
-        looked_for.append(lexicon.tokens)
-        return real(signature, lexicon)
+    def recording(signature, tokens=structural.DEFAULT_OPERATORS, patterns=None):
+        looked_for.append(tokens)
+        return real(signature, tokens, patterns)
 
     monkeypatch.setattr(structural, "extract_operators", recording)
     stock = frozenset({"and", "or", "xor", "||", "&&", "^", "|", "&"})
@@ -305,15 +328,52 @@ def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensit
     assert {(r, mode) for r in rules} <= set(compiled)
     assert normalize.DEFAULT_PREFILTER in parsed
     # an atom compiles plain and folded together, once for operator
-    # extraction and at most once more as a quantified atom
+    # extraction and bound analysis both
     assert atoms and sorted(a for a, ci in atoms if ci) == sorted(a for a, ci in atoms if not ci)
-    assert max(map(atoms.count, atoms)) <= 2
+    assert max(map(atoms.count, atoms)) == 1
     if shared:
         # shared sub-rules and the atom were reached, and each parsed once
         assert {"xby", "a\\s?b1", "z"} <= set(parsed) and "\\s" in parsed
         assert {("xby", mode), ("a\\s?b1", mode), ("z", mode)} <= set(compiled)
     else:
         assert len(set(parsed) - rules) > len(rules)  # sub-rules and atoms
+
+
+def test_bound_charset_is_the_atom_on_the_rules_edges(monkeypatch, capsys, corpus):
+    """A bound's charset is the very object on its rule's NFA edges, so
+    operator extraction and bound analysis share one atom table, in an
+    audit and in ``structure``."""
+    nfas, bounds = [], []
+    real_bounds = structural.bounded_specials
+
+    class RecordedNfa(structural._Nfa):
+        def __init__(self):
+            super().__init__()
+            nfas.append(self)
+
+    def recording(signature, patterns=None):
+        found = real_bounds(signature, patterns)
+        bounds.append((signature.id, found))
+        return found
+
+    def on_edges(nfa):
+        return {id(cs) for out in nfa.edges.values() for kind, cs, _ in out if kind == structural._CHAR}
+
+    monkeypatch.setattr(structural, "_Nfa", RecordedNfa)
+    monkeypatch.setattr(structural, "bounded_specials", recording)
+    run_audit()
+    edges = dict(zip((s.id for s in corpus.signatures), map(on_edges, nfas)))
+    bounded = [(sid, found) for sid, found in bounds if found]
+    assert [sid for sid, _ in bounded] == ["S_4", "S_6", "S_21", "S_63", "S_68"]
+    for sid, found in bounded:
+        assert all(id(b.charset) in edges[sid] for b in found), sid
+    for sid, _ in bounded:
+        nfas.clear()
+        bounds.clear()
+        assert cli.main(["structure", sid]) == 0
+        capsys.readouterr()
+        [(_, found)] = bounds
+        assert found and all(id(b.charset) in on_edges(nfas[0]) for b in found), sid
 
 
 def test_cli_structure_prints_the_same_document(capsys):

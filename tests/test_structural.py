@@ -10,9 +10,9 @@ from sig_audit.corpus import Signature
 from sig_audit.errors import RegexDialectError
 from sig_audit.matcher import parse_pattern
 from sig_audit.structural import (
-    OperatorLexicon,
+    DEFAULT_OPERATORS,
+    PatternTable,
     bounded_specials,
-    default_lexicon,
     expand_subrules,
     extract_operators,
 )
@@ -105,24 +105,25 @@ def test_atom_masks_agree_with_predicates(corpus):
 
 
 def test_one_charset_per_distinct_atom():
+    patterns = PatternTable()
     nfa = structural._Nfa()
     entry = nfa.state()
     tree = parse_pattern(r"(?:\s*or\s*[0-9]\s*(?:and|or)\s*[0-9])")
-    structural._build_nfa(tree, nfa, entry, repeat_cap=6)
+    structural._build_nfa(tree, nfa, entry, 6, patterns)
     on_edges = {id(cs) for edges in nfa.edges.values() for kind, cs, _ in edges if kind == "char"}
-    assert on_edges == {id(cs) for cs in nfa.atoms.values()}
+    assert on_edges == {id(cs) for cs in nfa.atoms}
     assert len(nfa.atoms) == 7  # \s, o, r, [0-9], a, n, d: one object each
     # a second rule built over the same table reuses its objects
-    other = structural._Nfa(nfa._table)
-    structural._build_nfa(parse_pattern(r"\s*xor\s*[0-9]"), other, other.state(), repeat_cap=6)
-    shared = other.atoms.keys() & nfa.atoms.keys()
-    assert len(shared) == 4 and all(other.atoms[key] is nfa.atoms[key] for key in shared)
-    assert len(other.atoms) == 5 and len(nfa._table) == 8  # x is the one new atom
+    other = structural._Nfa()
+    structural._build_nfa(parse_pattern(r"\s*xor\s*[0-9]"), other, other.state(), 6, patterns)
+    assert len(other.atoms & nfa.atoms) == 4
+    assert len(other.atoms) == 5 and len(patterns._atoms) == 8  # x is the one new atom
 
 
 def test_shared_atom_table_gives_the_fresh_extraction(corpus):
-    """Extracting every rule with one lexicon, so one atom table and its
-    cached moves, in any order, equals extracting each with a fresh one."""
+    """Extracting every rule through one pattern table, so one atom table
+    and its cached moves, in any order, equals extracting each with a
+    fresh one."""
     rng = random.Random(12)
     from oracles import random_pattern
 
@@ -136,31 +137,30 @@ def test_shared_atom_table_gives_the_fresh_extraction(corpus):
         except RegexDialectError:
             continue
         signatures.append(s)
-    base = default_lexicon().tokens
-    for tokens in [base, base | {"ß", "¬"}]:
-        fresh = {s.id: extract_operators(s, OperatorLexicon(tokens)).operators for s in signatures}
-        shared = OperatorLexicon(tokens)
+    for tokens in [DEFAULT_OPERATORS, DEFAULT_OPERATORS | {"ß", "¬"}]:
+        fresh = {s.id: extract_operators(s, tokens).operators for s in signatures}
+        shared = PatternTable()
         for s in rng.sample(signatures, len(signatures)):
-            assert extract_operators(s, shared).operators == fresh[s.id], s.pattern_source
+            assert extract_operators(s, tokens, shared).operators == fresh[s.id], s.pattern_source
         assert len(shared._atoms) > 20
 
 
 def test_member_whose_case_swap_is_two_characters():
     """``"ß".swapcase()`` is ``"SS"``; IGNORECASE maps case one character
     at a time, so only a class or literal holding ``ß`` spells it."""
-    lexicon = OperatorLexicon(frozenset({"ß", "~"}))
-    assert extract_operators(sig(r"1\s*[a-c]\s*1", "S_1"), lexicon).operators == frozenset()
-    assert extract_operators(sig(r"1\s*[a-z]+\s*1"), lexicon).operators == frozenset()
-    assert extract_operators(sig(r"1\s*[ßs]\s*1"), lexicon).operators == {"ß"}
-    assert extract_operators(sig(r"1\s*~\s*1"), lexicon).operators == {"~"}
+    tokens = frozenset({"ß", "~"})
+    assert extract_operators(sig(r"1\s*[a-c]\s*1", "S_1"), tokens).operators == frozenset()
+    assert extract_operators(sig(r"1\s*[a-z]+\s*1"), tokens).operators == frozenset()
+    assert extract_operators(sig(r"1\s*[ßs]\s*1"), tokens).operators == {"ß"}
+    assert extract_operators(sig(r"1\s*~\s*1"), tokens).operators == {"~"}
     assert re.search("[a-z]", "ß", re.IGNORECASE) is None
 
 
 def test_digit_class_does_not_spell_superscript_two():
     """``"²".isdigit()`` holds, but ``re``'s ``\\d`` takes decimal digits only."""
-    lexicon = OperatorLexicon(frozenset({"²"}))
-    assert extract_operators(sig(r"1 \d 1"), lexicon).operators == frozenset()
-    assert extract_operators(sig(r"1 [²] 1"), lexicon).operators == {"²"}
+    tokens = frozenset({"²"})
+    assert extract_operators(sig(r"1 \d 1"), tokens).operators == frozenset()
+    assert extract_operators(sig(r"1 [²] 1"), tokens).operators == {"²"}
 
 
 @pytest.mark.parametrize(
@@ -176,16 +176,15 @@ def test_atoms_read_through_case_folding(pattern, text, token):
     """Under ``re.IGNORECASE`` the Kelvin sign matches ``k`` and the long s
     matches ``s``, though neither is the other's ``swapcase``."""
     assert re.fullmatch(pattern, text, re.IGNORECASE)
-    assert extract_operators(sig(pattern), OperatorLexicon(frozenset({token}))).operators == {token}
+    assert extract_operators(sig(pattern), frozenset({token})).operators == {token}
 
 
 def test_family_member_lexicon_gives_the_default_lexicons_members(corpus):
     """Looking for the family members only (so ``repeat_cap`` is 5, not
-    6) gives each member the answer the default lexicon gives."""
+    6) gives each member the answer the default tokens give."""
     from oracles import random_pattern
 
     members = frozenset().union(*(fam.members for fam in default_families()))
-    lexicon = OperatorLexicon(members)
     rng = random.Random(13)
     patterns = [s.pattern_source for s in corpus.signatures] + [random_pattern(rng) for _ in range(500)]
     patterns += [r"x(?:a|n|d|\s){4,9}y", r"(?:[|&]\s?){3,}", r"\W(?:x|o|r){2,6}\W", r"o\s{0,6}r"]
@@ -196,25 +195,25 @@ def test_family_member_lexicon_gives_the_default_lexicons_members(corpus):
             s.tree
         except RegexDialectError:
             continue
-        assert extract_operators(s, lexicon).operators == extract_operators(s).operators & members, pattern
+        assert extract_operators(s, members).operators == extract_operators(s).operators & members, pattern
         checked += 1
     assert checked > 400
 
 
 @pytest.mark.parametrize("pattern", [r"1\s*¬\s*1", r"1\s*[¬!]\s*1", r"1 (?:¬|~) 1"])
 def test_member_outside_probe_set_is_extracted(pattern):
-    lexicon = OperatorLexicon(frozenset({"not", "¬", "!"}))
-    assert "¬" in extract_operators(sig(pattern), lexicon).operators
+    tokens = frozenset({"not", "¬", "!"})
+    assert "¬" in extract_operators(sig(pattern), tokens).operators
 
 
 def test_glued_member_outside_probe_set_is_not_standalone():
-    lexicon = OperatorLexicon(frozenset({"¬", "¬¬"}))
-    assert extract_operators(sig(r"1¬¬1"), lexicon).operators == {"¬¬"}
+    tokens = frozenset({"¬", "¬¬"})
+    assert extract_operators(sig(r"1¬¬1"), tokens).operators == {"¬¬"}
 
 
 def test_lexicon_monotonicity():
-    small = OperatorLexicon(frozenset({"or"}))
-    big = default_lexicon()
+    small = frozenset({"or"})
+    big = DEFAULT_OPERATORS
     rng = random.Random(7)
     from oracles import random_pattern
 
