@@ -103,7 +103,7 @@ def _cmd_stats(args) -> int:
         doc["overlap"] = stats.overlap(m, a, b).to_dict()
     if args.histogram:
         lines = ["signature,count"]
-        lines += [f"{e.signature_id},{e.count}" for e in profile.entries]
+        lines += [f"{matcher.csv_field(e.signature_id)},{e.count}" for e in profile.entries]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -17,7 +17,7 @@ from . import __version__ as VERSION
 from . import classify, corpus as corpus_mod, matcher, normalize, stats, structural
 from .classify import AuditFinding, Label
 from .corpus import Corpus
-from .errors import IndeterminateExpansion, ParseError, UnknownId
+from .errors import IndeterminateExpansion, ParseError
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,8 @@ def run_audit(
     """Run the full audit and return a deterministic report.
 
     ``corpus`` defaults to ``corpus.open_corpus(sig_path, vec_path)``,
-    the bundled set when no paths are given.
+    the bundled set when no paths are given. A set-A file naming an id
+    the corpus lacks raises ``UnknownId``.
 
     Each rule is analysed once: its pattern is parsed once
     (``Signature.tree``) and compiled from that parse, and the parse tree
@@ -289,12 +290,8 @@ def run_audit(
     set_a = corpus_mod.set_a_ids(set_a_path, raw_matrix.signature_ids)
     overlap = None
     if set_a:
-        try:
-            a, b = stats.partition(raw_matrix, ids=list(set_a))
-            overlap = stats.overlap(raw_matrix, a, b)
-        except UnknownId:
-            notes.append("set A list does not match this corpus, overlap skipped")
-            set_a = None
+        a, b = stats.partition(raw_matrix, ids=list(set_a))
+        overlap = stats.overlap(raw_matrix, a, b)
 
     bypass_ids = tuple(sorted(bypassed))
 

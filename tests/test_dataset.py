@@ -2,14 +2,20 @@
 
 The vector set is crafted so the audit reproduces the published case
 study; these tests freeze the properties the rest of the suite and the
-documentation rely on.
+documentation rely on. The data files are the dataset's only source and
+are edited directly; with the acceptance suite, these tests are their
+design checks.
 """
 
 import re
 
+import pytest
+
 from audit_inputs import bypass
-from sig_audit import normalize
-from sig_audit.corpus import Dialect, data_dir, load_signatures
+from sig_audit import classify, normalize
+from sig_audit.corpus import Dialect, data_dir, load_signatures, logical_subset
+from sig_audit.stats import contribution, overlap, partition
+from sig_audit.structural import extract_operators
 
 
 def test_shape(corpus):
@@ -19,6 +25,11 @@ def test_shape(corpus):
     for v in corpus.vectors:
         per_target[v.target_signature_id] = per_target.get(v.target_signature_id, 0) + 1
     assert set(per_target.values()) == {5}
+
+
+def test_every_vector_is_logical(corpus):
+    # the sub-rule checks search the logical payloads: here, every payload
+    assert logical_subset(corpus) == {v.id for v in corpus.vectors}
 
 
 def test_ids_are_sequential(corpus):
@@ -80,3 +91,59 @@ def test_prefilter_skips_only_documented(corpus, default_pipeline):
         )
     }
     assert skipped == {"v09_1", "v75_1"}
+
+
+def test_irrelevant_examples_match_no_bundled_vector(corpus):
+    for example in load_signatures(data_dir() / "irrelevant_examples.tsv"):
+        pattern = re.compile(example.pattern_source, re.IGNORECASE)
+        assert not [v.id for v in corpus.vectors if pattern.search(v.payload)], example.id
+
+
+@pytest.mark.parametrize("small,big", [("S_59", "S_60"), ("S_56", "S_52")])
+def test_designed_strict_row_inclusion(raw_matrix, small, big):
+    assert raw_matrix.detected_ids(small) < raw_matrix.detected_ids(big)
+
+
+def test_top_rule_share_and_lead(raw_matrix):
+    top, second = contribution(raw_matrix).entries[:2]
+    assert top.signature_id == "S_7"
+    assert 46.1 <= 100.0 * top.count / 415 <= 54.1
+    assert top.count - second.count >= 15
+
+
+@pytest.mark.parametrize(
+    "count,target,tolerance",
+    [
+        (lambda o: o.both + o.only_a, 386, 12),
+        (lambda o: o.both + o.only_b, 384, 12),
+        (lambda o: o.both, 355, 12),
+        (lambda o: o.only_a, 31, 9),
+        (lambda o: o.neither, 0, 0),
+    ],
+    ids=["union_a", "union_b", "both", "only_a", "neither"],
+)
+def test_overlap_bands(raw_matrix, set_a_ids, count, target, tolerance):
+    o = overlap(raw_matrix, *partition(raw_matrix, ids=set_a_ids))
+    assert abs(count(o) - target) <= tolerance
+
+
+@pytest.mark.parametrize(
+    "sid,operators",
+    [
+        ("S_6", {"or"}),
+        ("S_5", {"nand", "and", "or", "xor", "not", "||", "&&"}),
+    ],
+)
+def test_default_token_operators(corpus, sid, operators):
+    assert extract_operators(corpus.signature(sid)).operators == operators
+
+
+def test_top_rule_incomplete_against_the_symbol_family(corpus):
+    finding = classify.classify_incomplete(extract_operators(corpus.signature("S_7")))
+    missing = {v["family"]: set(v["missing"]) for v in finding.evidence["violations"]}
+    assert missing["logical_symbols"] == {"^", "|", "&"}
+
+
+@pytest.mark.parametrize("dialect", [Dialect.MYSQL, Dialect.MSSQL])
+def test_dialect_coverage(corpus, dialect):
+    assert sum(dialect in v.dialects for v in corpus.vectors) >= 20

@@ -23,6 +23,7 @@ from sig_audit.corpus import (
 )
 from sig_audit.errors import ParseError
 from sig_audit.report import AuditReport, render, run_audit
+from sig_audit.stats import overlap, partition
 
 
 @pytest.fixture(scope="module")
@@ -471,6 +472,57 @@ def test_cli_stats_histogram(capsys):
     assert rc == 0
     assert out.splitlines()[0] == "signature,count"
     assert len(out.strip().splitlines()) == 84
+
+
+def test_cli_stats_histogram_escapes_ids_like_the_matrix_csv(tmp_path, capsys):
+    # a JSON corpus may hold commas and line breaks in ids
+    c = Corpus(
+        (Signature("S,1", "aa"), Signature("S\n2", "bb")),
+        tuple(
+            AttackVector(f"v{i}", "S,1", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for i, p in enumerate(["aa", "aa bb"])
+        ),
+    )
+    sig_json, vec_json = tmp_path / "s.json", tmp_path / "v.json"
+    sig_json.write_text(signatures_to_json(c.signatures), encoding="utf-8")
+    vec_json.write_text(vectors_to_json(c.vectors), encoding="utf-8")
+    corpus_args = ["--signatures", str(sig_json), "--vectors", str(vec_json), "--raw"]
+    assert cli.main(["stats", "--histogram"] + corpus_args) == 0
+    assert capsys.readouterr().out == "signature,count\nS;1,2\nS\\n2,1\n"
+    assert cli.main(["matrix", "--format", "csv"] + corpus_args) == 0
+    matrix_ids = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert matrix_ids == ["S;1", "S\\n2"]
+
+
+@pytest.fixture
+def set_a_file(tmp_path):
+    def write(*ids):
+        path = tmp_path / "set_a.txt"
+        path.write_text("".join(f"{sid}\n" for sid in ids), encoding="utf-8")
+        return str(path)
+
+    return write
+
+
+@pytest.mark.parametrize("command", [["audit"], ["stats"]])
+def test_cli_set_a_with_an_unknown_id_exits_1(set_a_file, capsys, command):
+    assert cli.main(command + ["--set-a", set_a_file("S_1", "NOPE")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sig-audit: error: unknown id: NOPE\n"
+
+
+def test_cli_set_a_file_gives_its_overlap(set_a_file, capsys, raw_matrix):
+    path = set_a_file("S_7", "S_6")
+    expected = overlap(raw_matrix, *partition(raw_matrix, ids=["S_7", "S_6"])).to_dict()
+    assert cli.main(["audit", "--set-a", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["set_a"] == ["S_7", "S_6"]
+    assert doc["overlap"] == expected
+    assert cli.main(["stats", "--raw", "--set-a", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["partition"]["set_a"] == ["S_6", "S_7"]
+    assert doc["overlap"] == expected
 
 
 def test_cli_classify_only(capsys):
