@@ -10,7 +10,13 @@ A pattern compiles from its one parse: ``parse_pattern`` reads the
 source once, and the tree it returns is checked, read by the structural
 passes and handed to the compiler, which is given the flags as a plain
 int. A pattern compiled that way has ``Pattern.pattern`` None; its
-``.flags`` and its searches are those of ``re.compile(source, flags)``.
+``.flags`` are those of ``re.compile(source, flags)``.
+
+A rule is searched in its search form (``search_form``): the repeats at
+its unanchored edges cut to their minimum, so the engine does not
+backtrack through a leading ``\\w+`` at every start position. A search
+finds a match in the same texts as ``re.compile(source, flags)``; only
+the span may differ at the edges, and no caller reads a span.
 
 The detection matrix holds one packed bit row per signature, bit i set
 when the signature matches transformed vector i. Row subset tests are
@@ -48,8 +54,9 @@ import json
 import re
 import warnings
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add
 from dataclasses import dataclass, field
 
 try:  # renamed to private modules in newer interpreters
@@ -103,6 +110,62 @@ def compile_pattern(source: str, signature_id: str | None = None) -> re.Pattern:
     """``re.compile(source)`` for a source in the dialect, built from its
     one parse (the pattern's ``.pattern`` is None)."""
     return sre_compile.compile(parse_pattern(source, signature_id), 0)
+
+
+def search_form(tree):
+    """``tree`` with the repeats on its edges cut to their minimum, for
+    an unanchored search: it finds a match in the same texts, though not
+    always the same span. ``tree`` itself when nothing is cut.
+
+    Left of a match the text is free, so ``A{m,n}R`` is found wherever
+    ``A{m}R`` is: the last m copies of A and then R match the same
+    stretch, with anchors tested at the same positions. The right edge
+    is the mirror image. On each edge a repeat with m = 0 is dropped and
+    the next node cut; a group, and a repeat with m = 1, gives way to
+    its body, which is cut in turn; a branch has each alternative cut; a
+    repeat with m > 1 becomes ``{m}`` and, like ``^``, ``$`` and any
+    other node, ends the cut. Untouched nodes are shared and ``tree`` is
+    not changed. Exact in the dialect only, which has no lookaround or
+    backreferences to read past a match.
+    """
+    data = list(tree.data)
+    cut_left = _cut_edge(data, left=True)
+    cut_right = _cut_edge(data, left=False)
+    return sre_parse.SubPattern(tree.state, data) if cut_left or cut_right else tree
+
+
+def _cut_edge(data: list, left: bool) -> bool:
+    """Cut the repeats on one edge of the node list ``data``, in place;
+    true when a repeat lost a count it could match."""
+    cut = False
+    while data:
+        k = 0 if left else len(data) - 1
+        op, arg = data[k]
+        if op is sre_constants.SUBPATTERN:  # the dialect has no group flags
+            data[k : k + 1] = arg[3].data
+        elif op in (sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT):
+            low, high, body = arg
+            cut = cut or high != low
+            if low == 0:
+                del data[k]
+            elif low == 1:
+                data[k : k + 1] = body.data
+            else:
+                data[k] = (op, (low, low, body))
+                break
+        elif op is sre_constants.BRANCH:
+            alternatives = []
+            for branch in arg[1]:
+                nodes = list(branch.data)
+                if _cut_edge(nodes, left):
+                    branch, cut = sre_parse.SubPattern(branch.state, nodes), True
+                alternatives.append(branch)
+            if cut:
+                data[k] = (op, (arg[0], alternatives))
+            break
+        else:  # an anchor, a character or a class
+            break
+    return cut
 
 
 def _check_nodes(nodes, sig_id) -> None:
@@ -178,7 +241,7 @@ class CompiledSignature:
     signature_id: str
     pattern: re.Pattern
     case_insensitive: bool
-    tree: object = field(compare=False, repr=False)  # the parse ``pattern`` was compiled from
+    tree: object = field(compare=False, repr=False)  # the parse as written; ``pattern`` is its search form
 
     @functools.cached_property
     def literals(self) -> frozenset[str]:
@@ -189,22 +252,23 @@ class CompiledSignature:
 
 
 def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignature:
-    """Compile the signature's one parse, ``Signature.tree`` (which also
-    checks the dialect). Matching is case-insensitive by default; rule
-    sets are written lowercase but must catch mixed-case payloads even
-    in raw mode.
+    """Compile the search form of the signature's one parse,
+    ``Signature.tree`` (which also checks the dialect). Matching is
+    case-insensitive by default; rule sets are written lowercase but
+    must catch mixed-case payloads even in raw mode.
 
-    The pattern is built from the tree, so its ``.pattern`` is None; its
-    ``.flags`` and every search equal ``re.compile(source, flags)``'s.
-    The flags go in as a plain int: a ``RegexFlag`` would make each flag
-    test inside the compiler an enum operation, which more than triples
-    the compile time.
+    The pattern is built from a tree, so its ``.pattern`` is None; its
+    ``.flags`` equal ``re.compile(source, flags)``'s, and so does the
+    answer of every search, whose span may differ at the edges (see
+    ``search_form``). The flags go in as a plain int: a ``RegexFlag``
+    would make each flag test inside the compiler an enum operation,
+    which more than triples the compile time.
     """
     tree = signature.tree  # parses and checks the dialect on first use
     flags = 0 if case_sensitive else re.IGNORECASE.value
     return CompiledSignature(
         signature_id=signature.id,
-        pattern=sre_compile.compile(tree, flags),
+        pattern=sre_compile.compile(search_form(tree), flags),
         case_insensitive=not case_sensitive,
         tree=tree,
     )
@@ -368,13 +432,12 @@ def _row_of_cells(cells) -> int | None:
 
 
 def bit_indices(bits: int) -> list[int]:
-    """Ascending positions of the set bits of ``bits``."""
-    digits = bin(bits)[:1:-1]  # least significant first
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
+    """Ascending positions of the set bits of ``bits``, with no Python
+    step per bit: each position is the one before plus the run of zeros
+    between them plus one."""
+    gaps = bin(bits)[:1:-1].split("1")  # zero runs, least significant first; the last is above the top bit
+    out = list(accumulate(map(add, map(len, gaps[:-1]), repeat(1)), initial=-1))
+    del out[0]
     return out
 
 

@@ -236,7 +236,9 @@ def run_audit(
     )
     del index
     logical = corpus_mod.logical_subset(corpus)
-    logical_mask = sum(1 << i for i, v in enumerate(corpus.vectors) if v.id in logical)
+    logical_mask = matcher._mask(
+        [i for i, v in enumerate(corpus.vectors) if v.id in logical], len(corpus.vectors)
+    )
     if not corpus.vectors:
         notes.append("WARNING: empty vector corpus, every signature is vacuously irrelevant")
 

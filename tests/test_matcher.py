@@ -22,6 +22,7 @@ from sig_audit.matcher import (
     matches,
     parse_pattern,
     required_literals,
+    search_form,
 )
 from sig_audit.report import run_audit
 from sig_audit.structural import PatternTable, bounded_specials, expand_subrules, extract_operators
@@ -502,22 +503,28 @@ def _dialect_patterns(corpus):
 
 
 def test_tree_compiled_pattern_equals_re_compile(corpus):
-    """A pattern compiled from its parse searches like ``re.compile`` of
-    its source, with the same flags, in both case modes."""
+    """A pattern compiled from its parse has the flags of ``re.compile``
+    of its source and finds a match in the same texts, in both case
+    modes; where its search form is its parse, the spans are the same
+    too."""
     rng = random.Random(32)
     texts = [v.payload for v in corpus.vectors]
     texts += [v.payload for _ in range(5) for v in with_case_variants(awkward_corpus(rng), rng).vectors]
     texts += [t.swapcase() for t in rng.sample(texts, 40)] + AWKWARD
     texts = list(dict.fromkeys(texts))
     for pattern in _dialect_patterns(corpus):
+        signature = sig(pattern)
+        uncut = search_form(signature.tree) is signature.tree
         for case_sensitive in (False, True):
-            compiled = compile_signature(sig(pattern), case_sensitive).pattern
+            compiled = compile_signature(signature, case_sensitive).pattern
             reference = re.compile(pattern, 0 if case_sensitive else re.IGNORECASE)
             assert compiled.pattern is None
             assert compiled.flags == reference.flags, pattern
             for text in texts:
                 found, expected = compiled.search(text), reference.search(text)
-                assert (found and found.span()) == (expected and expected.span()), (pattern, text)
+                assert (found is None) == (expected is None), (pattern, text)
+                if uncut:
+                    assert (found and found.span()) == (expected and expected.span()), (pattern, text)
 
 
 def test_compiling_leaves_the_parse_as_it_was(corpus):
@@ -532,3 +539,92 @@ def test_compiling_leaves_the_parse_as_it_was(corpus):
         assert extract_operators(after) == extract_operators(before), pattern
         assert required_literals(after.tree) == required_literals(before.tree), pattern
         assert bounded_specials(after) == bounded_specials(before), pattern
+
+
+def _search_form_patterns(corpus, rng):
+    """The bundled rules and sub-rules, unions ``(?:A)|(?:B)`` of rules
+    and 1,000 random patterns that load."""
+    rules = [s.pattern_source for s in corpus.signatures]
+    patterns = rules + [sub for s in corpus.signatures for sub in expand_subrules(s).subrules]
+    patterns += [f"(?:{a})|(?:{b})" for a, b in (rng.sample(rules, 2) for _ in range(40))]
+    drawn = 0
+    while drawn < 1000:
+        pattern = random_pattern(rng)
+        try:
+            parse_pattern(pattern)
+        except RegexDialectError:
+            continue
+        patterns.append(pattern)
+        drawn += 1
+    return list(dict.fromkeys(patterns))
+
+
+def test_search_form_finds_a_match_in_the_same_texts(corpus):
+    """A rule compiled in its search form finds a match in a text iff
+    ``re.compile`` of its source does, and iff the brute-force oracle
+    does, in both case modes, texts ending in a line break included."""
+    rng = random.Random(15)
+    texts = [v.payload for v in corpus.vectors][::3] + [random_payload(rng) for _ in range(60)]
+    texts += [t + "\n" for t in texts[::4]] + [t.swapcase() for t in texts[::5]] + ["", "\n"]
+    texts = list(dict.fromkeys(texts))
+    patterns = _search_form_patterns(corpus, rng)
+    trees = [sig(p).tree for p in patterns]
+    assert sum(search_form(tree) is not tree for tree in trees) > len(patterns) // 4  # many are cut
+    for pattern in patterns:
+        for case_sensitive in (False, True):
+            flags = 0 if case_sensitive else re.IGNORECASE
+            search = compile_signature(sig(pattern), case_sensitive).pattern.search
+            reference = re.compile(pattern, flags).search
+            found = [search(t) is not None for t in texts]
+            assert found == [reference(t) is not None for t in texts], pattern
+            # the oracle folds the text, exact for these lowercase rules
+            # and ASCII texts; half the sample is texts the rule matches
+            hit = [t for t, f in zip(texts, found) if f]
+            sample = rng.sample(hit, min(4, len(hit))) + rng.sample(texts, 4)
+            for text in sample:
+                assert naive_search(pattern, text, not case_sensitive) == (search(text) is not None), (pattern, text)
+
+
+@pytest.mark.parametrize(
+    "pattern, text",
+    [(r"^\w+x", "abx"), (r"x\w+$", "xab"), (r"x\w+$", "xab\n"), (r"(?:^a|b)+c", "abc"), (r"a(?:b|c$)*", "ac\n")],
+)
+def test_search_form_keeps_anchors_where_they_were(pattern, text):
+    """A cut never moves an anchor: a repeat next to ``^`` or ``$`` is
+    not an edge, and an anchor inside a cut repeat tests the same place."""
+    expected = re.search(pattern, text) is not None
+    assert matches(compile_signature(sig(pattern)), text) == expected
+    assert matches(compile_signature(sig(pattern), case_sensitive=True), text) == expected
+
+
+def test_search_form_shape(corpus):
+    """The search form cuts each unanchored edge repeat to its minimum,
+    is its own search form, is the tree itself when nothing is cut, and
+    leaves the parse as it was."""
+    cases = {
+        r"\w+\s*(?:and|or)\s+1": r"\w\s*(?:and|or)\s+1",
+        r"x\w*": "x",
+        r"(?:a+b|c{2,5})\s?": "(?:ab|c{2})",
+        r"a{3,}": "a{3}",
+        r"^\w+x\s*$": r"^\w+x\s*$",
+        r"(?:\w+x)+y": r"\wxy",
+        r"a*": "",
+    }
+    for pattern, form in cases.items():
+        assert repr(search_form(sig(pattern).tree)) == repr(sig(form).tree), pattern
+    for pattern in _search_form_patterns(corpus, random.Random(16)):
+        tree = sig(pattern).tree
+        before = repr(tree)
+        form = search_form(tree)
+        assert repr(tree) == before, pattern
+        assert search_form(form) is form, pattern
+        if repr(form) == before:
+            assert form is tree, pattern
+
+
+def test_prefilter_is_not_cut():
+    """The prefilter is used whole (``fullmatch``), so it compiles from
+    its parse as written: ``a+`` skips ``aa``."""
+    pipeline = normalize.Pipeline(prefilter="a+")
+    assert not normalize.prefilter_pass(pipeline, "aa")
+    assert normalize.prefilter_pass(pipeline, "ab")

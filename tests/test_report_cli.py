@@ -266,17 +266,25 @@ def test_audit_works_out_the_bypass_set_once(monkeypatch):
 
 def _count_parses_and_compiles(monkeypatch):
     """Record the source of every regex parse and the (source, case
-    mode) of every code generation, ``re.compile`` calls included. A
-    character atom compiled from its one node, not from a parse, is
-    recorded apart as (node, case mode)."""
+    mode) of every code generation, ``re.compile`` calls included; the
+    search form of a parse counts as that parse. A character atom
+    compiled from its one node, not from a parse, is recorded apart as
+    (node, case mode)."""
     parsed, compiled, atoms, source_of = [], [], [], {}
     real_parse, real_compile = matcher.sre_parse.parse, matcher.sre_compile.compile
+    real_search_form = matcher.search_form
 
     def parse(source, *args, **kwargs):
         tree = real_parse(source, *args, **kwargs)
         parsed.append(source)
         source_of[id(tree)] = (source, tree)  # the tree is kept, so its id stays its own
         return tree
+
+    def search_form(tree):
+        form = real_search_form(tree)
+        if id(tree) in source_of:
+            source_of.setdefault(id(form), (source_of[id(tree)][0], form))
+        return form
 
     def compile_(p, flags=0):
         if isinstance(p, str) or id(p) in source_of:
@@ -292,6 +300,7 @@ def _count_parses_and_compiles(monkeypatch):
     re.purge()  # a cached pattern would hide a second parse
     monkeypatch.setattr(matcher.sre_parse, "parse", parse)
     monkeypatch.setattr(matcher.sre_compile, "compile", compile_)
+    monkeypatch.setattr(matcher, "search_form", search_form)
     return parsed, compiled, atoms
 
 
