@@ -180,11 +180,13 @@ def classify_semirelevant(
         return None
 
     patterns = patterns or PatternTable()
+    keys = [matcher.match_key(text, case_sensitive) for text in texts]
+    plain = case_sensitive or all(map(str.isascii, keys))  # every key searched in ``pattern``
     dead = []
     live = 0
     for idx, source in enumerate(subs.subrules):
-        search = patterns.compiled(source, subs.signature_id, case_sensitive).pattern.search
-        if any(search(text) for text in texts):
+        compiled = patterns.compiled(source, subs.signature_id, case_sensitive)
+        if any(map(compiled.pattern.search if plain else compiled.search, keys)):
             live += 1
         else:
             dead.append({"index": idx, "source": source})
@@ -320,9 +322,11 @@ def classify_inconsistent(
                 stages[v.id] = "prefilter-skip"
             else:
                 stages[v.id] = "transform-mangle"
+    vector_ids = raw.vector_ids
+    bypass_mask = matcher._mask([i for i, vid in enumerate(vector_ids) if vid in bypassed], len(vector_ids))
     findings = []
-    for sid in raw.signature_ids:
-        hits = sorted(raw.detected_ids(sid) & bypassed)
+    for sid, row in zip(raw.signature_ids, raw.rows):
+        hits = sorted(vector_ids[i] for i in matcher.bit_indices(row & bypass_mask))
         if not hits:
             continue
         detail = [{"id": vid, "stage": stages[vid]} for vid in hits]

@@ -9,8 +9,7 @@ whole rule set.
 A pattern compiles from its one parse: ``parse_pattern`` reads the
 source once, and the tree it returns is checked, read by the structural
 passes and handed to the compiler, which is given the flags as a plain
-int. A pattern compiled that way has ``Pattern.pattern`` None; its
-``.flags`` are those of ``re.compile(source, flags)``.
+int. A pattern compiled that way has ``Pattern.pattern`` None.
 
 A rule is searched in its search form (``search_form``): the repeats at
 its unanchored edges cut to their minimum, so the engine does not
@@ -18,14 +17,26 @@ backtrack through a leading ``\\w+`` at every start position. A search
 finds a match in the same texts as ``re.compile(source, flags)``; only
 the span may differ at the edges, and no caller reads a span.
 
+Under case-insensitive matching an ASCII text is searched lowercased,
+with the ASCII fold of the search form (``ascii_fold``) compiled without
+flags: each literal, negated literal and class becomes the characters
+of ``FOLD_ALPHABET`` (ASCII without ``A``-``Z``) that ``re`` says it
+matches under ``re.IGNORECASE``. On a lowercase ASCII text each folded
+atom answers as its original does under ``re.IGNORECASE``, and nothing
+else in the dialect depends on case, so the answer is the same; ``re``
+keeps its literal prefix scan and plain opcodes, which it gives up for
+cased literals under ``re.IGNORECASE``. A text that is not ASCII is
+searched with the search form under ``re.IGNORECASE``, compiled the
+first time such a text comes.
+
 The detection matrix holds one packed bit row per signature, bit i set
 when the signature matches transformed vector i. Row subset tests are
 plain integer masking.
 
 A row is built over match keys, not over the cells. A key is a
-distinct forwarded text; under case-insensitive matching an ASCII text
-is keyed by its lowercase form, so texts differing only in case are
-searched once and share the result. Folding is exact: under
+distinct forwarded text (``match_key``); under case-insensitive matching
+an ASCII text is keyed by its lowercase form, so texts differing only in
+case are searched once and share the result. Keying is exact: under
 ``re.IGNORECASE`` every opcode reads a character through its lowercase
 form, and ``.``, ``\\d``, ``\\s``, ``\\w`` and the anchors do not depend
 on case. A text that is not ASCII stays its own key (``re.IGNORECASE``
@@ -54,7 +65,7 @@ import json
 import re
 import warnings
 from bisect import bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
 from dataclasses import dataclass, field
@@ -168,6 +179,98 @@ def _cut_edge(data: list, left: bool) -> bool:
     return cut
 
 
+# The characters of a lowercased ASCII text.
+FOLD_ALPHABET = "".join(chr(c) for c in range(128) if not "A" <= chr(c) <= "Z")
+
+
+def compile_atom(node, flags: int) -> re.Pattern:
+    """The one-node parse tree ``node`` compiled as a str pattern (the
+    flags as a plain int, as ``compile_signature`` passes them)."""
+    state = sre_parse.State()
+    state.flags = sre_constants.SRE_FLAG_UNICODE
+    return sre_compile.compile(sre_parse.SubPattern(state, [node]), flags)
+
+
+def ascii_class(folded: re.Pattern):
+    """The node that matches the characters of ``FOLD_ALPHABET`` which
+    ``folded``, one character wide and compiled under ``re.IGNORECASE``,
+    matches, and no other character of it.
+
+    One character is a literal, so it can start a literal prefix. Any
+    other set is a class holding one bitmap, which the compiler copies
+    as it is, where ranges would be expanded character by character on
+    every compile; an empty bitmap matches nothing."""
+    found = folded.findall(FOLD_ALPHABET)
+    if len(found) == 1:
+        return (sre_constants.LITERAL, ord(found[0]))
+    charmap = bytearray(256)
+    for ch in found:
+        charmap[ord(ch)] = 1
+    return (sre_constants.IN, [(sre_constants.CHARSET, sre_compile._mk_bitmap(charmap))])
+
+
+def ascii_class_of(node):
+    """``ascii_class`` of one literal, negated literal or class node,
+    asked of ``re`` anew."""
+    return ascii_class(compile_atom(node, re.IGNORECASE.value))
+
+
+def atom_key(node):
+    """A hashable key of one parsed literal, class or dot: equal nodes
+    get equal keys."""
+    op, arg = node
+    return (op, tuple(arg)) if op is sre_constants.IN else node
+
+
+def _fold_each_atom_once():
+    """A ``fold_atom`` that asks ``ascii_class_of`` once per distinct
+    atom, for rules compiled together outside an audit."""
+    folds = {}
+
+    def fold_atom(node):
+        key = atom_key(node)
+        found = folds.get(key)
+        if found is None:
+            found = folds[key] = ascii_class_of(node)
+        return found
+
+    return fold_atom
+
+
+def ascii_fold(tree, fold_atom):
+    """``tree`` for a lowercase ASCII text, to compile without flags: it
+    finds a match in such a text iff ``tree`` under ``re.IGNORECASE``
+    does.
+
+    An ASCII literal is lowercased, and every other literal, negated
+    literal or class becomes ``fold_atom`` of it, which is
+    ``ascii_class_of`` or gives the same node. Anchors, ``.``, repeats,
+    groups and branches stay: none depends on case. ``tree`` is not
+    changed.
+    """
+    return sre_parse.SubPattern(tree.state, _fold_nodes(tree.data, fold_atom))
+
+
+def _fold_nodes(nodes, fold_atom) -> list:
+    C = sre_constants
+    out = []
+    for node in nodes:
+        op, arg = node
+        if op is C.LITERAL and arg < 128:
+            if 65 <= arg <= 90:  # A-Z
+                node = (op, arg + 32)
+        elif op is C.LITERAL or op is C.NOT_LITERAL or op is C.IN:
+            node = fold_atom(node)
+        elif op is C.SUBPATTERN:
+            node = (op, (*arg[:3], ascii_fold(arg[3], fold_atom)))
+        elif op is C.MAX_REPEAT or op is C.MIN_REPEAT:
+            node = (op, (arg[0], arg[1], ascii_fold(arg[2], fold_atom)))
+        elif op is C.BRANCH:
+            node = (op, (arg[0], [ascii_fold(branch, fold_atom) for branch in arg[1]]))
+        out.append(node)
+    return out
+
+
 def _check_nodes(nodes, sig_id) -> None:
     for op, arg in nodes:
         if op in (sre_constants.LITERAL, sre_constants.NOT_LITERAL, sre_constants.ANY):
@@ -239,9 +342,11 @@ def _selectivity(literals: frozenset[str]) -> tuple[int, int]:
 @dataclass(frozen=True)
 class CompiledSignature:
     signature_id: str
+    # the search form, and under case-insensitive matching its ASCII fold
+    # (without flags), which searches the keys that are ASCII
     pattern: re.Pattern
     case_insensitive: bool
-    tree: object = field(compare=False, repr=False)  # the parse as written; ``pattern`` is its search form
+    tree: object = field(compare=False, repr=False)  # the parse as written
 
     @functools.cached_property
     def literals(self) -> frozenset[str]:
@@ -250,25 +355,51 @@ class CompiledSignature:
         a ``TextIndex`` asks, so a sub-rule compile never walks it."""
         return required_literals(self.tree)
 
+    @functools.cached_property
+    def ignorecase(self) -> re.Pattern:
+        """The search form under ``re.IGNORECASE``, which searches a key
+        that is not ASCII; compiled when the first such key comes."""
+        return sre_compile.compile(search_form(self.tree), re.IGNORECASE.value)
 
-def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignature:
+    def search(self, key: str) -> re.Match | None:
+        """Search one match key (``match_key`` of a text, in this case mode)."""
+        if self.case_insensitive and not key.isascii():
+            return self.ignorecase.search(key)
+        return self.pattern.search(key)
+
+
+def match_key(text: str, case_sensitive: bool) -> str:
+    """The key ``text`` is searched as: under case-insensitive matching
+    an ASCII text is lowercased, any other text is itself."""
+    return text if case_sensitive or not text.isascii() else text.lower()
+
+
+def compile_signature(signature, case_sensitive: bool = False, fold_atom=ascii_class_of) -> CompiledSignature:
     """Compile the search form of the signature's one parse,
     ``Signature.tree`` (which also checks the dialect). Matching is
     case-insensitive by default; rule sets are written lowercase but
     must catch mixed-case payloads even in raw mode.
 
-    The pattern is built from a tree, so its ``.pattern`` is None; its
-    ``.flags`` equal ``re.compile(source, flags)``'s, and so does the
-    answer of every search, whose span may differ at the edges (see
-    ``search_form``). The flags go in as a plain int: a ``RegexFlag``
-    would make each flag test inside the compiler an enum operation,
-    which more than triples the compile time.
+    Case-insensitive matching compiles the ASCII fold of the search form
+    (``ascii_fold``, with ``fold_atom``) without flags; the form under
+    ``re.IGNORECASE`` is compiled only if a text that is not ASCII is
+    searched. ``fold_atom`` is ``ascii_class_of`` or gives the same
+    node; an audit passes its ``PatternTable``'s, which reads each
+    distinct atom off the compile its charset already holds.
+
+    The pattern is built from a tree, so its ``.pattern`` is None.
+    ``CompiledSignature.search`` of a text's ``match_key`` finds a match
+    iff ``re.compile(source, flags)`` finds one in the text; the span may
+    differ at the edges (see ``search_form``). The flags go in as a
+    plain int: a ``RegexFlag`` would make each flag test inside the
+    compiler an enum operation, which more than triples the compile
+    time.
     """
     tree = signature.tree  # parses and checks the dialect on first use
-    flags = 0 if case_sensitive else re.IGNORECASE.value
+    form = search_form(tree)
     return CompiledSignature(
         signature_id=signature.id,
-        pattern=sre_compile.compile(search_form(tree), flags),
+        pattern=sre_compile.compile(form if case_sensitive else ascii_fold(form, fold_atom), 0),
         case_insensitive=not case_sensitive,
         tree=tree,
     )
@@ -276,7 +407,7 @@ def compile_signature(signature, case_sensitive: bool = False) -> CompiledSignat
 
 def matches(compiled: CompiledSignature, text: str) -> bool:
     """Unanchored substring search: true iff the pattern occurs anywhere."""
-    return compiled.pattern.search(text) is not None
+    return compiled.search(match_key(text, not compiled.case_insensitive)) is not None
 
 
 @dataclass(frozen=True)
@@ -445,14 +576,12 @@ class TextIndex:
     """The distinct match keys of one or more views of a corpus.
 
     A view is a ``(pipeline, apply_prefilter)`` pair. Each forwarded
-    column of a view maps to the key of its transformed text: the text
-    itself, or under case-insensitive matching the lowercase form of an
-    ASCII text (a text that is not ASCII stays its own key). The index
-    keeps one NUL-joined precheck buffer of the keys, where a key that
-    is not ASCII stands as an empty part and is always searched when
-    folding; the mask of the keys holding each literal, a bit set over
-    key positions; and for each rule the keys it matches, searched on
-    first use and reused by every view.
+    column of a view maps to the ``match_key`` of its transformed text.
+    The index keeps one NUL-joined precheck buffer of the keys, where a
+    key that is not ASCII stands as an empty part and is always searched
+    when folding; the mask of the keys holding each literal, a bit set
+    over key positions; and for each rule the keys it matches, searched
+    on first use and reused by every view.
     """
 
     def __init__(self, corpus, views, case_sensitive: bool = False):
@@ -516,8 +645,12 @@ class TextIndex:
         if found is None:
             if compiled.case_insensitive == self.case_sensitive:
                 raise ValueError(f"{compiled.signature_id} is compiled in the other case mode than the text index")
-            search, keys = compiled.pattern.search, self.keys
-            found = self._hits[compiled] = [k for k in self.candidates(compiled) if search(keys[k]) is not None]
+            keys, candidates = self.keys, self.candidates(compiled)
+            if self._unchecked:  # a key that is not ASCII is searched in ``ignorecase``
+                found = [k for k in candidates if compiled.search(keys[k])]
+            else:
+                found = list(compress(candidates, map(compiled.pattern.search, map(keys.__getitem__, candidates))))
+            self._hits[compiled] = found
         return found
 
     def rows(self, compiled, pipeline: normalize.Pipeline, apply_prefilter: bool) -> tuple[int, ...]:
@@ -555,7 +688,8 @@ def detection_matrix(
     each rule then searches each key once across all of them.
     """
     if compiled is None:
-        compiled = [compile_signature(s, case_sensitive) for s in corpus.signatures]
+        fold_atom = _fold_each_atom_once()
+        compiled = [compile_signature(s, case_sensitive, fold_atom) for s in corpus.signatures]
     if index is None:
         index = TextIndex(corpus, [(pipeline, apply_prefilter)], case_sensitive)
     return DetectionMatrix(

@@ -13,13 +13,16 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from urllib.parse import unquote
 
 from .errors import ParseError
 
-# Payloads travel URL-encoded; decoding with latin-1 keeps every byte
-# value addressable as a single character (%A0 -> '\xa0', not U+FFFD).
-_DECODE_ENCODING = "latin-1"
+# Payloads travel URL-encoded; each %XX escape decodes to the latin-1
+# character of its byte, which keeps every byte value addressable as a
+# single character (%A0 -> '\xa0', not U+FFFD), as
+# ``urllib.parse.unquote(payload, encoding="latin-1")`` does.
+_PERCENT_ESCAPE = re.compile("%[0-9A-Fa-f]{2}")
+_HEX = "0123456789ABCDEFabcdef"
+_BYTE_OF_ESCAPE = {f"%{hi}{lo}": chr(int(hi + lo, 16)) for hi in _HEX for lo in _HEX}
 
 _WS_RUN = re.compile(r"\s{2,}")
 _QUOTED_DIGITS = re.compile(r"([\"'])(\d+)\1")
@@ -30,7 +33,13 @@ DEFAULT_PREFILTER = r"[A-Za-z0-9\s@_.,!?]+"
 
 
 def _url_decode(payload: str) -> str:
-    return unquote(payload, encoding=_DECODE_ENCODING)
+    if "%" not in payload:
+        return payload
+    return _PERCENT_ESCAPE.sub(_decode_escape, payload)
+
+
+def _decode_escape(escape: re.Match) -> str:
+    return _BYTE_OF_ESCAPE[escape[0]]
 
 
 def _nbsp_to_space(payload: str) -> str:

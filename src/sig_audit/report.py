@@ -202,11 +202,12 @@ def run_audit(
     feeds every structural pass. One pattern table holds the audit's
     rules, sub-rules and atoms, so each distinct source is parsed once
     and compiled at most once, however many rules share it, and each
-    distinct atom has one charset, which operator extraction and bound
-    analysis share. Two matrices are built, raw and deployed, over one
-    text index, so a rule searches each distinct text once for both. The
-    deployed matrix gives one bypass set, which the report lists and the
-    inconsistency findings read.
+    distinct atom has one charset, which operator extraction, bound
+    analysis and the ASCII folds of case-insensitive rules share. Two
+    matrices are built, raw and deployed, over one text index, so a rule
+    searches each distinct text once for both. The deployed matrix gives
+    one bypass set, which the report lists and the inconsistency
+    findings read.
     """
     if corpus is None:
         corpus = corpus_mod.open_corpus(sig_path, vec_path)
@@ -221,9 +222,13 @@ def run_audit(
     # the Incomplete check reads family members only, so only they are looked for
     tokens = frozenset().union(*(fam.members for fam in families))
 
-    compiled = [matcher.compile_signature(sig, case_sensitive) for sig in corpus.signatures]
-    # the rules, sub-rules and atoms of this audit, each parsed once
-    patterns = structural.PatternTable(corpus.signatures, compiled)
+    # the rules, sub-rules and atoms of this audit, each parsed once;
+    # operator extraction builds the charset of each atom of the rules,
+    # whose folds the rules then read when they compile
+    patterns = structural.PatternTable(corpus.signatures)
+    operators = [structural.extract_operators(sig, tokens, patterns) for sig in corpus.signatures]
+    compiled = [matcher.compile_signature(sig, case_sensitive, patterns.fold_atom) for sig in corpus.signatures]
+    patterns.keep(corpus.signatures, compiled)
     # one index for both matrices, so each rule searches each key once;
     # the per-rule passes do not read it, so it is dropped before them
     # and stays out of the audit's peak memory
@@ -244,26 +249,24 @@ def run_audit(
 
     findings: list[AuditFinding] = []
     irrelevant_ids = set()
-    for sig, compiled_sig in zip(corpus.signatures, compiled):
-        tokenized = structural.extract_operators(sig, tokens, patterns)
+    for sig, compiled_sig, tokenized in zip(corpus.signatures, compiled, operators):
         finding = classify.classify_incomplete(tokenized, families)
         if finding:
             findings.append(finding)
 
         row = raw_matrix.row_bits(sig.id)
-        detected = matcher.bit_indices(row)
-        detected_ids = frozenset(corpus.vectors[i].id for i in detected)
-        finding = classify.classify_irrelevant(sig.id, detected_ids, logical)
-        if finding:
-            findings.append(finding)
+        logical_row = row & logical_mask
+        if not logical_row:  # dead rules are not probed or expanded further
+            detected_ids = frozenset(corpus.vectors[i].id for i in matcher.bit_indices(row))
+            findings.append(classify.classify_irrelevant(sig.id, detected_ids, logical))
             irrelevant_ids.add(sig.id)
-            continue  # dead rules are not probed or expanded further
+            continue
 
         try:
             subs = structural.expand_subrules(sig, patterns)
             # the raw row, in this case mode, already holds every logical
             # payload a sub-rule can match
-            logical_hits = [corpus.vectors[i].payload for i in matcher.bit_indices(row & logical_mask)]
+            logical_hits = [corpus.vectors[i].payload for i in matcher.bit_indices(logical_row)]
             finding = classify.classify_semirelevant(
                 subs, logical_hits, case_sensitive=case_sensitive, patterns=patterns
             )
@@ -274,7 +277,7 @@ def run_audit(
 
         bounds = structural.bounded_specials(sig, patterns)
         if bounds:
-            seeds = [corpus.vectors[i] for i in detected]
+            seeds = [corpus.vectors[i] for i in matcher.bit_indices(row)]
             finding = classify.probe_susceptible(compiled_sig, seeds, bounds)
             if finding:
                 findings.append(finding)

@@ -27,18 +27,16 @@ import re
 from dataclasses import dataclass, field
 
 try:
-    from re import _compiler as sre_compile
     from re import _constants as sre_constants
     from re import _parser as sre_parse
 except ImportError:  # pragma: no cover
-    import sre_compile
     import sre_constants
     import sre_parse
 
 from .corpus import Signature
 from .errors import RegexDialectError
 # parse_pattern stays bound here: perfbench/trace.py checks that its wrapper replaces it
-from .matcher import CompiledSignature, compile_signature, parse_pattern  # noqa: F401
+from .matcher import CompiledSignature, ascii_class, atom_key, compile_atom, compile_signature, parse_pattern  # noqa: F401
 
 # Characters usable an unbounded number of times in an attack payload
 # without changing what the query does.
@@ -94,14 +92,6 @@ def _probe_mask(pattern: re.Pattern) -> int:
 _WORD_PROBES = _probe_mask(_WORD)
 
 
-def _compile_atom(node, flags: int) -> re.Pattern:
-    """The one-node parse tree ``node`` compiled as a str pattern (the
-    flags as a plain int, as ``compile_signature`` passes them)."""
-    state = sre_parse.State()
-    state.flags = sre_constants.SRE_FLAG_UNICODE
-    return sre_compile.compile(sre_parse.SubPattern(state, [node]), flags)
-
-
 class _CharSet:
     """Membership of one parsed atom (literal, class, dot), as ``re``
     decides it.
@@ -111,19 +101,22 @@ class _CharSet:
     once, so the NFA walk answers its questions with integer masking.
     Characters outside the probe set (custom family members can hold
     any) ask the compiled atom. Move tables are cached per token, since
-    one atom serves every rule of an audit.
+    one atom serves every rule of an audit. ``ascii`` is the atom's
+    ``matcher.ascii_class``, read off the same folded compile, which a
+    case-insensitive rule is searched with.
     """
 
-    __slots__ = ("_match", "_match_ci", "mask", "folded", "narrow", "can_word", "can_nonword", "_moves")
+    __slots__ = ("_match", "_match_ci", "mask", "folded", "ascii", "narrow", "can_word", "can_nonword", "_moves")
 
     # atoms realizing more probe characters than this are treated as
     # wildcards: they can carry a boundary but never spell an operator
     _NARROW = 16
 
     def __init__(self, node):
-        plain, ci = _compile_atom(node, 0), _compile_atom(node, re.IGNORECASE.value)
+        plain, ci = compile_atom(node, 0), compile_atom(node, re.IGNORECASE.value)
         self._match, self._match_ci = plain.fullmatch, ci.fullmatch
         self.mask, self.folded = _probe_mask(plain), _probe_mask(ci)
+        self.ascii = ascii_class(ci)
         self.narrow = self.mask.bit_count() <= self._NARROW
         self.can_word = bool(self.mask & _WORD_PROBES)
         self.can_nonword = bool(self.mask & ~_WORD_PROBES)
@@ -160,24 +153,30 @@ class PatternTable:
     and checked once and compiled at most once per case mode, through
     one ``Signature``, and each distinct atom has one charset.
 
-    Seeded with the audit's rules and, in rule order, their compiled
-    forms, so a sub-rule spelled like a rule needs no parse or code of
-    its own. A sub-rule's parse is handed to its compiled form. Atoms are
-    keyed by parse node, so a rule's atom and the same atom quantified
-    share one charset and its cached moves. The table lives as long as
-    the audit that made it; a standalone pass without one uses a fresh
-    table.
+    Seeded with the audit's rules, and given their compiled forms with
+    ``keep``, so a sub-rule spelled like a rule needs no parse or code
+    of its own. A sub-rule's parse is handed to its compiled form. Atoms
+    are keyed by parse node, so a rule's atom and the same atom
+    quantified share one charset and its cached moves, and a
+    case-insensitive rule or sub-rule folds each atom through it. The
+    table lives as long as the audit that made it; a standalone pass
+    without one uses a fresh table.
     """
 
-    def __init__(self, signatures=(), compiled=()):
+    def __init__(self, signatures=()):
         self._signatures: dict[str, Signature] = {}  # every source checked
         for sig in signatures:
             self._signatures.setdefault(sig.pattern_source, sig)
         self._compiled: dict[tuple[str, bool], CompiledSignature] = {}
-        for sig, found in zip(signatures, compiled):
-            self._compiled.setdefault((sig.pattern_source, not found.case_insensitive), found)
         # keyed by atom node, and by quantified-atom source (None: no atom)
         self._atoms: dict[tuple | str, _CharSet | None] = {}
+
+    def keep(self, signatures, compiled) -> None:
+        """Hold ``compiled``, the compiled forms of ``signatures`` in order,
+        for the sub-rules spelled like them; the first rule of a source
+        is kept."""
+        for sig, found in zip(signatures, compiled):
+            self._compiled.setdefault((sig.pattern_source, not found.case_insensitive), found)
 
     def check(self, source: str, signature_id: str) -> None:
         """Parse ``source`` and check its dialect, once per table."""
@@ -193,18 +192,21 @@ class PatternTable:
         found = self._compiled.get(key)
         if found is None:
             sig = self._signatures.get(source) or Signature(id=signature_id, pattern_source=source)
-            found = self._compiled[key] = compile_signature(sig, case_sensitive)
+            found = self._compiled[key] = compile_signature(sig, case_sensitive, self.fold_atom)
             self._signatures[source] = sig
         return found
 
     def atom(self, node) -> _CharSet:
         """The charset of one parsed literal, class or dot."""
-        op, arg = node
-        key = (op, tuple(arg)) if op is sre_constants.IN else node
+        key = atom_key(node)
         cs = self._atoms.get(key)
         if cs is None:
             cs = self._atoms[key] = _CharSet(node)
         return cs
+
+    def fold_atom(self, node):
+        """``matcher.ascii_class_of(node)``, read off the atom's charset."""
+        return self.atom(node).ascii
 
     def charset(self, atom_source: str) -> _CharSet | None:
         """``atom`` of the one node ``atom_source`` parses to, parsed once;

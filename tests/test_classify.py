@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -148,13 +149,22 @@ def test_all_dead_subrules_not_semirelevant():
     assert classify_semirelevant(subs, [vec.payload]) is None
 
 
+# payloads that are not ASCII, searched under IGNORECASE, not lowercased
+WIDE_PAYLOADS = ["ſelect 1", "É or 1=1", "1\xa0or 1", "union ſelect \u212aey"]
+
+
 def _some_payloads_upper(c: Corpus, rng: random.Random) -> Corpus:
-    """``c`` with about a third of its payloads upper-cased, so the case mode matters."""
+    """``c`` with about a third of its payloads upper-cased, so the case
+    mode matters, and logical payloads that are not ASCII."""
     vectors = tuple(
         dataclasses.replace(v, payload=v.payload.upper()) if rng.random() < 0.3 else v
         for v in c.vectors
     )
-    return Corpus(c.signatures, vectors)
+    wide = tuple(
+        AttackVector(f"w{i}", "none", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+        for i, p in enumerate(rng.sample(WIDE_PAYLOADS, 2))
+    )
+    return Corpus(c.signatures, vectors + wide)
 
 
 @pytest.mark.parametrize("case_sensitive", [False, True])
@@ -175,6 +185,12 @@ def test_audit_semirelevance_equals_search_of_every_logical_payload(corpus, case
                 finding = classify_semirelevant(subs, texts, case_sensitive=case_sensitive)
                 expected += [finding] if finding else []
         audit = run_audit(corpus=c, case_sensitive=case_sensitive)
+        # the audit's rows are those of one re.search per cell
+        flags = 0 if case_sensitive else re.IGNORECASE
+        assert {e.signature_id: e.count for e in audit.profile.entries} == {
+            s.id: sum(re.search(s.pattern_source, v.payload, flags) is not None for v in c.vectors)
+            for s in c.signatures
+        }
         got = [f for f in audit.findings if f.label is Label.SEMI_RELEVANT]
         assert got == sorted(expected, key=AuditFinding.sort_key), c.signatures
         flagged += len(got)

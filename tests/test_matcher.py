@@ -19,6 +19,7 @@ from sig_audit.matcher import (
     compile_signature,
     detection_matrix,
     full_pipeline_bypass,
+    match_key,
     matches,
     parse_pattern,
     required_literals,
@@ -377,7 +378,7 @@ def test_required_literals_are_sound(corpus):
                 continue
             literals = [re.compile(re.escape(lit), flags) for lit in compiled.literals]
             for text in texts:
-                if literals and compiled.pattern.search(text):
+                if literals and matches(compiled, text):
                     assert any(lit.search(text) for lit in literals), (pattern, compiled.literals, text)
 
 
@@ -409,8 +410,8 @@ def test_literals_are_walked_only_for_rules_an_index_searches(monkeypatch, corpu
     monkeypatch.setattr(matcher, "required_literals", counting)
     # sub-rules compile for semi-relevance and never reach an index
     rule = corpus.signature("S_52")
-    compiled = compile_signature(rule)
-    patterns = PatternTable([rule], [compiled])
+    patterns = PatternTable([rule])
+    patterns.keep([rule], [compile_signature(rule, fold_atom=patterns.fold_atom)])
     subs = expand_subrules(rule, patterns)
     assert classify_semirelevant(subs, logical_payloads(corpus), patterns=patterns)
     assert walks == []
@@ -503,10 +504,11 @@ def _dialect_patterns(corpus):
 
 
 def test_tree_compiled_pattern_equals_re_compile(corpus):
-    """A pattern compiled from its parse has the flags of ``re.compile``
-    of its source and finds a match in the same texts, in both case
-    modes; where its search form is its parse, the spans are the same
-    too."""
+    """A pattern compiled from its parse finds a match in the same texts
+    as ``re.compile`` of its source, in both case modes, through
+    ``matches``; where its search form is its parse, the spans are the
+    same too. The form a text that is not ASCII is searched with has the
+    flags of ``re.compile``."""
     rng = random.Random(32)
     texts = [v.payload for v in corpus.vectors]
     texts += [v.payload for _ in range(5) for v in with_case_variants(awkward_corpus(rng), rng).vectors]
@@ -516,13 +518,14 @@ def test_tree_compiled_pattern_equals_re_compile(corpus):
         signature = sig(pattern)
         uncut = search_form(signature.tree) is signature.tree
         for case_sensitive in (False, True):
-            compiled = compile_signature(signature, case_sensitive).pattern
+            compiled = compile_signature(signature, case_sensitive)
             reference = re.compile(pattern, 0 if case_sensitive else re.IGNORECASE)
-            assert compiled.pattern is None
-            assert compiled.flags == reference.flags, pattern
+            unfolded = compiled.pattern if case_sensitive else compiled.ignorecase
+            assert compiled.pattern.pattern is None and unfolded.pattern is None
+            assert unfolded.flags == reference.flags, pattern
             for text in texts:
-                found, expected = compiled.search(text), reference.search(text)
-                assert (found is None) == (expected is None), (pattern, text)
+                found, expected = compiled.search(match_key(text, case_sensitive)), reference.search(text)
+                assert matches(compiled, text) == (expected is not None), (pattern, text)
                 if uncut:
                     assert (found and found.span()) == (expected and expected.span()), (pattern, text)
 
@@ -573,16 +576,65 @@ def test_search_form_finds_a_match_in_the_same_texts(corpus):
     for pattern in patterns:
         for case_sensitive in (False, True):
             flags = 0 if case_sensitive else re.IGNORECASE
-            search = compile_signature(sig(pattern), case_sensitive).pattern.search
+            compiled = compile_signature(sig(pattern), case_sensitive)
             reference = re.compile(pattern, flags).search
-            found = [search(t) is not None for t in texts]
+            found = [matches(compiled, t) for t in texts]
             assert found == [reference(t) is not None for t in texts], pattern
             # the oracle folds the text, exact for these lowercase rules
             # and ASCII texts; half the sample is texts the rule matches
             hit = [t for t, f in zip(texts, found) if f]
             sample = rng.sample(hit, min(4, len(hit))) + rng.sample(texts, 4)
             for text in sample:
-                assert naive_search(pattern, text, not case_sensitive) == (search(text) is not None), (pattern, text)
+                assert naive_search(pattern, text, not case_sensitive) == matches(compiled, text), (pattern, text)
+
+
+# atoms whose answer under IGNORECASE on ASCII text is not plain
+# lowercase matching: the Kelvin sign and the long s match k and s, é and
+# [é-ü] match no ASCII character, and a negated literal, \W and \s reach
+# the control characters and DEL
+FOLD_RULES = [
+    "\u212a", "ſ", "é", "[é-ü]", "[^a]", "\\W", "\\s", "[\u212a]", "[^\u212a]", "[^ſ]", "[^é]",
+    "\u212aey", "ſelect", "[k-s]", "[^k]", "\\S", "\\w", "\\D", "É", "[A-Z]", "[^A-Z]", "SeLeCt\\s", "İ", "ı",
+]
+FOLD_TEXTS = [
+    "k", "K", "\u212a", "s", "S", "ſ", "é", "É", "ü", "a", "A", "b", "i", "I", "İ", "ı", "\x1c", "\x1d",
+    "\x1e", "\x1f", "\x7f", "\x00", " \t\n", "\xa0or 1", "ſELECT 1", "KEY like 1", "x\x1fselect\x00",
+]
+
+
+def test_ascii_fold_answers_as_ignorecase(corpus):
+    """A case-insensitive rule finds a match in a text iff ``re.compile(
+    source, re.IGNORECASE)`` does, texts that are ASCII (searched
+    lowercased in the ASCII fold) or not (searched under IGNORECASE)
+    alike, through ``matches`` and through a detection matrix; the
+    brute-force oracle agrees on a sample."""
+    rng = random.Random(18)
+    texts = [v.payload for v in corpus.vectors][::5]
+    texts += [t.swapcase() for t in texts] + [random_payload(rng) for _ in range(40)] + AWKWARD + FOLD_TEXTS
+    texts = list(dict.fromkeys(texts))
+    assert sum(not t.isascii() for t in texts) >= 12 and sum(t != t.lower() for t in texts) >= 60
+    patterns = _search_form_patterns(corpus, rng)
+    for pattern in patterns + FOLD_RULES:
+        compiled = compile_signature(sig(pattern))
+        search = re.compile(pattern, re.IGNORECASE).search
+        assert [matches(compiled, t) for t in texts] == [search(t) is not None for t in texts], pattern
+    # the oracle folds the text, exact for these lowercase rules and ASCII texts
+    ascii_texts = [t for t in texts if t.isascii()]
+    for pattern in rng.sample(patterns, 150):
+        compiled = compile_signature(sig(pattern))
+        for text in rng.sample(ascii_texts, 6):
+            assert naive_search(pattern, text) == matches(compiled, text), (pattern, text)
+    # a matrix searches each key once, lowercased when it is ASCII
+    rules = FOLD_RULES + [s.pattern_source for s in corpus.signatures]
+    wide = Corpus(
+        tuple(Signature(f"R_{k}", p) for k, p in enumerate(rules)),
+        tuple(
+            AttackVector(f"t_{i}", "none", t, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for i, t in enumerate(texts)
+        ),
+    )
+    raw = normalize.RAW_PIPELINE
+    assert detection_matrix(wide, raw).rows == per_cell_rows(wide, raw, False, False)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+from urllib.parse import unquote
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sig_audit import normalize
 from sig_audit.errors import ParseError
@@ -13,6 +15,12 @@ PAYLOADS = st.text(
 def test_url_decode_then_collapse():
     p = Pipeline(transforms=("url_decode", "whitespace_collapse"))
     assert apply(p, "union%20%20select") == "union select"
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="%%%0123456789abcdefABCDEFgGzZ +/;'\xa0\u00e9", max_size=24))
+def test_url_decode_equals_urllib_unquote_latin1(payload):
+    assert normalize._url_decode(payload) == unquote(payload, encoding="latin-1")
 
 
 def test_nbsp_variant_normalizes():

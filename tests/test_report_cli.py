@@ -267,29 +267,39 @@ def test_audit_works_out_the_bypass_set_once(monkeypatch):
 def _count_parses_and_compiles(monkeypatch):
     """Record the source of every regex parse and the (source, case
     mode) of every code generation, ``re.compile`` calls included; the
-    search form of a parse counts as that parse. A character atom
-    compiled from its one node, not from a parse, is recorded apart as
-    (node, case mode)."""
-    parsed, compiled, atoms, source_of = [], [], [], {}
+    search form of a parse and its ASCII fold count as that parse, the
+    fold in case-insensitive mode. The sources compiled under
+    ``re.IGNORECASE`` are recorded apart too. A character atom compiled
+    from its one node, not from a parse, is recorded apart as (node,
+    case mode)."""
+    parsed, compiled, ignorecase, atoms, source_of = [], [], [], [], {}
     real_parse, real_compile = matcher.sre_parse.parse, matcher.sre_compile.compile
-    real_search_form = matcher.search_form
+    real_search_form, real_ascii_fold = matcher.search_form, matcher.ascii_fold
 
     def parse(source, *args, **kwargs):
         tree = real_parse(source, *args, **kwargs)
         parsed.append(source)
-        source_of[id(tree)] = (source, tree)  # the tree is kept, so its id stays its own
+        source_of[id(tree)] = (source, tree, False)  # the tree is kept, so its id stays its own
         return tree
 
     def search_form(tree):
         form = real_search_form(tree)
         if id(tree) in source_of:
-            source_of.setdefault(id(form), (source_of[id(tree)][0], form))
+            source_of.setdefault(id(form), (source_of[id(tree)][0], form, False))
         return form
+
+    def ascii_fold(tree, *args):
+        folded = real_ascii_fold(tree, *args)
+        if id(tree) in source_of:
+            source_of[id(folded)] = (source_of[id(tree)][0], folded, True)
+        return folded
 
     def compile_(p, flags=0):
         if isinstance(p, str) or id(p) in source_of:
-            source = p if isinstance(p, str) else source_of[id(p)][0]
-            compiled.append((source, bool(flags & re.IGNORECASE)))
+            source, folded = (p, False) if isinstance(p, str) else source_of[id(p)][::2]
+            compiled.append((source, bool(flags & re.IGNORECASE) or folded))
+            if flags & re.IGNORECASE:
+                ignorecase.append(source)
         else:
             (node,) = p.data  # an atom: one literal, class or dot
             C = structural.sre_constants
@@ -301,7 +311,8 @@ def _count_parses_and_compiles(monkeypatch):
     monkeypatch.setattr(matcher.sre_parse, "parse", parse)
     monkeypatch.setattr(matcher.sre_compile, "compile", compile_)
     monkeypatch.setattr(matcher, "search_form", search_form)
-    return parsed, compiled, atoms
+    monkeypatch.setattr(matcher, "ascii_fold", ascii_fold)
+    return parsed, compiled, ignorecase, atoms
 
 
 def _shared_subrule_corpus():
@@ -325,7 +336,7 @@ def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensit
     parsed twice in one audit, and none is compiled twice in one case
     mode."""
     corpus = _shared_subrule_corpus() if shared else corpus
-    parsed, compiled, atoms = _count_parses_and_compiles(monkeypatch)
+    parsed, compiled, ignorecase, atoms = _count_parses_and_compiles(monkeypatch)
     if shared:
         run_audit(corpus=corpus, case_sensitive=case_sensitive)
     else:
@@ -337,8 +348,11 @@ def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensit
     rules = {s.pattern_source for s in corpus.signatures}
     assert {(r, mode) for r in rules} <= set(compiled)
     assert normalize.DEFAULT_PREFILTER in parsed
+    # every payload is ASCII, so no rule or sub-rule is compiled under
+    # re.IGNORECASE: a case-insensitive audit searches the ASCII folds
+    assert ignorecase == []
     # an atom compiles plain and folded together, once for operator
-    # extraction and bound analysis both
+    # extraction, bound analysis and the rules' ASCII folds
     assert atoms and sorted(a for a, ci in atoms if ci) == sorted(a for a, ci in atoms if not ci)
     assert max(map(atoms.count, atoms)) == 1
     if shared:
