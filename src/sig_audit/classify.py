@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import matcher, mutate, normalize
 from .corpus import AttackVector, Corpus
@@ -35,17 +35,22 @@ class Label(str, enum.Enum):
     INCONSISTENT = "Inconsistent"
 
 
-@dataclass(frozen=True)
-class RelatedOperatorFamily:
-    """Operators interchangeable in an attack; a rule matching some but
-    not all members can be evaded with the missing ones."""
+class RelatedOperatorFamily(namedtuple("RelatedOperatorFamily", "name members")):
+    """Operators (a frozenset) interchangeable in an attack; a rule
+    matching some but not all members can be evaded with the missing
+    ones."""
 
-    name: str
-    members: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.members) < 2 or "" in self.members:
+    def __new__(cls, name, members):
+        if len(members) < 2 or "" in members:
             raise ValueError("a related-operator family needs at least 2 members, none empty")
+        return super().__new__(cls, name, members)
+
+    @classmethod
+    def _make(cls, fields):
+        # so that _replace checks the members too
+        return cls(*fields)
 
 
 def default_families() -> list[RelatedOperatorFamily]:
@@ -85,13 +90,11 @@ def load_families(source) -> list[RelatedOperatorFamily]:
     return families
 
 
-@dataclass(frozen=True)
-class AuditFinding:
-    """One weakness classification with re-checkable evidence."""
+class AuditFinding(namedtuple("AuditFinding", "signature_id label evidence")):
+    """One weakness classification (a ``Label``) with re-checkable
+    evidence (a dict)."""
 
-    signature_id: str
-    label: Label
-    evidence: dict
+    __slots__ = ()
 
     def sort_key(self):
         return (self.signature_id, self.label.value, json.dumps(self.evidence, sort_keys=True))

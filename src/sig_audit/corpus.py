@@ -18,7 +18,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -64,13 +64,9 @@ class Dialect(enum.Enum):
             raise ParseError(f"unknown dialect token: {token!r}") from None
 
 
-@dataclass(frozen=True)
-class Signature:
-    """One detection rule: an id plus its regex source."""
-
-    id: str
-    pattern_source: str
-    note: str | None = None
+class Signature(namedtuple("Signature", "id pattern_source note", defaults=(None,))):
+    """One detection rule: an id plus its regex source, and an optional
+    note."""
 
     @property
     def reconstructed(self) -> bool:
@@ -89,26 +85,28 @@ class Signature:
         return matcher.parse_pattern(self.pattern_source, self.id)
 
 
-@dataclass(frozen=True)
-class AttackVector:
-    """A payload with its intent, dialect tags and designed target."""
+class AttackVector(namedtuple("AttackVector", "id target_signature_id payload intent dialects")):
+    """A payload with its ``Intent``, ``Dialect`` tags (a frozenset) and
+    designed target."""
 
-    id: str
-    target_signature_id: str
-    payload: str
-    intent: Intent
-    dialects: frozenset[Dialect]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Corpus:
-    signatures: tuple[Signature, ...]
-    vectors: tuple[AttackVector, ...]
-    _sig_index: dict = field(default=None, init=False, repr=False, compare=False)
+class Corpus(namedtuple("Corpus", "signatures vectors")):
+    """Tuples of signatures and of vectors, with ids checked."""
 
-    def __post_init__(self):
-        _check_ids(self.signatures, self.vectors)
-        object.__setattr__(self, "_sig_index", {s.id: s for s in self.signatures})
+    def __new__(cls, signatures, vectors):
+        _check_ids(signatures, vectors)
+        return super().__new__(cls, signatures, vectors)
+
+    @classmethod
+    def _make(cls, fields):
+        # so that _replace checks the ids too
+        return cls(*fields)
+
+    @functools.cached_property
+    def _sig_index(self) -> dict[str, Signature]:
+        return {s.id: s for s in self.signatures}
 
     def signature(self, signature_id: str) -> Signature:
         return self._sig_index[signature_id]

@@ -65,10 +65,10 @@ import json
 import re
 import warnings
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import accumulate, compress, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
-from dataclasses import dataclass, field
 
 try:  # renamed to private modules in newer interpreters
     from re import _compiler as sre_compile
@@ -339,14 +339,20 @@ def _selectivity(literals: frozenset[str]) -> tuple[int, int]:
     return min(map(len, literals)), -len(literals)
 
 
-@dataclass(frozen=True)
-class CompiledSignature:
-    signature_id: str
-    # the search form, and under case-insensitive matching its ASCII fold
-    # (without flags), which searches the keys that are ASCII
-    pattern: re.Pattern
-    case_insensitive: bool
-    tree: object = field(compare=False, repr=False)  # the parse as written
+class CompiledSignature(namedtuple("CompiledSignature", "signature_id pattern case_insensitive")):
+    """A rule ready to search. ``pattern`` is the search form, and under
+    case-insensitive matching its ASCII fold (without flags), which
+    searches the keys that are ASCII. ``tree``, the parse as written, is
+    kept beside the fields: it is neither compared nor shown."""
+
+    def __new__(cls, signature_id, pattern, case_insensitive, tree):
+        self = super().__new__(cls, signature_id, pattern, case_insensitive)
+        self.tree = tree
+        return self
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, holding the same parse."""
+        return type(self)(**{**self._asdict(), "tree": self.tree, **changes})
 
     @functools.cached_property
     def literals(self) -> frozenset[str]:
@@ -410,19 +416,14 @@ def matches(compiled: CompiledSignature, text: str) -> bool:
     return compiled.search(match_key(text, not compiled.case_insensitive)) is not None
 
 
-@dataclass(frozen=True)
-class DetectionMatrix:
+class DetectionMatrix(namedtuple("DetectionMatrix", "signature_ids vector_ids rows pipeline_fingerprint")):
     """Boolean signature x vector matrix with packed bit rows.
 
     Bit i of ``rows[n]`` is set when signature n matched vector i after
     the pipeline's transforms. Row n materializes the set of vectors the
-    signature detects under that pipeline.
+    signature detects under that pipeline. ``signature_ids``,
+    ``vector_ids`` and ``rows`` are tuples.
     """
-
-    signature_ids: tuple[str, ...]
-    vector_ids: tuple[str, ...]
-    rows: tuple[int, ...]
-    pipeline_fingerprint: str
 
     # id -> position indexes, built on first use (not compared or exported)
     @functools.cached_property

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .structural import QuantifierBound
 
@@ -39,16 +39,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class MutationScheme:
+class MutationScheme(namedtuple("MutationScheme", "kind char count normalizable", defaults=(None, 2, True))):
     """One tamper scheme. ``normalizable`` records whether an input
     normalization stage could undo it; comment injection and extra
     parentheses survive normalization and must be handled by rules."""
 
-    kind: str
-    char: str | None = None
-    count: int = 2
-    normalizable: bool = True
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -95,15 +91,21 @@ def parse_scheme(token: str) -> MutationScheme:
     return named[token]
 
 
-@dataclass(frozen=True)
-class MutationConfig:
-    schemes: tuple[MutationScheme, ...] = DEFAULT_SCHEMES
-    budget: int = 32
-    seed: int = 0
+class MutationConfig(namedtuple("MutationConfig", "schemes budget seed")):
+    """The schemes (a tuple) to apply, the most mutants to yield and the
+    case-toggle seed."""
 
-    def __post_init__(self):
-        if self.budget < 1:
+    __slots__ = ()
+
+    def __new__(cls, schemes=DEFAULT_SCHEMES, budget=32, seed=0):
+        if budget < 1:
             raise ValueError("budget must be at least 1")
+        return super().__new__(cls, schemes, budget, seed)
+
+    @classmethod
+    def _make(cls, fields):
+        # so that _replace checks the budget too
+        return cls(*fields)
 
 
 def _tokens(payload: str):

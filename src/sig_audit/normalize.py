@@ -8,10 +8,11 @@ transform is a pure function on text, so values can be shared freely.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import ParseError
@@ -78,29 +79,35 @@ DEFAULT_TRANSFORMS = (
 )
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    """Ordered transforms plus an optional prefilter regex.
+class Pipeline(namedtuple("Pipeline", "transforms prefilter")):
+    """Ordered transforms (a tuple of ``TRANSFORMS`` names) plus an
+    optional prefilter regex.
 
     A payload that fully matches the prefilter is considered harmless
     and never reaches the rules. ``transforms`` may be empty (raw mode).
     """
 
-    transforms: tuple[str, ...] = ()
-    prefilter: str | None = None
-    _prefilter_re: re.Pattern | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        for name in self.transforms:
+    def __new__(cls, transforms=(), prefilter=None):
+        for name in transforms:
             if name not in TRANSFORMS:
                 raise ParseError(f"unknown transform: {name!r}")
-        if self.prefilter is not None:
-            # Compiled under the same dialect rules as signatures.
-            from .matcher import compile_pattern
+        self = super().__new__(cls, transforms, prefilter)
+        self._prefilter_re  # compiles, so a bad prefilter fails here
+        return self
 
-            object.__setattr__(self, "_prefilter_re", compile_pattern(self.prefilter, "<prefilter>"))
+    @classmethod
+    def _make(cls, fields):
+        # so that _replace checks the transforms and prefilter too
+        return cls(*fields)
+
+    @functools.cached_property
+    def _prefilter_re(self) -> re.Pattern | None:
+        if self.prefilter is None:
+            return None
+        # Compiled under the same dialect rules as signatures.
+        from .matcher import compile_pattern
+
+        return compile_pattern(self.prefilter, "<prefilter>")
 
     @property
     def fingerprint(self) -> str:

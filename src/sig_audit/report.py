@@ -11,7 +11,7 @@ reported side by side rather than folded into one number.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__ as VERSION
 from . import classify, corpus as corpus_mod, matcher, normalize, stats, structural
@@ -20,19 +20,19 @@ from .corpus import Corpus
 from .errors import IndeterminateExpansion, ParseError
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    version: str
-    corpus_fingerprint: str
-    pipeline_fingerprint: str
-    capability_fingerprint: str  # fingerprint of the raw pipeline used for rows
-    findings: tuple[AuditFinding, ...]
-    profile: stats.ContributionProfile
-    overlap: stats.OverlapStats | None
-    set_a: tuple[str, ...] | None
-    bypass_ids: tuple[str, ...]
-    category_counts: dict
-    notes: tuple[str, ...]
+class AuditReport(
+    namedtuple(
+        "AuditReport",
+        "version corpus_fingerprint pipeline_fingerprint capability_fingerprint"
+        " findings profile overlap set_a bypass_ids category_counts notes",
+    )
+):
+    """An audit's findings (a tuple of ``AuditFinding``), its
+    ``stats.ContributionProfile``, its ``stats.OverlapStats`` or None,
+    and what the report is rendered from. ``capability_fingerprint`` is
+    the fingerprint of the raw pipeline used for rows."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         findings = []

@@ -6,23 +6,23 @@ and the four-way overlap between the unions of two signature sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnknownId
 from .matcher import DetectionMatrix
 
 
-@dataclass(frozen=True)
-class ContributionEntry:
-    signature_id: str
-    count: int
-    share_pct: float  # percentage of corpus vectors, one-decimal precision
+class ContributionEntry(namedtuple("ContributionEntry", "signature_id count share_pct")):
+    """A signature's detected-vector count, and ``share_pct``: its
+    percentage of corpus vectors, one-decimal precision."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ContributionProfile:
-    entries: tuple[ContributionEntry, ...]  # ranked: count desc, ties by id
-    total_vectors: int
+class ContributionProfile(namedtuple("ContributionProfile", "entries total_vectors")):
+    """``entries`` ranked: count desc, ties by id."""
+
+    __slots__ = ()
 
     def top(self) -> ContributionEntry:
         return self.entries[0]
@@ -47,24 +47,15 @@ class ContributionProfile:
         }
 
 
-@dataclass(frozen=True)
-class OverlapStats:
-    only_a: int
-    only_b: int
-    both: int
-    neither: int
+class OverlapStats(namedtuple("OverlapStats", "only_a only_b both neither")):
+    __slots__ = ()
 
     @property
     def total(self) -> int:
         return self.only_a + self.only_b + self.both + self.neither
 
     def to_dict(self) -> dict:
-        return {
-            "only_a": self.only_a,
-            "only_b": self.only_b,
-            "both": self.both,
-            "neither": self.neither,
-        }
+        return self._asdict()
 
 
 def contribution(matrix: DetectionMatrix) -> ContributionProfile:

@@ -24,7 +24,7 @@ analysis both read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 try:
     from re import _constants as sre_constants
@@ -49,27 +49,31 @@ DEFAULT_REPEATABLE = frozenset(" \t()'\"")
 DEFAULT_OPERATORS = frozenset({"and", "or", "xor", "nand", "not", "||", "&&", "^", "|", "&"})
 
 
-@dataclass(frozen=True)
-class TokenizedSignature:
-    signature_id: str
-    operators: frozenset[str]
+class TokenizedSignature(namedtuple("TokenizedSignature", "signature_id operators")):
+    """The operator tokens (a frozenset) a rule can match."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SubRuleSet:
-    signature_id: str
-    subrules: tuple[str, ...]
-    expansion_complete: bool
+class SubRuleSet(namedtuple("SubRuleSet", "signature_id subrules expansion_complete")):
+    """The sub-rule sources (a tuple) a rule ORs together."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class QuantifierBound:
-    signature_id: str
-    position: int
-    char_class: str
-    max_occurrences: int
-    # the parsed ``char_class`` (not compared or exported)
-    charset: _CharSet = field(compare=False, repr=False)
+class QuantifierBound(namedtuple("QuantifierBound", "signature_id position char_class max_occurrences")):
+    """A finitely capped atom over repeatable characters. ``charset``,
+    the parsed ``char_class``, is kept beside the fields: it is neither
+    compared, shown nor exported."""
+
+    def __new__(cls, signature_id, position, char_class, max_occurrences, charset):
+        self = super().__new__(cls, signature_id, position, char_class, max_occurrences)
+        self.charset = charset
+        return self
+
+    def _replace(self, **changes):
+        """A copy with ``changes``, holding the same charset."""
+        return type(self)(**{**self._asdict(), "charset": self.charset, **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +407,12 @@ def _quantifier(src: str, i: int) -> tuple[int, int | None] | None:
     return q.end(), int(hi) if hi else None
 
 
-@dataclass
-class _Group:
-    start: int          # index of '('
-    end: int            # index one past ')'
-    branches: list[tuple[int, int]]
-    children: list["_Group"]
-    quantified: bool
-    depth: int
+class _Group(namedtuple("_Group", "start end branches children quantified depth")):
+    """A group of a scanned source: ``start`` is the index of '(' and
+    ``end`` one past ')'; ``branches`` are its branch spans and
+    ``children`` its inner groups."""
+
+    __slots__ = ()
 
 
 def _scan(src: str) -> tuple[list[tuple[int, int]], list[_Group], list[tuple[int, int, int | None]]]:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -157,7 +156,7 @@ def _some_payloads_upper(c: Corpus, rng: random.Random) -> Corpus:
     """``c`` with about a third of its payloads upper-cased, so the case
     mode matters, and logical payloads that are not ASCII."""
     vectors = tuple(
-        dataclasses.replace(v, payload=v.payload.upper()) if rng.random() < 0.3 else v
+        v._replace(payload=v.payload.upper()) if rng.random() < 0.3 else v
         for v in c.vectors
     )
     wide = tuple(

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -441,7 +440,7 @@ def test_matrix_searches_each_distinct_text_at_most_once():
     )
     corpus = Corpus(base.signatures, vectors)
     distinct = len({v.payload for v in vectors})
-    counted = [dataclasses.replace(c, pattern=CountingPattern(c.pattern)) for c in map(compile_signature, corpus.signatures)]
+    counted = [c._replace(pattern=CountingPattern(c.pattern)) for c in map(compile_signature, corpus.signatures)]
     m = detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=counted)
     assert m.rows == per_cell_rows(corpus, normalize.RAW_PIPELINE, False, False)
     for c in counted:
@@ -453,7 +452,7 @@ def test_matrix_searches_each_distinct_text_at_most_once():
     views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
     for case_sensitive in (False, True):
         counted = [
-            dataclasses.replace(c, pattern=CountingPattern(c.pattern))
+            c._replace(pattern=CountingPattern(c.pattern))
             for c in (compile_signature(s, case_sensitive) for s in corpus.signatures)
         ]
         index = TextIndex(corpus, views, case_sensitive)
@@ -478,7 +477,7 @@ def test_texts_differing_in_case_share_a_key_when_case_insensitive(case_sensitiv
     views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
     for shared_views, searches in ((views[:1], raw_searches), (views, shared_searches)):
         compiled = compile_signature(corpus.signatures[0], case_sensitive)
-        counted = [dataclasses.replace(compiled, pattern=CountingPattern(compiled.pattern))]
+        counted = [compiled._replace(pattern=CountingPattern(compiled.pattern))]
         index = TextIndex(corpus, shared_views, case_sensitive)
         for pipeline, deployed in shared_views:
             m = detection_matrix(corpus, pipeline, case_sensitive, deployed, counted, index=index)

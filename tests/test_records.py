@@ -1,0 +1,120 @@
+"""The records are named tuples: what they keep of a frozen record's
+contract, and what importing the package loads."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sig_audit import matcher, normalize
+from sig_audit.classify import RelatedOperatorFamily
+from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
+from sig_audit.errors import AuditError, DuplicateId, ParseError
+from sig_audit.matcher import compile_signature, detection_matrix
+from sig_audit.mutate import MutationConfig
+from sig_audit.structural import PatternTable, bounded_specials, expand_subrules, extract_operators
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_modules():
+    # -S: no site packages, so only what sig_audit itself imports is loaded
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import sig_audit.cli; "
+        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_bounds_from_two_tables_compare_equal_without_their_charsets(corpus):
+    bounded = [s for s in corpus.signatures if bounded_specials(s)]
+    assert bounded
+    for sig in bounded:
+        first, second = bounded_specials(sig, PatternTable()), bounded_specials(sig, PatternTable())
+        assert first == second and list(map(hash, first)) == list(map(hash, second)), sig.id
+        assert all(a.charset is not b.charset for a, b in zip(first, second)), sig.id
+    bound = bounded_specials(bounded[0])[0]
+    assert bound._replace(max_occurrences=9).charset is bound.charset
+
+
+def test_equal_pipelines_compare_and_hash_equal():
+    a, b = normalize.default_pipeline(), normalize.default_pipeline()
+    assert a._prefilter_re is not b._prefilter_re
+    assert a == b and hash(a) == hash(b)
+    assert a != normalize.RAW_PIPELINE
+    assert a._replace(prefilter="x+")._prefilter_re.pattern is None  # compiled from its parse
+
+
+def _vector(vid):
+    return AttackVector(vid, "none", "1 or 1", Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: MutationConfig(budget=0), ValueError),
+        (lambda: MutationConfig()._replace(budget=0), ValueError),
+        (lambda: RelatedOperatorFamily("f", frozenset({"", "or"})), ValueError),
+        (lambda: RelatedOperatorFamily("f", frozenset({"and", "or"}))._replace(members=frozenset({"or"})), ValueError),
+        (lambda: Corpus((Signature("S_1", "a"), Signature("S_1", "b")), ()), DuplicateId),
+        (lambda: Corpus((), (_vector("v"), _vector("v"))), DuplicateId),
+        (lambda: Corpus((Signature("S_1", "a"),), ())._replace(vectors=(_vector("v"), _vector("v"))), DuplicateId),
+        (lambda: normalize.Pipeline(("nope",)), ParseError),
+        (lambda: normalize.Pipeline(prefilter="[[a]"), AuditError),
+        (lambda: normalize.RAW_PIPELINE._replace(transforms=("nope",)), ParseError),
+    ],
+)
+def test_records_check_their_fields(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_fields_cannot_be_assigned(corpus):
+    sig = corpus.signatures[0]
+    compiled = compile_signature(sig)
+    records = [
+        (sig, "pattern_source"),
+        (corpus.vectors[0], "payload"),
+        (corpus, "vectors"),
+        (normalize.default_pipeline(), "prefilter"),
+        (compiled, "pattern"),
+        (detection_matrix(Corpus((sig,), corpus.vectors[:3]), normalize.RAW_PIPELINE), "rows"),
+        (bounded_specials(Signature("S_1", r"\s{0,3}x"))[0], "max_occurrences"),
+        (MutationConfig(), "budget"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_a_signature_is_parsed_once(monkeypatch):
+    calls = []
+    parse = matcher.parse_pattern
+    monkeypatch.setattr(matcher, "parse_pattern", lambda *args: calls.append(args) or parse(*args))
+    sig = Signature("S_1", r"(?:union|select)\s{1,3}(?:and|or)")
+    assert sig.tree is sig.tree
+    compile_signature(sig)
+    compile_signature(sig, case_sensitive=True)
+    extract_operators(sig)
+    expand_subrules(sig)
+    bounded_specials(sig)
+    assert [source for source, _ in calls].count(sig.pattern_source) == 1
+
+
+def test_a_compiled_copy_holds_the_same_parse():
+    sig = Signature("S_1", r"union\s+select")
+    compiled = compile_signature(sig)
+    copy = compiled._replace(case_insensitive=False)
+    assert copy.tree is compiled.tree is sig.tree
+    assert copy.literals == compiled.literals == {"select"}
+    assert copy == (compiled.signature_id, compiled.pattern, False)
+
+
+def test_records_unpack_and_compare_as_tuples():
+    sig_id, source, note = Signature("S_1", "a")
+    assert (sig_id, source, note) == ("S_1", "a", None) == Signature("S_1", "a")
+    assert Signature("S_1", "a") == Signature(id="S_1", pattern_source="a", note=None)
