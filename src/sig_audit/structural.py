@@ -2,7 +2,8 @@
 
 Three views of a rule:
 
-* operator extraction, from the rule's parse: which SQL operators the
+* operator extraction, from an NFA built off the rule's parse, with a
+  loop for each repeat without an upper bound: which SQL operators the
   rule can actually match as standalone tokens (word operators only
   count where the pattern admits a word boundary on both sides, so
   ``or`` buried in a longer literal like ``preorder`` never counts;
@@ -10,13 +11,14 @@ Three views of a rule:
 * sub-rule expansion, from span scans of the source and of each source
   it splices: cross product of the alternations inside unquantified
   groups, giving the individual criteria a rule ORs together;
-* quantifier bounds, from a span scan of the source: finitely capped
+* quantifier bounds, from the span scan of the source: finitely capped
   atoms over characters an attacker may repeat freely (whitespace,
   parentheses, quotes).
 
 A ``PatternTable`` lets the passes of one audit share their patterns:
 each distinct sub-rule source is parsed once and compiled at most once
-per case mode, a sub-rule spelled like a rule reuses the rule's, and
+per case mode, a sub-rule spelled like a rule reuses the rule's, each
+distinct source is scanned once for expansion and bound analysis, and
 each distinct atom has one charset, which operator extraction and bound
 analysis both read.
 """
@@ -155,14 +157,18 @@ class _CharSet:
 class PatternTable:
     """The patterns of one audit: each distinct sub-rule source is parsed
     and checked once and compiled at most once per case mode, through
-    one ``Signature``, and each distinct atom has one charset.
+    one ``Signature``, each distinct source is span-scanned once, and
+    each distinct atom has one charset.
 
     Seeded with the audit's rules, and given their compiled forms with
     ``keep``, so a sub-rule spelled like a rule needs no parse or code
     of its own. A sub-rule's parse is handed to its compiled form. Atoms
     are keyed by parse node, so a rule's atom and the same atom
     quantified share one charset and its cached moves, and a
-    case-insensitive rule or sub-rule folds each atom through it. The
+    case-insensitive rule or sub-rule folds each atom through it. A
+    source's scan serves every pass and rule that reaches it: bound
+    analysis reads the scan that expansion made of its rule, and a
+    sub-rule spliced by several rules is scanned for the first. The
     table lives as long as the audit that made it; a standalone pass
     without one uses a fresh table.
     """
@@ -174,6 +180,7 @@ class PatternTable:
         self._compiled: dict[tuple[str, bool], CompiledSignature] = {}
         # keyed by atom node, and by quantified-atom source (None: no atom)
         self._atoms: dict[tuple | str, _CharSet | None] = {}
+        self._scans: dict[str, tuple] = {}
 
     def keep(self, signatures, compiled) -> None:
         """Hold ``compiled``, the compiled forms of ``signatures`` in order,
@@ -198,6 +205,13 @@ class PatternTable:
             sig = self._signatures.get(source) or Signature(id=signature_id, pattern_source=source)
             found = self._compiled[key] = compile_signature(sig, case_sensitive, self.fold_atom)
             self._signatures[source] = sig
+        return found
+
+    def scan(self, source: str):
+        """``_scan(source)``, once per table."""
+        found = self._scans.get(source)
+        if found is None:
+            found = self._scans[source] = _scan(source)
         return found
 
     def atom(self, node) -> _CharSet:
@@ -251,7 +265,11 @@ class _Nfa:
 
 def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int, patterns: PatternTable) -> int:
     """Thompson-style construction, each atom's charset from ``patterns``;
-    returns the exit state."""
+    returns the exit state.
+
+    A repeat without an upper bound is ``min(lo, repeat_cap)`` copies of
+    its body and a loop; a counted repeat is cut at ``repeat_cap`` copies,
+    enough context around any token the caller looks for."""
     C = sre_constants
     cur = entry
     for node in nodes:
@@ -281,13 +299,23 @@ def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int, patterns: PatternT
         elif op in (C.MAX_REPEAT, C.MIN_REPEAT):
             lo, hi, body = arg
             lo = min(lo, repeat_cap)
-            hi = repeat_cap if hi is C.MAXREPEAT or hi > repeat_cap else hi
             for _ in range(lo):
                 cur = _build_nfa(body, nfa, cur, repeat_cap, patterns)
-            for _ in range(hi - lo):
-                skip_from = cur
-                cur = _build_nfa(body, nfa, cur, repeat_cap, patterns)
-                nfa.add(skip_from, _EPS, None, cur)
+            if hi is C.MAXREPEAT:
+                # a fresh loop state, and a fresh exit with no edge back
+                # into the body: looping on ``cur`` would interleave two
+                # loops in a row, and an optional group ending in this
+                # repeat skips to its exit
+                loop, out = nfa.state(), nfa.state()
+                nfa.add(cur, _EPS, None, loop)
+                nfa.add(_build_nfa(body, nfa, loop, repeat_cap, patterns), _EPS, None, loop)
+                nfa.add(loop, _EPS, None, out)
+                cur = out
+            else:
+                for _ in range(min(hi, repeat_cap) - lo):
+                    skip_from = cur
+                    cur = _build_nfa(body, nfa, cur, repeat_cap, patterns)
+                    nfa.add(skip_from, _EPS, None, cur)
         else:
             raise RegexDialectError(None, f"unsupported construct: {op}")
     return cur
@@ -384,27 +412,17 @@ def extract_operators(
 _SKIP = r"\(\?(?:#(?:\\.|[^\\)])*|u+)\)"
 _ESCAPE = r"\\(?:x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8}|N\{[^}]*\}|0[0-7]{0,2}|[0-7]{3}|.)"
 _CLASS = r"\[\^?\]?(?:\\.|[^\]\\])*\]"
+# One token per match: a skip, '(', '|', or a ')' or atom with the
+# quantifier after it, if any, read in the same match ({,n} is {0,n} and
+# {,} is *; {} is two literals). Only a quantified ')' or atom sets a
+# count group: the quantifier's symbol or the text between its braces.
 _TOKEN = re.compile(
-    "(?P<skip>" + _SKIP + "|[$^])"
-    r"|(?P<open>\((?:\?:|\?P<[^>]*>)?)|(?P<close>\))|(?P<bar>\|)"
-    "|(?P<atom>" + _ESCAPE + "|" + _CLASS + "|.)",
+    "(?:" + _SKIP + "|[$^])"
+    r"|(\((?:\?:|\?P<[^>]*>)?)|(\|)"
+    r"|(?:(\))|(" + _ESCAPE + "|" + _CLASS + "|.))"
+    "(?:(?:" + _SKIP + r")*(?:([?*+])|\{([0-9]*,[0-9]*|[0-9]+)\})\??)?",
     re.S,
 )
-# {,n} is {0,n} and {,} is *; {} is two literals
-_QUANT = re.compile("(?:" + _SKIP + r")*(?:([?*+])|\{([0-9]*,[0-9]*|[0-9]+)\})\??")
-
-
-def _quantifier(src: str, i: int) -> tuple[int, int | None] | None:
-    """(end, max) of the quantifier at i, max None when unbounded; None
-    when no quantifier starts there."""
-    q = _QUANT.match(src, i)
-    if q is None:
-        return None
-    sym, braces = q.groups()
-    if sym:
-        return q.end(), 1 if sym == "?" else None
-    hi = braces.rpartition(",")[2]
-    return q.end(), int(hi) if hi else None
 
 
 class _Group(namedtuple("_Group", "start end branches children quantified depth")):
@@ -416,39 +434,36 @@ class _Group(namedtuple("_Group", "start end branches children quantified depth"
 
 
 def _scan(src: str) -> tuple[list[tuple[int, int]], list[_Group], list[tuple[int, int, int | None]]]:
-    """Read a dialect source once.
+    """Read a dialect source once, in one pass over its tokens.
 
     Returns its top-level branch spans, its top-level groups (each with
     its own branch spans and child groups) and every quantified
     character atom at any depth as ``(start, end, max)`` in source
-    order, ``max`` None when unbounded.
+    order, ``max`` None when unbounded. ``src`` is balanced, as every
+    checked source and every source expansion splices from one is.
     """
     atoms = []
-
-    def level(i: int, depth: int):
-        # branches and groups from i up to the ')' closing this level
-        branches, groups, start = [], [], i
-        while i < len(src):
-            tok = _TOKEN.match(src, i)
-            kind, j = tok.lastgroup, tok.end()
-            if kind == "close":
-                break
-            if kind == "bar":
-                branches.append((start, i))
-                start = j
-            elif kind == "open":
-                inner, children, close = level(j, depth + 1)
-                quant = _quantifier(src, close + 1)
-                groups.append(_Group(i, close + 1, inner, children, quant is not None, depth + 1))
-                j = quant[0] if quant else close + 1
-            elif kind == "atom" and (quant := _quantifier(src, j)):
-                atoms.append((i, j, quant[1]))
-                j = quant[0]
-            i = j
-        branches.append((start, i))
-        return branches, groups, i
-
-    branches, groups, _ = level(0, 0)
+    branches, groups, start = [], [], 0
+    outer = []  # the enclosing levels: (index of '(', branches, groups, branch start)
+    for tok in _TOKEN.finditer(src):
+        opened, bar, closed, _, sym, braces = tok.groups()
+        if opened:
+            outer.append((tok.start(), branches, groups, start))
+            branches, groups, start = [], [], tok.end()
+        elif bar:
+            branches.append((start, tok.start()))
+            start = tok.end()
+        elif closed:
+            branches.append((start, tok.start()))
+            at, up_branches, up_groups, start = outer.pop()
+            up_groups.append(_Group(at, tok.end(3), branches, groups, bool(sym or braces), len(outer) + 1))
+            branches, groups = up_branches, up_groups
+        elif sym:
+            atoms.append((tok.start(), tok.end(4), 1 if sym == "?" else None))
+        elif braces:
+            hi = braces.rpartition(",")[2]
+            atoms.append((tok.start(), tok.end(4), int(hi) if hi else None))
+    branches.append((start, len(src)))
     return branches, groups, atoms
 
 
@@ -458,7 +473,7 @@ MAX_DEPTH = 3
 MAX_SUBRULES = 64
 
 
-def _first_expandable(src: str) -> tuple[tuple[int, int, list[str]] | None, bool]:
+def _first_expandable(src: str, patterns: PatternTable) -> tuple[tuple[int, int, list[str]] | None, bool]:
     """Locate the leftmost expandable alternation.
 
     Returns ((span_start, span_end, branch_texts) or None, hit_depth_cap).
@@ -467,7 +482,7 @@ def _first_expandable(src: str) -> tuple[tuple[int, int, list[str]] | None, bool
     parentheses included. Quantified groups are never entered: splitting
     them would change what the rule matches.
     """
-    branches, groups, _ = _scan(src)
+    branches, groups, _ = patterns.scan(src)
     if len(branches) > 1:
         return (0, len(src), [src[a:b] for a, b in branches]), False
 
@@ -507,7 +522,8 @@ def expand_subrules(signature, patterns: PatternTable | None = None) -> SubRuleS
     reading order. When the product would exceed ``MAX_SUBRULES`` or an
     alternation sits deeper than ``MAX_DEPTH`` groups, the remaining
     groups are left intact and ``expansion_complete`` is False. Each
-    sub-rule's dialect is checked through ``patterns``.
+    source is scanned, and each sub-rule's dialect checked, through
+    ``patterns``.
     """
     patterns = patterns or PatternTable()
     src = signature.pattern_source
@@ -517,7 +533,7 @@ def expand_subrules(signature, patterns: PatternTable | None = None) -> SubRuleS
     complete = True
     i = 0
     while i < len(sources):
-        found, capped = _first_expandable(sources[i])
+        found, capped = _first_expandable(sources[i], patterns)
         if capped:
             complete = False
         if found is None:
@@ -554,15 +570,15 @@ def bounded_specials(signature, patterns: PatternTable | None = None) -> list[Qu
 
     An attacker can exceed any finite cap on whitespace, parentheses or
     quotes without changing the query, so each such bound is a candidate
-    bypass point. Unbounded atoms are never reported. Each bound carries
-    its atom's charset from ``patterns``.
+    bypass point. Unbounded atoms are never reported. The source's scan
+    and each bound's atom charset come from ``patterns``.
     """
     patterns = patterns or PatternTable()
     src = signature.pattern_source
     signature.tree  # the source must be in the dialect
 
     bounds: list[QuantifierBound] = []
-    for start, end, hi in _scan(src)[2]:
+    for start, end, hi in patterns.scan(src)[2]:
         if hi is None:
             continue
         atom_src = src[start:end]

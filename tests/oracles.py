@@ -13,6 +13,7 @@ and set operations, straight from the set-theoretic statements.
 from __future__ import annotations
 
 import random
+import re
 
 try:
     from re import _constants as C
@@ -21,7 +22,7 @@ except ImportError:  # pragma: no cover
     import sre_constants as C
     import sre_parse
 
-from sig_audit import normalize
+from sig_audit import normalize, structural
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 
 
@@ -136,6 +137,107 @@ def naive_search(pattern_src: str, text: str, case_insensitive: bool = True) -> 
         for _ in _ends(nodes, 0, text, start):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the structural passes
+
+def unrolled_nfa(nodes, nfa, entry, repeat_cap, patterns):
+    """``structural._build_nfa`` with every repeat unrolled: a repeat is
+    cut at ``repeat_cap`` copies of its body, unbounded ones included,
+    and has no loop. The reference the looped construction answers
+    operator questions against."""
+    cur = entry
+    for node in nodes:
+        op, arg = node
+        if op in structural._ATOM_OPS:
+            cs = patterns.atom(node)
+            nfa.atoms.add(cs)
+            nxt = nfa.state()
+            nfa.add(cur, structural._CHAR, cs, nxt)
+            cur = nxt
+        elif op is C.AT:
+            nxt = nfa.state()
+            nfa.add(cur, structural._ANCHOR, arg, nxt)
+            cur = nxt
+        elif op is C.SUBPATTERN:
+            cur = unrolled_nfa(arg[3], nfa, cur, repeat_cap, patterns)
+        elif op is C.BRANCH:
+            exits = []
+            for branch in arg[1]:
+                b_entry = nfa.state()
+                nfa.add(cur, structural._EPS, None, b_entry)
+                exits.append(unrolled_nfa(branch, nfa, b_entry, repeat_cap, patterns))
+            nxt = nfa.state()
+            for e in exits:
+                nfa.add(e, structural._EPS, None, nxt)
+            cur = nxt
+        elif op in (C.MAX_REPEAT, C.MIN_REPEAT):
+            lo, hi, body = arg
+            lo = min(lo, repeat_cap)
+            hi = repeat_cap if hi is C.MAXREPEAT or hi > repeat_cap else hi
+            for _ in range(lo):
+                cur = unrolled_nfa(body, nfa, cur, repeat_cap, patterns)
+            for _ in range(hi - lo):
+                skip_from = cur
+                cur = unrolled_nfa(body, nfa, cur, repeat_cap, patterns)
+                nfa.add(skip_from, structural._EPS, None, cur)
+        else:
+            raise ValueError(f"node {op}")
+    return cur
+
+
+_SCAN_TOKEN = re.compile(
+    "(?P<skip>" + structural._SKIP + "|[$^])"
+    r"|(?P<open>\((?:\?:|\?P<[^>]*>)?)|(?P<close>\))|(?P<bar>\|)"
+    "|(?P<atom>" + structural._ESCAPE + "|" + structural._CLASS + "|.)",
+    re.S,
+)
+_SCAN_QUANT = re.compile("(?:" + structural._SKIP + r")*(?:([?*+])|\{([0-9]*,[0-9]*|[0-9]+)\})\??")
+
+
+def _scan_quantifier(src, i):
+    """(end, max) of the quantifier at i, max None when unbounded; None
+    when no quantifier starts there."""
+    q = _SCAN_QUANT.match(src, i)
+    if q is None:
+        return None
+    sym, braces = q.groups()
+    if sym:
+        return q.end(), 1 if sym == "?" else None
+    hi = braces.rpartition(",")[2]
+    return q.end(), int(hi) if hi else None
+
+
+def recursive_scan(src):
+    """``structural._scan`` read one level per call, token by token, with
+    each quantifier matched apart from the item before it."""
+    atoms = []
+
+    def level(i, depth):
+        branches, groups, start = [], [], i
+        while i < len(src):
+            tok = _SCAN_TOKEN.match(src, i)
+            kind, j = tok.lastgroup, tok.end()
+            if kind == "close":
+                break
+            if kind == "bar":
+                branches.append((start, i))
+                start = j
+            elif kind == "open":
+                inner, children, close = level(j, depth + 1)
+                quant = _scan_quantifier(src, close + 1)
+                groups.append(structural._Group(i, close + 1, inner, children, quant is not None, depth + 1))
+                j = quant[0] if quant else close + 1
+            elif kind == "atom" and (quant := _scan_quantifier(src, j)):
+                atoms.append((i, j, quant[1]))
+                j = quant[0]
+            i = j
+        branches.append((start, i))
+        return branches, groups, i
+
+    branches, groups, _ = level(0, 0)
+    return branches, groups, atoms
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +370,41 @@ def random_pattern(rng: random.Random) -> str:
     return pat
 
 
+# repeats with and without an upper bound, lazy ones, and counts above
+# any token's repeat cap
+_NESTED_QUANTS = ["?", "*", "+", "*?", "+?", "??", "{2}", "{1,3}", "{,2}", "{0,9}", "{3,}", "{7,}", "{2,}?"]
+_NESTED_ATOMS = [r"\s", r"\W", r"\w", r"\d", "[|&^]", r"\|", "&", "[&|]", "[;')(]", "[^a]", "."]
+_NESTED_WORDS = _WORDS + ["nand", "&&", r"\|\|", "^", "o", "r"]
+
+
+def random_nested_pattern(rng: random.Random, depth: int = 0) -> str:
+    """A pattern of quantified and nested groups (capturing, non-capturing
+    and named), lazy and unbounded repeats, counts above the repeat cap,
+    and anchors at the edges and inside alternations."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.3 and depth < 2:
+            branches = [random_nested_pattern(rng, depth + 1) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.2:
+                branches.append(rng.choice(["^", "$"]))
+            opener = rng.choice(["(?:", "(?:", "(", f"(?P<g{rng.randrange(10**6)}>"])
+            item = opener + "|".join(branches) + ")"
+        elif kind < 0.55:
+            item = rng.choice(_NESTED_WORDS)
+        elif kind < 0.85:
+            item = rng.choice(_NESTED_ATOMS)
+        else:
+            item = re_escape(rng.choice(_LITERALS + " ;')(=|&^"))
+        if rng.random() < 0.45:
+            item += rng.choice(_NESTED_QUANTS)
+        parts.append(item)
+    pat = "".join(parts)
+    if depth == 0:
+        pat = ("^" if rng.random() < 0.15 else "") + pat + ("$" if rng.random() < 0.15 else "")
+    return pat
+
+
 def re_escape(ch: str) -> str:
     if ch in ".^$*+?{}[]\\|()":
         return "\\" + ch
@@ -312,3 +449,20 @@ def random_corpus(rng: random.Random, max_sigs: int = 8, max_vecs: int = 20) -> 
             )
         )
     return Corpus(signatures=tuple(sigs), vectors=tuple(vecs))
+
+
+def with_unions(corpus: Corpus, count: int, rng: random.Random) -> Corpus:
+    """``corpus`` plus ``count`` distinct pairwise unions ``(?:A)|(?:B)``
+    of its rules, ids ``U_1``, ``U_2``, ...: rules that share sub-rules
+    with the rules they join and with each other."""
+    sigs = corpus.signatures
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < count:
+        pair = tuple(sorted(rng.sample(range(len(sigs)), 2)))
+        if pair not in pairs:
+            pairs.append(pair)
+    unions = tuple(
+        Signature(f"U_{n}", f"(?:{sigs[a].pattern_source})|(?:{sigs[b].pattern_source})")
+        for n, (a, b) in enumerate(pairs, start=1)
+    )
+    return Corpus(signatures=sigs + unions, vectors=corpus.vectors)

@@ -7,11 +7,12 @@ import random
 import re
 
 import pytest
+from oracles import random_nested_pattern, random_pattern, recursive_scan, with_unions
 
 from sig_audit import cli
 from sig_audit.corpus import Signature, load_signatures
 from sig_audit.errors import RegexDialectError
-from sig_audit.structural import bounded_specials, expand_subrules
+from sig_audit.structural import _scan, bounded_specials, expand_subrules
 
 # pattern, its sub-rules (None: the pattern alone), its bounds as (char_class, max)
 CASES = [
@@ -60,6 +61,37 @@ def test_subrule_soundness_on_scanned_constructs():
         ]
         for text in texts:
             assert bool(whole.search(text)) == any(p.search(text) for p in parts), (pattern, text)
+
+
+# the constructs the scanner reads a token at a time: a comment between an
+# atom and its quantifier, (?u), brace counts with and without bounds and
+# ones that are literals, escaped and classed parentheses, named groups,
+# lazy quantifiers and octal escapes
+SCAN_CASES = [
+    r"a(?#c)*b(?#c)(?#d){2,}c",
+    r"(?u)(?:or|and)(?#c)?\s",
+    r"x{,3}y{}z{3,}w{,}v{2}",
+    r"\(+[)]?(?:\)|[(])*",
+    r"(?P<n>or|and)+?(?P<m>x)",
+    r"a*?b+?c??d{1,2}?(?:e|f)*?",
+    r"\07?\0{2}\012+\x20?\N{SPACE}*",
+    r"(a(?#x|y\))|b)?|c",
+]
+
+
+def test_one_pass_scan_equals_the_recursive_scan(corpus):
+    """The one-pass scanner reads every source as the recursive scanner
+    with a quantifier matched apart does: hand-written constructs, the
+    bundled rules and 40 unions of them with their sub-rules, and random
+    sources."""
+    rng = random.Random(18)
+    sources = SCAN_CASES + [pattern for pattern, _, _ in CASES]
+    for s in with_unions(corpus, 40, rng).signatures:
+        sources += expand_subrules(s).subrules
+    sources += [random_pattern(rng) for _ in range(300)] + [random_nested_pattern(rng) for _ in range(300)]
+    for source in sources:
+        assert _scan(source) == recursive_scan(source), source
+    assert len(set(sources)) > 800
 
 
 def _write_corpus(tmp_path, rules, payload="union select 1"):

@@ -1,9 +1,11 @@
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
+from oracles import with_unions
 
 from sig_audit import classify, cli, matcher, normalize, report, structural
 from sig_audit.classify import Label
@@ -13,6 +15,7 @@ from sig_audit.corpus import (
     Dialect,
     Intent,
     Signature,
+    bundled_corpus,
     data_dir,
     load_signatures,
     load_vectors,
@@ -330,19 +333,28 @@ def _shared_subrule_corpus():
 
 
 @pytest.mark.parametrize("case_sensitive", [False, True])
-@pytest.mark.parametrize("shared", [False, True], ids=["bundled", "shared_subrules"])
-def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensitive, shared):
+@pytest.mark.parametrize("kind", ["bundled", "shared_subrules", "unions"])
+def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensitive, kind):
     """Rules, sub-rules, quantified atoms and the prefilter: no source is
-    parsed twice in one audit, and none is compiled twice in one case
-    mode."""
-    corpus = _shared_subrule_corpus() if shared else corpus
+    parsed or span-scanned twice in one audit, and none is compiled twice
+    in one case mode."""
+    shared = kind == "shared_subrules"
     parsed, compiled, ignorecase, atoms = _count_parses_and_compiles(monkeypatch)
     if shared:
-        run_audit(corpus=corpus, case_sensitive=case_sensitive)
-    else:
+        corpus = _shared_subrule_corpus()
+    elif kind == "unions":  # loaded here, so the rules' parses are counted
+        corpus = with_unions(bundled_corpus(), 40, random.Random(18))
+    scanned, real_scan = [], structural._scan
+    monkeypatch.setattr(structural, "_scan", lambda source: scanned.append(source) or real_scan(source))
+    if kind == "bundled":
         run_audit(case_sensitive=case_sensitive)  # the bundled set, loading included
+    else:
+        run_audit(corpus=corpus, case_sensitive=case_sensitive)
     twice = [source for source in set(parsed) if parsed.count(source) > 1]
     assert twice == []
+    # expansion and bound analysis share a source's scan, and so do the
+    # rules whose expansion reaches it
+    assert len(scanned) == len(set(scanned)) > len(corpus.signatures) // 2
     assert [c for c in set(compiled) if compiled.count(c) > 1] == []
     mode = not case_sensitive
     rules = {s.pattern_source for s in corpus.signatures}

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from oracles import _in_match
+from oracles import _in_match, random_nested_pattern, unrolled_nfa, with_unions
 
 from sig_audit import structural
 from sig_audit.classify import default_families
@@ -198,6 +198,36 @@ def test_family_member_lexicon_gives_the_default_lexicons_members(corpus):
         assert extract_operators(s, members).operators == extract_operators(s).operators & members, pattern
         checked += 1
     assert checked > 400
+
+
+def test_looped_nfa_gives_the_unrolled_answers(monkeypatch, corpus):
+    """A repeat without an upper bound is a loop; the reference unrolls it
+    to ``repeat_cap`` copies. Both answer every operator question alike,
+    for the family members and the default tokens: on the bundled rules,
+    40 pairwise unions of them, and patterns of quantified and nested
+    groups, lazy repeats, counts above the cap and anchors."""
+    rng = random.Random(18)
+    sources = [s.pattern_source for s in with_unions(corpus, 40, rng).signatures]
+    sources += [random_nested_pattern(rng) for _ in range(1100)]
+    signatures = []
+    for k, source in enumerate(sources):
+        s = sig(source, f"R_{k}")
+        try:
+            s.tree
+        except RegexDialectError:
+            continue
+        signatures.append(s)
+    assert len(signatures) > 83 + 40 + 1000
+    members = frozenset().union(*(fam.members for fam in default_families()))
+    patterns = PatternTable()
+    for tokens in (members, DEFAULT_OPERATORS):
+        looped = [extract_operators(s, tokens, patterns).operators for s in signatures]
+        with monkeypatch.context() as m:
+            m.setattr(structural, "_build_nfa", unrolled_nfa)
+            unrolled = [extract_operators(s, tokens, patterns).operators for s in signatures]
+        for s, a, b in zip(signatures, looped, unrolled):
+            assert a == b, s.pattern_source
+        assert sum(map(bool, looped)) > 500
 
 
 @pytest.mark.parametrize("pattern", [r"1\s*¬\s*1", r"1\s*[¬!]\s*1", r"1 (?:¬|~) 1"])
