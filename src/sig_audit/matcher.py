@@ -464,7 +464,7 @@ class DetectionMatrix(namedtuple("DetectionMatrix", "signature_ids vector_ids ro
         n = len(self.vector_ids)
         lines = ["signature_id," + ",".join(map(csv_field, self.vector_ids))]
         for sid, row in zip(self.signature_ids, self.rows):
-            lines.append(f"{csv_field(sid)}," + ",".join(_cell_digits(row, n)))
+            lines.append(f"{csv_field(sid)}," + _joined_cells(row, n, b","))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -473,7 +473,7 @@ class DetectionMatrix(namedtuple("DetectionMatrix", "signature_ids vector_ids ro
         is written from its digit string, ``json`` encodes the rest."""
         n = len(self.vector_ids)
         table = ", ".join(
-            f"{encode_basestring_ascii(sid)}: [{', '.join(_cell_digits(row, n))}]"
+            f"{encode_basestring_ascii(sid)}: [{_joined_cells(row, n, b', ')}]"
             for sid, row in sorted(dict(zip(self.signature_ids, self.rows)).items())
         )
         head = json.dumps(
@@ -484,6 +484,13 @@ class DetectionMatrix(namedtuple("DetectionMatrix", "signature_ids vector_ids ro
 
     @classmethod
     def from_json(cls, text: str) -> "DetectionMatrix":
+        """The matrix of a JSON document. A canonical export is read off
+        its row digits (``_canonical_matrix``); any other document goes
+        through ``json.loads`` and the checks below, and gets the same
+        matrix, or the same error, either way."""
+        m = _canonical_matrix(text)
+        if m is not None:
+            return m
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -494,6 +501,10 @@ class DetectionMatrix(namedtuple("DetectionMatrix", "signature_ids vector_ids ro
         table = doc.get("rows")
         if not isinstance(table, dict):
             raise ParseError("matrix JSON 'rows' must be an object")
+        known = set(signature_ids)
+        for key in table:
+            if key not in known:
+                raise ParseError(f"matrix row {key!r} is not in 'signature_ids'")
         rows = []
         for sid in signature_ids:
             cells = table.get(sid)
@@ -512,6 +523,63 @@ class DetectionMatrix(namedtuple("DetectionMatrix", "signature_ids vector_ids ro
             rows=tuple(rows),
             pipeline_fingerprint=fingerprint,
         )
+
+
+# where a canonical export's row table opens and closes: its keys are
+# sorted first after "row_sums" and before "signature_ids"
+_ROWS_OPEN = ', "rows": {'
+_ROWS_CLOSE = '}, "signature_ids": ['
+
+
+def _canonical_matrix(text: str) -> DetectionMatrix | None:
+    """The matrix whose ``to_json`` is ``text``, less at most one trailing
+    newline, or None when there is none.
+
+    The text outside the row table goes through ``json.loads`` with
+    ``from_json``'s checks; each row, at its sorted signature id, is read
+    off every third character of its cells. The result is kept only if
+    it renders back to ``text``: ``json.loads`` reads that rendering as
+    the same matrix, so a text kept here gets the result the general
+    parser would give, and any other text is left to it."""
+    start = text.find(_ROWS_OPEN)
+    end = text.find(_ROWS_CLOSE, start)
+    if start < 0 or end < 0:
+        return None
+    start += len(_ROWS_OPEN)
+    try:
+        doc = json.loads(text[:start] + text[end:])  # the row table left empty
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict) or not isinstance(doc.get("pipeline_fingerprint"), str):
+        return None
+    try:
+        signature_ids, vector_ids = _id_list(doc, "signature_ids"), _id_list(doc, "vector_ids")
+    except ParseError:
+        return None
+    n = len(vector_ids)
+    width = 3 * n - 2 if n else 0  # "d, d, ..., d"
+    row_of = {}
+    at = start
+    for sid in sorted(signature_ids):
+        key = encode_basestring_ascii(sid) + ": ["
+        if not text.startswith(key, at):
+            return None
+        at += len(key)
+        try:
+            row = int(text[at : at + width][::3][::-1] or "0", 2)
+        except ValueError:
+            return None
+        if row < 0:  # rendered as a "-" cell, which no JSON reads
+            return None
+        row_of[sid] = row
+        at += width + len("], ")
+    rows = tuple(row_of[sid] for sid in signature_ids)
+    m = DetectionMatrix(signature_ids, vector_ids, rows, doc["pipeline_fingerprint"])
+    body = m.to_json()
+    # compared in place: slicing the newline off would copy the text
+    if not text.startswith(body) or text[len(body) :] not in ("", "\n"):
+        return None
+    return m
 
 
 def _id_list(doc: dict, key: str) -> tuple[str, ...]:
@@ -542,9 +610,16 @@ def csv_field(text: str) -> str:
     return text.translate(_CSV_FIELD)
 
 
-def _cell_digits(row: int, n: int) -> str:
-    """The row's n cells as '0'/'1' digits, vector 0 first."""
-    return format(row, f"0{n}b")[::-1] if n else ""  # format(0, "00b") is "0"
+def _joined_cells(row: int, n: int, sep: bytes) -> str:
+    """The row's n cells as '0'/'1' digits, vector 0 first, joined by
+    ``sep``: one slice assignment writes the digits to every
+    (1 + len(sep))-th byte of a run of separators, where a join would
+    take one item per cell."""
+    if not n:
+        return ""  # format(0, "00b") is "0"
+    buf = bytearray(b"0" + sep) * n
+    buf[:: 1 + len(sep)] = format(row, f"0{n}b")[::-1].encode()
+    return buf[: -len(sep)].decode()
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -347,18 +347,20 @@ def _char_moves(cs: _CharSet, token: str) -> list[tuple[int, ...]]:
     return moves
 
 
-def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str) -> bool:
+def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, narrow: list[_CharSet], spelled: int) -> bool:
     """Can the pattern spell ``token`` as a standalone occurrence?
 
     Standalone means: for word tokens, non-word characters (or the match
     edge) on both sides; for symbol tokens, the occurrence is a maximal
     run (not extendable with the token's own characters). Token
-    characters must come from narrow atoms; a wildcard like ``[^\\n]``
+    characters must come from ``narrow``, the NFA's narrow atoms, whose
+    ``folded`` masks OR to ``spelled``; a wildcard like ``[^\\n]``
     admits every operator and says nothing about what the rule was
     written to catch.
     """
-    narrow = [cs for cs in nfa.atoms if cs.narrow]
-    if not all(any(cs.contains_ci(ch) for cs in narrow) for ch in token):
+    if not all(
+        spelled & _PROBE_BIT[ch] if ch in _PROBE_BIT else any(cs.contains_ci(ch) for cs in narrow) for ch in token
+    ):
         return False  # some character of the token is spelled by no atom
     n = len(token)
     moves = {cs: cs.moves(token) for cs in nfa.atoms}
@@ -398,7 +400,11 @@ def extract_operators(
     nfa = _Nfa()
     entry = nfa.state()
     accept = _build_nfa(signature.tree, nfa, entry, cap, patterns)
-    found = frozenset(token for token in tokens if _token_realizable(nfa, entry, accept, token))
+    narrow = [cs for cs in nfa.atoms if cs.narrow]
+    spelled = 0
+    for cs in narrow:
+        spelled |= cs.folded
+    found = frozenset(token for token in tokens if _token_realizable(nfa, entry, accept, token, narrow, spelled))
     return TokenizedSignature(signature_id=signature.id, operators=found)
 
 

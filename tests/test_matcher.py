@@ -10,7 +10,7 @@ from oracles import naive_search, random_corpus, random_pattern, random_payload
 from sig_audit import matcher, normalize
 from sig_audit.classify import Label, classify_semirelevant
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
-from sig_audit.errors import RegexDialectError
+from sig_audit.errors import ParseError, RegexDialectError
 from sig_audit.matcher import (
     DetectionMatrix,
     TextIndex,
@@ -214,6 +214,7 @@ def test_cell_codec_matches_per_bit_reference(signature_ids, vector_ids):
     assert m.to_csv() == "\n".join(csv) + "\n"
     assert m.to_json() == _reference_json(m)
     assert DetectionMatrix.from_json(m.to_json()) == m
+    _assert_read_canonically(m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -225,6 +226,109 @@ def test_to_json_equals_reference_for_any_ids_and_rows(data):
     m = DetectionMatrix(signature_ids, vector_ids, rows, data.draw(st.text(max_size=4)))
     assert m.to_json() == _reference_json(m)
     assert DetectionMatrix.from_json(m.to_json()) == m
+    _assert_read_canonically(m)
+
+
+def _outcome(text):
+    """``DetectionMatrix.from_json(text)``, or the message of its error."""
+    try:
+        return DetectionMatrix.from_json(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _loads_outcome(text):
+    """``_outcome`` with the canonical read turned off: every text goes
+    through ``json.loads``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcher, "_canonical_matrix", lambda text: None)
+        return _outcome(text)
+
+
+def _assert_read_canonically(m):
+    """The export of ``m``, with and without the newline the CLI adds, is
+    read off its row digits: ``json.loads`` gets only the text around an
+    empty row table, and the matrix is the one the general parser gives."""
+    real_loads = json.loads
+    for text in (m.to_json(), m.to_json() + "\n"):
+        parsed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(json, "loads", lambda s: parsed.append(s) or real_loads(s))
+            got = DetectionMatrix.from_json(text)
+        assert [real_loads(s)["rows"] for s in parsed] == [{}]
+        assert matcher._canonical_matrix(text) == got == _loads_outcome(text) == m
+
+
+def test_bundled_exports_are_read_canonically(corpus, default_pipeline, raw_matrix):
+    _assert_read_canonically(raw_matrix)
+    _assert_read_canonically(detection_matrix(corpus, default_pipeline, apply_prefilter=True))
+
+
+_SMALL = DetectionMatrix(("S_1", "S_2", "S_3"), ("v1", "v2", "v3", "v4"), (0b0101, 0, 0b1111), "fp")
+_SMALL_JSON = _SMALL.to_json() + "\n"
+
+
+@pytest.mark.parametrize(
+    "edits, expected",
+    [
+        pytest.param({'"S_1": [1,': '"S_1": [2,'}, "matrix row S_1 must be a list of 0/1 cells", id="cell_2"),
+        pytest.param({'"S_3": [1, 1,': '"S_3": [1, true,'}, _SMALL, id="cell_true"),
+        pytest.param({'"S_1": [1, 0, 1,': '"S_1": [1, 0, 1.0,'}, "matrix row S_1 must be", id="cell_1.0"),
+        # the digits read as the row -7, which renders back as "1, 1, 1, -"
+        # with a row sum of 3; no JSON reads a bare "-"
+        pytest.param(
+            {'"S_3": [1, 1, 1, 1]': '"S_3": [1, 1, 1, -]', '"S_3": 4}': '"S_3": 3}'},
+            "invalid matrix JSON: Expecting value",
+            id="minus_cell",
+        ),
+        pytest.param({'"fp", "row_sums"': '"fp",  "row_sums"'}, _SMALL, id="extra_space"),
+        pytest.param({'"S_2": [0, 0,': '"S_2": [0,  0,'}, _SMALL, id="extra_space_in_row"),
+        pytest.param(
+            {'"pipeline_fingerprint": "fp", "row_sums": {"S_1": 2, "S_2": 0, "S_3": 4}':
+             '"row_sums": {"S_1": 2, "S_2": 0, "S_3": 4}, "pipeline_fingerprint": "fp"'},
+            _SMALL,
+            id="swapped_keys",
+        ),
+        pytest.param(
+            {'["S_1", "S_2", "S_3"]': '["S_1", "S_2", "S_1"]'},
+            "matrix JSON 'signature_ids' repeats id 'S_1'",
+            id="repeated_id",
+        ),
+        pytest.param({'"S_2": 0,': '"S_2": 1,'}, _SMALL, id="wrong_row_sums"),
+        pytest.param({"}\n": "}\n\n"}, _SMALL, id="two_newlines"),
+        pytest.param({"}\n": "}\nx"}, "invalid matrix JSON: Extra data", id="trailing_garbage"),
+        pytest.param({"}\n": "} {}"}, "invalid matrix JSON: Extra data", id="trailing_object"),
+        pytest.param(
+            {'1]}, "signature_ids"': '1], "S_9": [0, 0, 0, 0]}, "signature_ids"'},
+            "matrix row 'S_9' is not in 'signature_ids'",
+            id="stray_row",
+        ),
+    ],
+)
+def test_non_canonical_matrix_json_takes_the_general_parser(edits, expected):
+    """A text that is not a canonical export gets no result from the
+    canonical read, and from ``from_json`` the matrix, or the error, that
+    ``json.loads`` and its checks give."""
+    text = _SMALL_JSON
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    assert matcher._canonical_matrix(text) is None
+    got = _outcome(text)
+    assert got == _loads_outcome(text)
+    if isinstance(expected, DetectionMatrix):
+        assert got == expected
+    else:
+        assert got.startswith("ParseError: " + expected)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, len(_SMALL_JSON)), st.integers(0, 3), st.text("01-2 ,:[]{}\"S_\n", max_size=3))
+def test_edited_export_reads_as_the_general_parser_reads_it(at, cut, insert):
+    """Any small edit of a canonical export: ``from_json`` gives the
+    matrix, or the error, that ``json.loads`` and its checks give."""
+    text = _SMALL_JSON[:at] + insert + _SMALL_JSON[at + cut :]
+    assert _outcome(text) == _loads_outcome(text)
 
 
 def test_row_counts_match_cells(raw_matrix):

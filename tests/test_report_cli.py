@@ -730,11 +730,16 @@ def _json_vectors(text):
             matcher.DetectionMatrix.from_json,
         ),
         (["matrix", "--signatures", "{tmp}/s.json"], "--vectors", _vector_json(dialects=[]), _json_vectors),
+        (
+            ["stats"], "--matrix",
+            '{"signature_ids": ["S_1"], "vector_ids": ["v1"], "rows": {"S_1": [1], "S_9": [7, 7]}}',
+            matcher.DetectionMatrix.from_json,
+        ),
     ],
     ids=[
         "pipeline", "matrix", "matrix_row_length", "families", "signatures_null",
         "signature_pattern_list", "vector_intent_null", "matrix_id_types", "matrix_row_string",
-        "matrix_duplicate_ids", "vector_dialects_empty",
+        "matrix_duplicate_ids", "vector_dialects_empty", "matrix_stray_row",
     ],
 )
 def test_cli_malformed_json_exits_1(tmp_path, capsys, command, flag, text, parse):
