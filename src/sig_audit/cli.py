@@ -6,6 +6,9 @@ payload mutation, single-category classification).
 
 Exit codes: 0 success, 1 usage error or input or parse failure, 2 when
 findings exist and --fail-on-findings was given.
+
+Each command imports the modules it runs when it runs: ``matrix`` and
+``stats`` load no classifier, structural pass, mutator or report code.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from urllib.parse import quote
 
-from . import classify, corpus as corpus_mod, matcher, mutate, normalize, report, stats, structural
 from .errors import AuditError
 
 
@@ -39,7 +40,9 @@ def _add_shared(parser: argparse.ArgumentParser, matching: bool = True) -> None:
         parser.add_argument("--case-sensitive", action="store_true", help="disable case-insensitive matching")
 
 
-def _run_audit(args) -> report.AuditReport:
+def _run_audit(args):
+    from . import classify, report
+
     families = None
     if args.families is not None:
         families = classify.default_families() + classify.load_families(args.families)
@@ -55,6 +58,8 @@ def _run_audit(args) -> report.AuditReport:
 
 
 def _cmd_audit(args) -> int:
+    from . import report
+
     rep = _run_audit(args)
     sys.stdout.buffer.write(report.render(rep, args.format))
     if args.fail_on_findings and rep.findings:
@@ -63,6 +68,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from . import corpus as corpus_mod, matcher, normalize
+
     corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
     pipeline = normalize.load_pipeline(args.pipeline, args.raw)
     m = matcher.detection_matrix(corpus, pipeline, case_sensitive=args.case_sensitive)
@@ -74,6 +81,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import corpus as corpus_mod, matcher, stats
+
     if args.matrix:
         # the matrix was built already: corpus, pipeline and case mode are its own
         unused = [
@@ -91,6 +100,8 @@ def _cmd_stats(args) -> int:
             args.usage_error(f"--matrix cannot be combined with {', '.join(unused)}")
         m = matcher.DetectionMatrix.from_json(args.matrix.read_text(encoding="utf-8"))
     else:
+        from . import normalize
+
         corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
         pipeline = normalize.load_pipeline(args.pipeline, args.raw)
         m = matcher.detection_matrix(corpus, pipeline, case_sensitive=args.case_sensitive)
@@ -111,6 +122,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_structure(args) -> int:
+    from . import corpus as corpus_mod, structural
+
     corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
     try:
         sig = corpus.signature(args.sig_id)
@@ -140,6 +153,10 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_mutate(args) -> int:
+    from urllib.parse import quote
+
+    from . import mutate
+
     schemes = tuple(mutate.parse_scheme(tok) for tok in args.schemes.split(",")) if args.schemes else mutate.DEFAULT_SCHEMES
     config = mutate.MutationConfig(schemes=schemes, budget=args.budget, seed=args.seed)
     for mutant, _scheme in mutate.generate(args.payload, config):
@@ -148,6 +165,8 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import classify
+
     wanted = None
     if args.only:
         wanted = {tok.strip().lower() for tok in args.only.split(",")}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 import json
 import os
 from collections import namedtuple
@@ -113,6 +112,8 @@ class Corpus(namedtuple("Corpus", "signatures vectors")):
 
     @property
     def fingerprint(self) -> str:
+        import hashlib  # loaded by the commands that fingerprint, not by every import
+
         blob = signatures_to_json(self.signatures) + vectors_to_json(self.vectors)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -266,9 +267,7 @@ def _vectors_from_tsv(text: str) -> list[AttackVector]:
         dialects = dialect_sets.get(dialect_field) or dialect_sets.setdefault(
             dialect_field, _dialects(dialect_field.split(","), vid, lineno)
         )
-        vecs.append(
-            AttackVector(id=vid, target_signature_id=target, payload=payload, intent=intent, dialects=dialects)
-        )
+        vecs.append(AttackVector(vid, target, payload, intent, dialects))
     return vecs
 
 
@@ -285,9 +284,7 @@ def _vectors_from_json(text: str) -> list[AttackVector]:
         key = tuple(tokens)
         intent = intents.get(intent_tok) or intents.setdefault(intent_tok, Intent.from_token(intent_tok))
         dialects = dialect_sets.get(key) or dialect_sets.setdefault(key, _dialects(key, vid))
-        vecs.append(
-            AttackVector(id=vid, target_signature_id=target, payload=payload, intent=intent, dialects=dialects)
-        )
+        vecs.append(AttackVector(vid, target, payload, intent, dialects))
     return vecs
 
 
@@ -295,7 +292,8 @@ def load_corpus(signature_source, vector_source, format: str = "tsv") -> Corpus:
     """Load signatures and vectors, both in ``format``."""
     sigs = load_signatures(signature_source, format=format)
     vecs = load_vectors(vector_source, sigs, format=format)
-    return Corpus(signatures=tuple(sigs), vectors=tuple(vecs))
+    # both loaders checked the ids: build the corpus without a third pass
+    return tuple.__new__(Corpus, (tuple(sigs), tuple(vecs)))
 
 
 def open_corpus(signature_path=None, vector_path=None) -> Corpus:

@@ -43,7 +43,13 @@ on case. A text that is not ASCII stays its own key (``re.IGNORECASE``
 matches the long s to ``s`` and the Kelvin sign to ``k``). One
 ``TextIndex`` can hold several views, a view being a pipeline with or
 without its prefilter; an audit's raw and deployed matrices share one,
-so a rule searches each key once for both.
+so a rule searches each key once for both. The index transforms the
+payloads of each view with ``normalize.apply_all``, which gives
+``apply`` of each payload and runs each transform once per 512
+payloads joined with NUL (a chunk holding a NUL, raw or decoded from
+``%00``, is run again payload by payload), and skips a text of a
+prefiltered view by the prefilter's ``fullmatch``, as
+``normalize.prefilter_pass`` does.
 
 Each rule carries the literals its parse requires (every match contains
 at least one of them), read off the parse when an index first asks for
@@ -666,11 +672,14 @@ class TextIndex:
         fold = not case_sensitive
         position: dict[str, int] = {}
         grouped = {}
+        payloads = [vector.payload for vector in corpus.vectors]
         for pipeline, apply_prefilter in views:
+            # as ``normalize.prefilter_pass``: a text the prefilter fully matches is skipped
+            prefilter = pipeline._prefilter_re if apply_prefilter else None
+            harmless = prefilter.fullmatch if prefilter is not None else None
             texts: dict[str, list[int]] = {}
-            for i, vector in enumerate(corpus.vectors):
-                text = normalize.apply(pipeline, vector.payload)
-                if not apply_prefilter or normalize.prefilter_pass(pipeline, text):
+            for i, text in enumerate(normalize.apply_all(pipeline, payloads)):
+                if harmless is None or harmless(text) is None:
                     texts.setdefault(text, []).append(i)
             columns = grouped[pipeline, apply_prefilter] = {}
             for text, cols in texts.items():

@@ -118,6 +118,25 @@ def test_matrix_oracle_equivalence_small_corpora():
                 )
 
 
+def test_matrix_oracle_equivalence_with_nul_payloads(default_pipeline):
+    # a raw NUL, or one decoded from %00, splits the NUL-joined batch the
+    # pipeline runs over; the columns after it must still get their own texts
+    payloads = ["1 or 1", "x\0union select", "a%00b or 1", "%2500 union%20select", "b", "Union  SELECT", "@a"]
+    sigs = (Signature("S_or", r"or\s+1"), Signature("S_union", r"union\s+select"), Signature("S_b", "b$"))
+    vectors = tuple(
+        AttackVector(f"v{i}", "none", payload, Intent.PROBE, frozenset({Dialect.GENERIC}))
+        for i, payload in enumerate(payloads)
+    )
+    corpus = Corpus(sigs, vectors)
+    for apply_prefilter in (False, True):
+        m = detection_matrix(corpus, default_pipeline, apply_prefilter=apply_prefilter)
+        for v in vectors:
+            text = normalize.apply(default_pipeline, v.payload)
+            forwarded = not apply_prefilter or normalize.prefilter_pass(default_pipeline, text)
+            for s in sigs:
+                assert m.cell(s.id, v.id) == (forwarded and naive_search(s.pattern_source, text)), (s.id, v.payload)
+
+
 def test_every_bundled_vector_detected_by_its_target_raw(corpus, raw_matrix):
     for v in corpus.vectors:
         assert raw_matrix.cell(v.target_signature_id, v.id), v.id

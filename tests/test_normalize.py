@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sig_audit import normalize
 from sig_audit.errors import ParseError
-from sig_audit.normalize import Pipeline, RAW_PIPELINE, apply, prefilter_pass
+from sig_audit.normalize import CHUNK, TRANSFORMS, Pipeline, RAW_PIPELINE, apply, apply_all, prefilter_pass
 
 PAYLOADS = st.text(
     alphabet="abcXYZ0129 \t;'\"()=<>#-/%@.\xa0", min_size=0, max_size=30
@@ -112,3 +112,32 @@ def test_quoted_digit_simplify_only_touches_digit_spans(payload):
 @given(PAYLOADS)
 def test_empty_transform_list_identity(payload):
     assert apply(RAW_PIPELINE, payload) == payload
+
+
+# Pieces that meet each transform at a chunk's NUL separators: raw and
+# encoded NULs (a decoded %00 splits a payload), a double encoding, a lone
+# %, hex digits, nbsp, whitespace runs, quoted digits, the final sigma
+# (lowercased by its neighbours) and a capital that lowercases to two
+# characters.
+_PIECES = ["\0", "%00", "%2500", "%", "0", "a", "F", "\xa0", " ", "  ", "\n", "\t", "'", '"', "1", "Σ", "İ", "X", ";"]
+_BATCH_PAYLOADS = st.lists(st.sampled_from(_PIECES), max_size=8).map("".join)
+_PAYLOAD_LISTS = st.one_of(
+    st.lists(_BATCH_PAYLOADS, max_size=12),
+    # past one chunk: drawn payloads before and after a run of filler
+    st.tuples(
+        st.lists(_BATCH_PAYLOADS, max_size=6),
+        st.integers(CHUNK - 8, 2 * CHUNK + 8),
+        st.sampled_from(["", "Ab", "x  Σ"]),
+        st.lists(_BATCH_PAYLOADS, max_size=6),
+    ).map(lambda t: t[0] + [t[2]] * t[1] + t[3]),
+)
+_ORDERED_SUBSETS = st.permutations(list(TRANSFORMS)).flatmap(
+    lambda names: st.integers(0, len(names)).map(lambda k: tuple(names[:k]))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ORDERED_SUBSETS, _PAYLOAD_LISTS)
+def test_apply_all_equals_apply_per_payload(transforms, payloads):
+    p = Pipeline(transforms=transforms)
+    assert apply_all(p, payloads) == [apply(p, payload) for payload in payloads]

@@ -1,12 +1,14 @@
 """The records are named tuples: what they keep of a frozen record's
 contract, and what importing the package loads."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import sig_audit
 from sig_audit import matcher, normalize
 from sig_audit.classify import RelatedOperatorFamily
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
@@ -16,18 +18,51 @@ from sig_audit.mutate import MutationConfig
 from sig_audit.structural import PatternTable, bounded_specials, expand_subrules, extract_operators
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# stdlib modules the records once pulled in, OpenSSL's hashlib (only for the
+# fingerprints), and the package modules that no matrix command runs
+HEAVY_MODULES = (
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+    "tokenize",
+    "hashlib",
+    "sig_audit.classify",
+    "sig_audit.structural",
+    "sig_audit.mutate",
+    "sig_audit.report",
+)
+PROBES = {
+    "cli": "import sig_audit.cli",
+    "corpus": "import sig_audit; from sig_audit import corpus",
+    "stats-matrix": "from sig_audit.cli import main; assert main(['stats', '--matrix', sys.argv[2]]) == 0",
+}
 
 
-def test_importing_the_cli_loads_no_heavy_stdlib_modules():
+@pytest.mark.parametrize("statement", PROBES.values(), ids=PROBES.keys())
+def test_importing_the_cli_loads_no_heavy_stdlib_modules(statement, corpus, default_pipeline, tmp_path):
+    exported = tmp_path / "matrix.json"
+    exported.write_text(detection_matrix(corpus, default_pipeline).to_json(), encoding="utf-8")
     # -S: no site packages, so only what sig_audit itself imports is loaded
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import sig_audit.cli; "
-        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+        f"import sys; sys.path.insert(0, sys.argv[1]); {statement}; "
+        f"print('loaded:', *(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
     )
-    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC), str(exported)], capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+def test_package_names_are_their_modules_objects():
+    for name in sig_audit.__all__:
+        value = getattr(sig_audit, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+        assert name in dir(sig_audit)
+    assert set(sig_audit.__all__) >= {"run_audit", "detection_matrix", "apply_all", "load_corpus"}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sig_audit.no_such_name
 
 
 def test_bounds_from_two_tables_compare_equal_without_their_charsets(corpus):
