@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="print url-encoded mutants of a payload")
     p.add_argument("--payload", required=True)
-    p.add_argument("--schemes", help="comma list, e.g. case_toggle,comment_inject")
+    p.add_argument("--schemes", help="comma list, e.g. case_toggle,comment_inject,bounded_repeat=(:3")
     p.add_argument("--budget", type=int, default=32)
     p.add_argument("--seed", type=int, default=0, help="PRNG seed for the case-toggle mutants")
     p.set_defaults(func=_cmd_mutate)

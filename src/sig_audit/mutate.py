@@ -70,6 +70,13 @@ DEFAULT_SCHEMES = (
 )
 
 
+# The largest repeat count a mutant may reach: a ``bounded_repeat``
+# scheme repeats its character at most this many times, and an audit
+# does not probe a bound that only a longer run exceeds (a rule's cap
+# would otherwise set the length, and the cost, of every mutant).
+MAX_REPEAT_COUNT = 4096
+
+
 def bounded_repeat(char: str, count: int) -> MutationScheme:
     return MutationScheme(
         "bounded_repeat",
@@ -80,11 +87,20 @@ def bounded_repeat(char: str, count: int) -> MutationScheme:
 
 
 def parse_scheme(token: str) -> MutationScheme:
-    """Parse a CLI scheme token, e.g. ``case_toggle`` or ``bounded_repeat=(:3``."""
+    """Parse a CLI scheme token, e.g. ``case_toggle`` or ``bounded_repeat=(:3``.
+
+    ``bounded_repeat=C:N`` repeats C, which is ``(`` (the default), ``)``
+    or one whitespace character, to a run of N (default 2), from 2 to
+    ``MAX_REPEAT_COUNT``; anything else raises ``ValueError``.
+    """
     if token.startswith("bounded_repeat="):
-        spec = token.split("=", 1)[1]
-        char, _, count = spec.partition(":")
-        return bounded_repeat(char or "(", int(count) if count else 2)
+        char, _, count = token.split("=", 1)[1].partition(":")
+        char, count = char or "(", count or "2"
+        if len(char) != 1 or not (char in "()" or char.isspace()):
+            raise ValueError(f"bounded_repeat repeats '(', ')' or one whitespace character, not {char!r}")
+        if not (count.isdecimal() and 2 <= int(count) <= MAX_REPEAT_COUNT):
+            raise ValueError(f"bounded_repeat count must be an integer from 2 to {MAX_REPEAT_COUNT}, not {count!r}")
+        return bounded_repeat(char, int(count))
     named = {s.kind: s for s in DEFAULT_SCHEMES}
     if token not in named:
         raise ValueError(f"unknown mutation scheme: {token!r}")

@@ -14,7 +14,7 @@ import json
 from collections import namedtuple
 
 from . import __version__ as VERSION
-from . import classify, corpus as corpus_mod, matcher, normalize, stats, structural
+from . import classify, corpus as corpus_mod, matcher, mutate, normalize, stats, structural
 from .classify import AuditFinding, Label
 from .corpus import Corpus
 from .errors import IndeterminateExpansion, ParseError
@@ -200,10 +200,13 @@ def run_audit(
     Each rule is analysed once: its pattern is parsed once
     (``Signature.tree``) and compiled from that parse, and the parse tree
     feeds every structural pass. One pattern table holds the audit's
-    rules, sub-rules and atoms, so each distinct source is parsed once
-    and compiled at most once, however many rules share it, and each
-    distinct atom has one charset, which operator extraction, bound
-    analysis and the ASCII folds of case-insensitive rules share. Two
+    rules, sub-rules and atoms, and rules and sub-rules alike compile
+    through it, so each distinct source is parsed once and compiled at
+    most once, however many rules share it, and each distinct atom has
+    one charset, which operator extraction, bound analysis and the ASCII
+    folds of case-insensitive rules share. A bound whose probe would
+    repeat a character more than ``mutate.MAX_REPEAT_COUNT`` times is not
+    probed; a note names it. Two
     matrices are built, raw and deployed, over one text index, so a rule
     searches each distinct text once for both. The deployed matrix gives
     one bypass set, which the report lists and the inconsistency
@@ -224,11 +227,11 @@ def run_audit(
 
     # the rules, sub-rules and atoms of this audit, each parsed once;
     # operator extraction builds the charset of each atom of the rules,
-    # whose folds the rules then read when they compile
+    # whose folds the rules then read when they compile, one compile per
+    # source: rules sharing a source share it and its searches
     patterns = structural.PatternTable(corpus.signatures)
     operators = [structural.extract_operators(sig, tokens, patterns) for sig in corpus.signatures]
-    compiled = [matcher.compile_signature(sig, case_sensitive, patterns.fold_atom) for sig in corpus.signatures]
-    patterns.keep(corpus.signatures, compiled)
+    compiled = [patterns.compiled(sig.pattern_source, sig.id, case_sensitive) for sig in corpus.signatures]
     # one index for both matrices, so each rule searches each key once;
     # the per-rule passes do not read it, so it is dropped before them
     # and stays out of the audit's peak memory
@@ -275,9 +278,20 @@ def run_audit(
         except IndeterminateExpansion:
             notes.append(f"{sig.id}: sub-rule expansion hit caps, semi-relevance not classified")
 
-        bounds = structural.bounded_specials(sig, patterns)
+        bounds = []
+        for bound in structural.bounded_specials(sig, patterns):
+            if bound.max_occurrences + 1 > mutate.MAX_REPEAT_COUNT:
+                notes.append(
+                    f"{sig.id}: bound {bound.char_class} at {bound.position} not probed, "
+                    f"exceeding it takes more than the probe cap of {mutate.MAX_REPEAT_COUNT} repeats"
+                )
+            else:
+                bounds.append(bound)
         if bounds:
             seeds = [corpus.vectors[i] for i in matcher.bit_indices(row)]
+            # a rule sharing an earlier rule's source reports under its own id
+            if compiled_sig.signature_id != sig.id:
+                compiled_sig = compiled_sig._replace(signature_id=sig.id)
             finding = classify.probe_susceptible(compiled_sig, seeds, bounds)
             if finding:
                 findings.append(finding)

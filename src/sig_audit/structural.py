@@ -16,11 +16,13 @@ Three views of a rule:
   parentheses, quotes).
 
 A ``PatternTable`` lets the passes of one audit share their patterns:
-each distinct sub-rule source is parsed once and compiled at most once
-per case mode, a sub-rule spelled like a rule reuses the rule's, each
+rules and sub-rules compile through it, so each distinct source is
+parsed once and compiled at most once per case mode (rules sharing a
+source, or a sub-rule spelled like a rule, share one compile), each
 distinct source is scanned once for expansion and bound analysis, and
 each distinct atom has one charset, which operator extraction and bound
-analysis both read.
+analysis both read. Every parse, an atom's included, goes through
+``matcher.parse_pattern``.
 """
 
 from __future__ import annotations
@@ -28,17 +30,9 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-try:
-    from re import _constants as sre_constants
-    from re import _parser as sre_parse
-except ImportError:  # pragma: no cover
-    import sre_constants
-    import sre_parse
-
 from .corpus import Signature
 from .errors import RegexDialectError
-# parse_pattern stays bound here: perfbench/trace.py checks that its wrapper replaces it
-from .matcher import CompiledSignature, ascii_class, atom_key, compile_atom, compile_signature, parse_pattern  # noqa: F401
+from .matcher import CompiledSignature, ascii_class, atom_key, compile_atom, compile_signature, parse_pattern, sre_constants
 
 # Characters usable an unbounded number of times in an attack payload
 # without changing what the query does.
@@ -155,22 +149,24 @@ class _CharSet:
 # the patterns of one audit
 
 class PatternTable:
-    """The patterns of one audit: each distinct sub-rule source is parsed
-    and checked once and compiled at most once per case mode, through
-    one ``Signature``, each distinct source is span-scanned once, and
-    each distinct atom has one charset.
+    """The patterns of one audit: each distinct rule or sub-rule source
+    is parsed and checked once and compiled at most once per case mode,
+    through one ``Signature``, each distinct source is span-scanned
+    once, and each distinct atom has one charset.
 
-    Seeded with the audit's rules, and given their compiled forms with
-    ``keep``, so a sub-rule spelled like a rule needs no parse or code
-    of its own. A sub-rule's parse is handed to its compiled form. Atoms
-    are keyed by parse node, so a rule's atom and the same atom
-    quantified share one charset and its cached moves, and a
-    case-insensitive rule or sub-rule folds each atom through it. A
-    source's scan serves every pass and rule that reaches it: bound
-    analysis reads the scan that expansion made of its rule, and a
-    sub-rule spliced by several rules is scanned for the first. The
-    table lives as long as the audit that made it; a standalone pass
-    without one uses a fresh table.
+    Seeded with the audit's rules, which compile through ``compiled``
+    as sub-rules do, so rules that share a source share one compile
+    (carrying the first rule's id), and a sub-rule spelled like a rule
+    needs no parse or code of its own. A source's parse is handed to its
+    compiled form. Atoms are keyed by parse node, so a rule's atom and
+    the same atom quantified share one charset and its cached moves, and
+    a case-insensitive rule or sub-rule folds each atom through it; the
+    atom a bound caps is parsed by ``parse_pattern``. A source's scan
+    serves every pass and rule that reaches it: bound analysis reads the
+    scan that expansion made of its rule, and a sub-rule spliced by
+    several rules is scanned for the first. The table lives as long as
+    the audit that made it; a standalone pass without one uses a fresh
+    table.
     """
 
     def __init__(self, signatures=()):
@@ -181,13 +177,6 @@ class PatternTable:
         # keyed by atom node, and by quantified-atom source (None: no atom)
         self._atoms: dict[tuple | str, _CharSet | None] = {}
         self._scans: dict[str, tuple] = {}
-
-    def keep(self, signatures, compiled) -> None:
-        """Hold ``compiled``, the compiled forms of ``signatures`` in order,
-        for the sub-rules spelled like them; the first rule of a source
-        is kept."""
-        for sig, found in zip(signatures, compiled):
-            self._compiled.setdefault((sig.pattern_source, not found.case_insensitive), found)
 
     def check(self, source: str, signature_id: str) -> None:
         """Parse ``source`` and check its dialect, once per table."""
@@ -227,13 +216,11 @@ class PatternTable:
         return self.atom(node).ascii
 
     def charset(self, atom_source: str) -> _CharSet | None:
-        """``atom`` of the one node ``atom_source`` parses to, parsed once;
-        None when it does not parse to one literal, class or dot."""
+        """``atom`` of the one node ``atom_source`` parses to, parsed once
+        by ``parse_pattern`` (a source outside the dialect raises); None
+        when it does not parse to one literal, class or dot."""
         if atom_source not in self._atoms:
-            try:
-                tree = sre_parse.parse(atom_source)
-            except Exception:
-                tree = ()
+            tree = parse_pattern(atom_source)
             atomic = len(tree) == 1 and tree[0][0] in _ATOM_OPS
             self._atoms[atom_source] = self.atom(tree[0]) if atomic else None
         return self._atoms[atom_source]

@@ -533,7 +533,7 @@ def test_literals_are_walked_only_for_rules_an_index_searches(monkeypatch, corpu
     # sub-rules compile for semi-relevance and never reach an index
     rule = corpus.signature("S_52")
     patterns = PatternTable([rule])
-    patterns.keep([rule], [compile_signature(rule, fold_atom=patterns.fold_atom)])
+    patterns.compiled(rule.pattern_source, rule.id)
     subs = expand_subrules(rule, patterns)
     assert classify_semirelevant(subs, logical_payloads(corpus), patterns=patterns)
     assert walks == []

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from sig_audit.mutate import (
     DEFAULT_SCHEMES,
+    MAX_REPEAT_COUNT,
     MutationConfig,
     bounded_repeat,
     generate,
@@ -50,6 +51,40 @@ def test_parse_scheme_tokens():
     assert (s.kind, s.char, s.count) == ("bounded_repeat", "(", 3)
     with pytest.raises(ValueError):
         parse_scheme("nonsense")
+
+
+@pytest.mark.parametrize(
+    "token, char, count",
+    [
+        ("bounded_repeat=", "(", 2),
+        ("bounded_repeat=):5", ")", 5),
+        ("bounded_repeat= :2", " ", 2),
+        ("bounded_repeat=\t", "\t", 2),
+        (f"bounded_repeat=(:{MAX_REPEAT_COUNT}", "(", MAX_REPEAT_COUNT),
+    ],
+)
+def test_parse_scheme_bounded_repeat(token, char, count):
+    assert parse_scheme(token) == bounded_repeat(char, count)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "bounded_repeat=ab:3",
+        "bounded_repeat=x:3",
+        "bounded_repeat=():3",
+        "bounded_repeat= :-3",
+        "bounded_repeat=(:0",
+        "bounded_repeat=(:1",
+        "bounded_repeat=(:zz",
+        "bounded_repeat=(:3.5",
+        f"bounded_repeat=(:{MAX_REPEAT_COUNT + 1}",
+        "bounded_repeat= :10000000000",
+    ],
+)
+def test_parse_scheme_rejects_malformed_bounded_repeat(token):
+    with pytest.raises(ValueError, match="bounded_repeat"):
+        parse_scheme(token)
 
 
 def test_comment_inject_not_normalizable():

@@ -132,6 +132,79 @@ def test_render_text_keeps_each_note_on_one_line():
     assert json.loads(render(rep, "json"))["notes"] == [note]
 
 
+@pytest.mark.parametrize("past_cap", [False, True])
+def test_audit_does_not_probe_a_bound_past_the_probe_cap(monkeypatch, past_cap):
+    from sig_audit import mutate
+
+    cap = mutate.MAX_REPEAT_COUNT
+    reached = set()
+    real = mutate._bounded_repeat
+
+    def guarded(payload, char, count):
+        if count > cap:  # never build the run
+            raise AssertionError(f"a probe reached {count} repeats")
+        reached.add(count)
+        return real(payload, char, count)
+
+    monkeypatch.setattr(mutate, "_bounded_repeat", guarded)
+    # a bound of cap - 1 is probed with runs of the cap; S_2 shows the guard is reached
+    hi = 30_000_000 if past_cap else cap - 1
+    c = Corpus(
+        (Signature("S_1", rf"or\s{{0,{hi}}}1"), Signature("S_2", r"or\s{0,1}1")),
+        (AttackVector("v1", "S_1", "x or 1", Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC})),),
+    )
+    rep = run_audit(corpus=c, raw=True)
+    susceptible = {f.signature_id for f in rep.findings if f.label is Label.SUSCEPTIBLE}
+    note = f"S_1: bound \\s at 2 not probed, exceeding it takes more than the probe cap of {cap} repeats"
+    if past_cap:
+        assert (susceptible, note in rep.notes, reached) == ({"S_2"}, True, {2})
+    else:
+        assert (susceptible, note in rep.notes, reached) == ({"S_1", "S_2"}, False, {2, cap})
+
+
+def test_rules_sharing_a_source_compile_and_search_once(monkeypatch):
+    """Two rules on one pattern, and a third whose sub-rule is that
+    pattern: the pattern is compiled once per case mode and searched
+    once, and each rule's findings carry its own id."""
+    source = r"or\s{0,1}1"
+    c = Corpus(
+        (Signature("S_1", source), Signature("S_2", source), Signature("S_3", rf"(?:{source}|zzz)")),
+        tuple(
+            AttackVector(f"v{i}", "S_1", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for i, p in enumerate(["x or 1", "y OR 1"])
+        ),
+    )
+    compiled, searched = [], []
+    compile_ = structural.compile_signature
+    candidates = matcher.TextIndex.candidates
+
+    def counting_compile(sig, *args):
+        compiled.append(sig.pattern_source)
+        return compile_(sig, *args)
+
+    def counting_candidates(index, found):
+        searched.append(found.signature_id)
+        return candidates(index, found)
+
+    monkeypatch.setattr(structural, "compile_signature", counting_compile)
+    monkeypatch.setattr(matcher.TextIndex, "candidates", counting_candidates)
+    for case_sensitive in (False, True):
+        compiled.clear()
+        searched.clear()
+        rep = run_audit(corpus=c, raw=True, case_sensitive=case_sensitive)
+        assert compiled.count(source) == 1
+        assert sorted(searched) == ["S_1", "S_3"]
+        by_label = {}
+        for f in rep.findings:
+            by_label.setdefault(f.label, []).append((f.signature_id, f.evidence.get("duplicate_of")))
+        assert by_label[Label.INCOMPLETE] == [("S_1", None), ("S_2", None), ("S_3", None)]
+        assert by_label[Label.SUSCEPTIBLE] == [("S_1", None), ("S_2", None), ("S_3", None)]
+        assert by_label[Label.REDUNDANT] == [("S_2", "S_1"), ("S_3", "S_1"), ("S_3", "S_2")]
+        assert by_label[Label.SEMI_RELEVANT] == [("S_3", None)]
+        witnesses = [f.evidence["witnesses"] for f in rep.findings if f.label is Label.SUSCEPTIBLE]
+        assert witnesses[0] == witnesses[1] == witnesses[2]
+
+
 def test_render_empty_report():
     from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 
@@ -226,7 +299,9 @@ def test_cli_family_member_whose_case_swap_is_two_characters(tmp_path, capsys):
 
 def test_audit_analyses_each_rule_once(monkeypatch, corpus):
     """One audit builds two matrices, compiles each rule once and parses
-    each rule's source once, loading included."""
+    each rule's source once, loading included. Rules and sub-rules
+    compile through the pattern table's binding, and no source is
+    compiled twice."""
     calls = {"detection_matrix": [], "compile_signature": [], "parse_pattern": []}
 
     def counting(fn):
@@ -239,14 +314,17 @@ def test_audit_analyses_each_rule_once(monkeypatch, corpus):
     compile_ = counting(matcher.compile_signature)
     monkeypatch.setattr(matcher, "compile_signature", compile_)
     monkeypatch.setattr(classify, "compile_signature", compile_)
+    monkeypatch.setattr(structural, "compile_signature", compile_)
     parse = counting(matcher.parse_pattern)
     monkeypatch.setattr(matcher, "parse_pattern", parse)
     monkeypatch.setattr(structural, "parse_pattern", parse)
 
     run_audit()
     assert len(calls["detection_matrix"]) == 2
-    compiled = sorted(args[0].id for args in calls["compile_signature"])
-    assert compiled == sorted(s.id for s in corpus.signatures)
+    compiled = [args[0].pattern_source for args in calls["compile_signature"]]
+    assert len(compiled) == len(set(compiled))
+    for s in corpus.signatures:
+        assert compiled.count(s.pattern_source) == 1, s.id
     for s in corpus.signatures:
         assert calls["parse_pattern"].count((s.pattern_source, s.id)) == 1, s.id
 
@@ -485,6 +563,15 @@ def test_cli_mutate(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "union%2F%2A%2A%2Fselect" in out.splitlines()  # url-encoded mutants
+
+
+@pytest.mark.parametrize("scheme", ["bounded_repeat=ab:3", "bounded_repeat=x:3", "bounded_repeat= :-3", "bounded_repeat=(:0"])
+def test_cli_mutate_malformed_scheme_exits_1(scheme, capsys):
+    rc = cli.main(["mutate", "--payload", "a (b) c", "--schemes", scheme])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("sig-audit: error: bounded_repeat ")
 
 
 def test_cli_matrix_and_stats(tmp_path, capsys):
