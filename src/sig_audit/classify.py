@@ -218,7 +218,10 @@ def probe_susceptible(
     A rule is susceptible when a semantics-preserving mutant that only
     repeats a freely repeatable character escapes it; mutants are matched
     raw, in the case mode ``compiled`` was compiled in. One witness is
-    kept per (bound, first escaping seed).
+    kept per (bound, first escaping seed). ``bounds`` are the
+    ``structural.bounded_specials`` of one rule, whose id the finding
+    carries, and ``compiled`` is a compile of its source. A bound past
+    ``mutate.MAX_REPEAT_COUNT`` gets no mutant.
     """
     if not detected or not bounds:
         return None
@@ -251,7 +254,7 @@ def probe_susceptible(
     if not witnesses:
         return None
     return AuditFinding(
-        signature_id=compiled.signature_id,
+        signature_id=bounds[0].signature_id,
         label=Label.SUSCEPTIBLE,
         evidence={"bounds": exploited, "witnesses": witnesses},
     )

@@ -157,7 +157,9 @@ def _cmd_mutate(args) -> int:
 
     from . import mutate
 
-    schemes = tuple(mutate.parse_scheme(tok) for tok in args.schemes.split(",")) if args.schemes else mutate.DEFAULT_SCHEMES
+    schemes = mutate.DEFAULT_SCHEMES
+    if args.schemes is not None:  # an empty list is an empty token, which is an error
+        schemes = tuple(mutate.parse_scheme(tok) for tok in args.schemes.split(","))
     config = mutate.MutationConfig(schemes=schemes, budget=args.budget, seed=args.seed)
     for mutant, _scheme in mutate.generate(args.payload, config):
         sys.stdout.write(quote(mutant, safe="") + "\n")

@@ -345,20 +345,19 @@ def _selectivity(literals: frozenset[str]) -> tuple[int, int]:
     return min(map(len, literals)), -len(literals)
 
 
-class CompiledSignature(namedtuple("CompiledSignature", "signature_id pattern case_insensitive")):
-    """A rule ready to search. ``pattern`` is the search form, and under
+class CompiledSignature:
+    """A pattern source ready to search, compiled from ``tree``, its
+    parse as written. ``pattern`` is the search form, and under
     case-insensitive matching its ASCII fold (without flags), which
-    searches the keys that are ASCII. ``tree``, the parse as written, is
-    kept beside the fields: it is neither compared nor shown."""
+    searches the keys that are ASCII.
 
-    def __new__(cls, signature_id, pattern, case_insensitive, tree):
-        self = super().__new__(cls, signature_id, pattern, case_insensitive)
-        self.tree = tree
-        return self
+    A compile is compared by identity: two sources whose folds compile
+    to equal code (``é`` and ``[é-ü]`` both fold to an empty ASCII
+    class) still differ on a key that is not ASCII, so a cache keyed by
+    compile keeps one entry for each."""
 
-    def _replace(self, **changes):
-        """A copy with ``changes``, holding the same parse."""
-        return type(self)(**{**self._asdict(), "tree": self.tree, **changes})
+    def __init__(self, pattern, case_insensitive, tree):
+        self.pattern, self.case_insensitive, self.tree = pattern, case_insensitive, tree
 
     @functools.cached_property
     def literals(self) -> frozenset[str]:
@@ -410,7 +409,6 @@ def compile_signature(signature, case_sensitive: bool = False, fold_atom=ascii_c
     tree = signature.tree  # parses and checks the dialect on first use
     form = search_form(tree)
     return CompiledSignature(
-        signature_id=signature.id,
         pattern=sre_compile.compile(form if case_sensitive else ascii_fold(form, fold_atom), 0),
         case_insensitive=not case_sensitive,
         tree=tree,
@@ -662,8 +660,8 @@ class TextIndex:
     The index keeps one NUL-joined precheck buffer of the keys, where a
     key that is not ASCII stands as an empty part and is always searched
     when folding; the mask of the keys holding each literal, a bit set
-    over key positions; and for each rule the keys it matches, searched
-    on first use and reused by every view.
+    over key positions; and for each compile (by identity) the keys it
+    matches, searched on first use and reused by every view.
     """
 
     def __init__(self, corpus, views, case_sensitive: bool = False):
@@ -729,7 +727,7 @@ class TextIndex:
         found = self._hits.get(compiled)
         if found is None:
             if compiled.case_insensitive == self.case_sensitive:
-                raise ValueError(f"{compiled.signature_id} is compiled in the other case mode than the text index")
+                raise ValueError("a rule is compiled in the other case mode than the text index")
             keys, candidates = self.keys, self.candidates(compiled)
             if self._unchecked:  # a key that is not ASCII is searched in ``ignorecase``
                 found = [k for k in candidates if compiled.search(keys[k])]

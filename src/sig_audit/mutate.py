@@ -15,8 +15,6 @@ import random
 import re
 from collections import namedtuple
 
-from .structural import QuantifierBound
-
 _SQL_KEYWORDS = frozenset(
     {
         "select", "union", "insert", "update", "delete", "drop", "alter",
@@ -71,9 +69,10 @@ DEFAULT_SCHEMES = (
 
 
 # The largest repeat count a mutant may reach: a ``bounded_repeat``
-# scheme repeats its character at most this many times, and an audit
-# does not probe a bound that only a longer run exceeds (a rule's cap
-# would otherwise set the length, and the cost, of every mutant).
+# scheme repeats its character at most this many times, and
+# ``targeted_repeats`` makes no mutant for a bound that only a longer run
+# exceeds (a rule's cap would otherwise set the length, and the cost, of
+# every mutant).
 MAX_REPEAT_COUNT = 4096
 
 
@@ -288,22 +287,28 @@ def generate(payload: str, config: MutationConfig | None = None) -> list[tuple[s
     return out
 
 
-_REPEAT_ORDER = (" ", "\t", "(", ")")
+def _past_cap(bound) -> bool:
+    """Whether exceeding ``bound`` takes a run longer than ``MAX_REPEAT_COUNT``."""
+    return bound.max_occurrences + 1 > MAX_REPEAT_COUNT
 
 
-def targeted_repeats(payload: str, bound: QuantifierBound) -> list[tuple[str, MutationScheme]]:
-    """Mutants that exceed one finite quantifier bound.
+def targeted_repeats(payload: str, bound) -> list[tuple[str, MutationScheme]]:
+    """Mutants that exceed one finite quantifier bound, a
+    ``structural.QuantifierBound``.
 
-    Repeats a repeatable character from the bound's class past its cap:
+    Repeats each of the bound's ``repeatable`` characters past its cap:
     parenthesis pairs are wrapped (balanced) and whitespace runs are
     extended in place. Quote bounds have no safe insertion site and
     yield nothing. A class holding both parentheses wraps once, under
-    the ``(`` scheme.
+    the ``(`` scheme. A bound that only a run longer than
+    ``MAX_REPEAT_COUNT`` exceeds yields nothing.
     """
+    if _past_cap(bound):
+        return []
     count = bound.max_occurrences + 1
     out: list[tuple[str, MutationScheme]] = []
-    for char in _REPEAT_ORDER:
-        if not bound.charset.contains(char) or char == ")" and bound.charset.contains("("):
+    for char in bound.repeatable:
+        if char == ")" and "(" in bound.repeatable:
             continue
         scheme = bounded_repeat(char, count)
         for mutant in _bounded_repeat(payload, char, count):

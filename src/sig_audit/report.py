@@ -204,9 +204,11 @@ def run_audit(
     through it, so each distinct source is parsed once and compiled at
     most once, however many rules share it, and each distinct atom has
     one charset, which operator extraction, bound analysis and the ASCII
-    folds of case-insensitive rules share. A bound whose probe would
-    repeat a character more than ``mutate.MAX_REPEAT_COUNT`` times is not
-    probed; a note names it. Two
+    folds of case-insensitive rules share. A compile belongs to its
+    source, and a rule's Susceptible finding carries the id of the rule
+    its bounds were read from. A bound whose probe would repeat a
+    character more than ``mutate.MAX_REPEAT_COUNT`` times gets no mutant
+    from ``mutate.targeted_repeats``; a note names it. Two
     matrices are built, raw and deployed, over one text index, so a rule
     searches each distinct text once for both. The deployed matrix gives
     one bypass set, which the report lists and the inconsistency
@@ -278,20 +280,14 @@ def run_audit(
         except IndeterminateExpansion:
             notes.append(f"{sig.id}: sub-rule expansion hit caps, semi-relevance not classified")
 
-        bounds = []
-        for bound in structural.bounded_specials(sig, patterns):
-            if bound.max_occurrences + 1 > mutate.MAX_REPEAT_COUNT:
-                notes.append(
-                    f"{sig.id}: bound {bound.char_class} at {bound.position} not probed, "
-                    f"exceeding it takes more than the probe cap of {mutate.MAX_REPEAT_COUNT} repeats"
-                )
-            else:
-                bounds.append(bound)
+        bounds = structural.bounded_specials(sig, patterns)
+        for bound in filter(mutate._past_cap, bounds):
+            notes.append(
+                f"{sig.id}: bound {bound.char_class} at {bound.position} not probed, "
+                f"exceeding it takes more than the probe cap of {mutate.MAX_REPEAT_COUNT} repeats"
+            )
         if bounds:
             seeds = [corpus.vectors[i] for i in matcher.bit_indices(row)]
-            # a rule sharing an earlier rule's source reports under its own id
-            if compiled_sig.signature_id != sig.id:
-                compiled_sig = compiled_sig._replace(signature_id=sig.id)
             finding = classify.probe_susceptible(compiled_sig, seeds, bounds)
             if finding:
                 findings.append(finding)

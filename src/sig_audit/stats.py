@@ -70,28 +70,13 @@ def contribution(matrix: DetectionMatrix) -> ContributionProfile:
     return ContributionProfile(entries=tuple(entries), total_vectors=total)
 
 
-def partition(
-    matrix: DetectionMatrix,
-    threshold: int | None = None,
-    ids: list[str] | None = None,
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Split signatures into sets A and B.
-
-    With an explicit id list, A is the list and B the rest. With a
-    threshold, A holds the signatures detecting at least that many
-    vectors.
-    """
+def partition(matrix: DetectionMatrix, ids: list[str]) -> tuple[frozenset[str], frozenset[str]]:
+    """Split signatures into sets A, the ``ids``, and B, the rest."""
     all_ids = set(matrix.signature_ids)
-    if ids is not None:
-        for sid in ids:
-            if sid not in all_ids:
-                raise UnknownId(sid)
-        a = frozenset(ids)
-        return a, frozenset(all_ids - a)
-    if threshold is None or threshold < 1:
-        raise ValueError("need a positive threshold or an explicit id list")
-    counts = matrix.row_counts()
-    a = frozenset(sid for sid in matrix.signature_ids if counts[sid] >= threshold)
+    for sid in ids:
+        if sid not in all_ids:
+            raise UnknownId(sid)
+    a = frozenset(ids)
     return a, frozenset(all_ids - a)
 
 

@@ -13,15 +13,17 @@ Three views of a rule:
   groups, giving the individual criteria a rule ORs together;
 * quantifier bounds, from the span scan of the source: finitely capped
   atoms over characters an attacker may repeat freely (whitespace,
-  parentheses, quotes).
+  parentheses, quotes), each a plain value that names the repeatable
+  characters its atom matches.
 
 A ``PatternTable`` lets the passes of one audit share their patterns:
 rules and sub-rules compile through it, so each distinct source is
 parsed once and compiled at most once per case mode (rules sharing a
-source, or a sub-rule spelled like a rule, share one compile), each
-distinct source is scanned once for expansion and bound analysis, and
-each distinct atom has one charset, which operator extraction and bound
-analysis both read. Every parse, an atom's included, goes through
+source, or a sub-rule spelled like a rule, share one compile, which
+belongs to the source and names no rule), each distinct source is
+scanned once for expansion and bound analysis, and each distinct atom
+has one charset, which operator extraction and bound analysis both
+read. Every parse, an atom's included, goes through
 ``matcher.parse_pattern``.
 """
 
@@ -36,7 +38,7 @@ from .matcher import CompiledSignature, ascii_class, atom_key, compile_atom, com
 
 # Characters usable an unbounded number of times in an attack payload
 # without changing what the query does.
-DEFAULT_REPEATABLE = frozenset(" \t()'\"")
+DEFAULT_REPEATABLE = " \t()'\""
 
 # The operator tokens looked for when none are given. A token of word
 # characters only needs token boundaries; any other token is matched
@@ -57,19 +59,14 @@ class SubRuleSet(namedtuple("SubRuleSet", "signature_id subrules expansion_compl
     __slots__ = ()
 
 
-class QuantifierBound(namedtuple("QuantifierBound", "signature_id position char_class max_occurrences")):
-    """A finitely capped atom over repeatable characters. ``charset``,
-    the parsed ``char_class``, is kept beside the fields: it is neither
-    compared, shown nor exported."""
+class QuantifierBound(
+    namedtuple("QuantifierBound", "signature_id position char_class max_occurrences repeatable")
+):
+    """A finitely capped atom over repeatable characters: ``repeatable``
+    holds the characters of ``DEFAULT_REPEATABLE`` the atom matches, in
+    the order of that constant."""
 
-    def __new__(cls, signature_id, position, char_class, max_occurrences, charset):
-        self = super().__new__(cls, signature_id, position, char_class, max_occurrences)
-        self.charset = charset
-        return self
-
-    def _replace(self, **changes):
-        """A copy with ``changes``, holding the same charset."""
-        return type(self)(**{**self._asdict(), "charset": self.charset, **changes})
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +152,13 @@ class PatternTable:
     once, and each distinct atom has one charset.
 
     Seeded with the audit's rules, which compile through ``compiled``
-    as sub-rules do, so rules that share a source share one compile
-    (carrying the first rule's id), and a sub-rule spelled like a rule
-    needs no parse or code of its own. A source's parse is handed to its
-    compiled form. Atoms are keyed by parse node, so a rule's atom and
-    the same atom quantified share one charset and its cached moves, and
-    a case-insensitive rule or sub-rule folds each atom through it; the
-    atom a bound caps is parsed by ``parse_pattern``. A source's scan
+    as sub-rules do, so rules that share a source share one compile, and
+    a sub-rule spelled like a rule needs no parse or code of its own. A
+    source's parse is handed to its compiled form. Atoms are keyed by
+    parse node, so a rule's atom and the same atom quantified share one
+    charset and its cached moves, and a case-insensitive rule or
+    sub-rule folds each atom through it; the atom a bound caps is parsed
+    by ``parse_pattern``. A source's scan
     serves every pass and rule that reaches it: bound analysis reads the
     scan that expansion made of its rule, and a sub-rule spliced by
     several rules is scanned for the first. The table lives as long as
@@ -564,7 +561,8 @@ def bounded_specials(signature, patterns: PatternTable | None = None) -> list[Qu
     An attacker can exceed any finite cap on whitespace, parentheses or
     quotes without changing the query, so each such bound is a candidate
     bypass point. Unbounded atoms are never reported. The source's scan
-    and each bound's atom charset come from ``patterns``.
+    and each bound's atom charset come from ``patterns``; a bound keeps
+    the repeatable characters its atom matches, not the charset.
     """
     patterns = patterns or PatternTable()
     src = signature.pattern_source
@@ -576,14 +574,7 @@ def bounded_specials(signature, patterns: PatternTable | None = None) -> list[Qu
             continue
         atom_src = src[start:end]
         cs = patterns.charset(atom_src)
-        if cs is not None and any(cs.contains(c) for c in DEFAULT_REPEATABLE):
-            bounds.append(
-                QuantifierBound(
-                    signature_id=signature.id,
-                    position=start,
-                    char_class=atom_src,
-                    max_occurrences=hi,
-                    charset=cs,
-                )
-            )
+        repeatable = "".join(filter(cs.contains, DEFAULT_REPEATABLE)) if cs is not None else ""
+        if repeatable:
+            bounds.append(QuantifierBound(signature.id, start, atom_src, hi, repeatable))
     return bounds

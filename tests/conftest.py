@@ -1,6 +1,6 @@
 import pytest
 
-from sig_audit import normalize
+from sig_audit import mutate, normalize
 from sig_audit.corpus import bundled_corpus, bundled_set_a
 from sig_audit.matcher import detection_matrix
 
@@ -23,3 +23,17 @@ def raw_matrix(corpus):
 @pytest.fixture(scope="session")
 def default_pipeline():
     return normalize.default_pipeline()
+
+
+@pytest.fixture
+def probe_cap_guard(monkeypatch):
+    """``mutate._bounded_repeat`` raising before it builds a run past
+    ``mutate.MAX_REPEAT_COUNT``."""
+    real = mutate._bounded_repeat
+
+    def guarded(payload, char, count):
+        if count > mutate.MAX_REPEAT_COUNT:  # never build the run
+            raise AssertionError(f"a mutant of {count} repeats was asked for")
+        return real(payload, char, count)
+
+    monkeypatch.setattr(mutate, "_bounded_repeat", guarded)

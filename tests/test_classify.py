@@ -225,6 +225,14 @@ def test_probe_without_bounds_returns_nothing(corpus, raw_matrix):
     assert probe_susceptible(compile_signature(sig), detected, []) is None
 
 
+def test_probe_finds_nothing_past_the_probe_cap(probe_cap_guard):
+    """A library call, with no audit to set a bound past the cap aside,
+    builds no mutant for it."""
+    sig = Signature("S_1", r"or\s{0,30000000}1")
+    seed = AttackVector("v1", "S_1", "x or 1", Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+    assert probe_susceptible(compile_signature(sig), [seed], structural.bounded_specials(sig)) is None
+
+
 def test_probe_witnesses_reverify(corpus, raw_matrix):
     for sid in ("S_63", "S_68", "S_21"):
         sig = corpus.signature(sid)

@@ -12,6 +12,7 @@ from sig_audit.classify import Label, classify_semirelevant
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 from sig_audit.errors import ParseError, RegexDialectError
 from sig_audit.matcher import (
+    CompiledSignature,
     DetectionMatrix,
     TextIndex,
     bit_indices,
@@ -552,6 +553,28 @@ class CountingPattern:
         return self.pattern.search(text)
 
 
+def counting(c):
+    """A compile of the same parse whose ``pattern`` counts its searches."""
+    return CompiledSignature(CountingPattern(c.pattern), c.case_insensitive, c.tree)
+
+
+def test_hits_are_kept_per_compile_even_where_the_code_is_equal():
+    """``é`` and ``[é-ü]`` both fold to an empty ASCII class, so their
+    case-insensitive compiles hold equal code, yet only the class matches
+    ``ü`` under ``re.IGNORECASE``: one index answers each compile with its
+    own search."""
+    vectors = tuple(
+        AttackVector(f"v{i}", "none", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+        for i, p in enumerate(["ü", "é", "e u"])
+    )
+    index = TextIndex(Corpus((), vectors), [(normalize.RAW_PIPELINE, False)])
+    compiled = [compile_signature(Signature("x", source)) for source in ("é", "[é-ü]")]
+    assert compiled[0].pattern == compiled[1].pattern
+    for c in compiled:
+        assert index.hits(c) == [k for k, key in enumerate(index.keys) if c.search(key)]
+    assert [index.hits(c) for c in compiled] == [[1], [0, 1]]
+
+
 def test_matrix_searches_each_distinct_text_at_most_once():
     rng = random.Random(21)
     base = awkward_corpus(rng)
@@ -563,7 +586,7 @@ def test_matrix_searches_each_distinct_text_at_most_once():
     )
     corpus = Corpus(base.signatures, vectors)
     distinct = len({v.payload for v in vectors})
-    counted = [c._replace(pattern=CountingPattern(c.pattern)) for c in map(compile_signature, corpus.signatures)]
+    counted = [counting(c) for c in map(compile_signature, corpus.signatures)]
     m = detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=counted)
     assert m.rows == per_cell_rows(corpus, normalize.RAW_PIPELINE, False, False)
     for c in counted:
@@ -574,10 +597,7 @@ def test_matrix_searches_each_distinct_text_at_most_once():
     # searches each key at most once across both
     views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
     for case_sensitive in (False, True):
-        counted = [
-            c._replace(pattern=CountingPattern(c.pattern))
-            for c in (compile_signature(s, case_sensitive) for s in corpus.signatures)
-        ]
+        counted = [counting(compile_signature(s, case_sensitive)) for s in corpus.signatures]
         index = TextIndex(corpus, views, case_sensitive)
         for pipeline, deployed in views:
             m = detection_matrix(corpus, pipeline, case_sensitive, deployed, counted, index=index)
@@ -600,7 +620,7 @@ def test_texts_differing_in_case_share_a_key_when_case_insensitive(case_sensitiv
     views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
     for shared_views, searches in ((views[:1], raw_searches), (views, shared_searches)):
         compiled = compile_signature(corpus.signatures[0], case_sensitive)
-        counted = [compiled._replace(pattern=CountingPattern(compiled.pattern))]
+        counted = [counting(compiled)]
         index = TextIndex(corpus, shared_views, case_sensitive)
         for pipeline, deployed in shared_views:
             m = detection_matrix(corpus, pipeline, case_sensitive, deployed, counted, index=index)

@@ -168,6 +168,12 @@ def test_targeted_repeats_no_sites():
     assert targeted_repeats('a "x" b', qbound) == []
 
 
+def test_targeted_repeats_makes_nothing_past_the_probe_cap(probe_cap_guard):
+    [bound] = bounded_specials(Signature("S_x", r"or\s{0,30000000}1"))
+    assert targeted_repeats("x or 1", bound) == []
+    assert targeted_repeats("x or 1", bound._replace(max_occurrences=MAX_REPEAT_COUNT - 1))
+
+
 def test_targeted_repeats_schemes_are_semantics_preserving():
     bound = bound_on(r"\s", 2)
     mutants = targeted_repeats("a b c", bound)

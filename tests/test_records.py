@@ -55,6 +55,17 @@ def test_importing_the_cli_loads_no_heavy_stdlib_modules(statement, corpus, defa
     assert proc.stdout.splitlines()[-1] == "loaded:"
 
 
+def test_importing_mutate_loads_no_other_package_module():
+    """The tamper schemes stand alone: a bound is read by its fields."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import sig_audit.mutate; "
+        "print('loaded:', *sorted(m for m in sys.modules if m.startswith('sig_audit.')))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: sig_audit.mutate"
+
+
 def test_package_names_are_their_modules_objects():
     for name in sig_audit.__all__:
         value = getattr(sig_audit, name)
@@ -69,11 +80,13 @@ def test_bounds_from_two_tables_compare_equal_without_their_charsets(corpus):
     bounded = [s for s in corpus.signatures if bounded_specials(s)]
     assert bounded
     for sig in bounded:
-        first, second = bounded_specials(sig, PatternTable()), bounded_specials(sig, PatternTable())
+        tables = PatternTable(), PatternTable()
+        first, second = (bounded_specials(sig, table) for table in tables)
         assert first == second and list(map(hash, first)) == list(map(hash, second)), sig.id
-        assert all(a.charset is not b.charset for a, b in zip(first, second)), sig.id
+        assert [a.repeatable for a in first] == [b.repeatable for b in second], sig.id
+        assert all(tables[0].charset(a.char_class) is not tables[1].charset(a.char_class) for a in first), sig.id
     bound = bounded_specials(bounded[0])[0]
-    assert bound._replace(max_occurrences=9).charset is bound.charset
+    assert bound._replace(max_occurrences=9) == (*bound[:3], 9, bound.repeatable)
 
 
 def test_equal_pipelines_compare_and_hash_equal():
@@ -110,13 +123,11 @@ def test_records_check_their_fields(build, error):
 
 def test_fields_cannot_be_assigned(corpus):
     sig = corpus.signatures[0]
-    compiled = compile_signature(sig)
     records = [
         (sig, "pattern_source"),
         (corpus.vectors[0], "payload"),
         (corpus, "vectors"),
         (normalize.default_pipeline(), "prefilter"),
-        (compiled, "pattern"),
         (detection_matrix(Corpus((sig,), corpus.vectors[:3]), normalize.RAW_PIPELINE), "rows"),
         (bounded_specials(Signature("S_1", r"\s{0,3}x"))[0], "max_occurrences"),
         (MutationConfig(), "budget"),
@@ -142,11 +153,9 @@ def test_a_signature_is_parsed_once(monkeypatch):
 
 def test_a_compiled_copy_holds_the_same_parse():
     sig = Signature("S_1", r"union\s+select")
-    compiled = compile_signature(sig)
-    copy = compiled._replace(case_insensitive=False)
-    assert copy.tree is compiled.tree is sig.tree
-    assert copy.literals == compiled.literals == {"select"}
-    assert copy == (compiled.signature_id, compiled.pattern, False)
+    compiled, plain = compile_signature(sig), compile_signature(sig, case_sensitive=True)
+    assert plain.tree is compiled.tree is sig.tree
+    assert plain.literals == compiled.literals == {"select"}
 
 
 def test_records_unpack_and_compare_as_tuples():

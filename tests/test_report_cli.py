@@ -174,16 +174,18 @@ def test_rules_sharing_a_source_compile_and_search_once(monkeypatch):
             for i, p in enumerate(["x or 1", "y OR 1"])
         ),
     )
-    compiled, searched = [], []
+    compiled, searched, source_of = [], [], {}
     compile_ = structural.compile_signature
     candidates = matcher.TextIndex.candidates
 
     def counting_compile(sig, *args):
         compiled.append(sig.pattern_source)
-        return compile_(sig, *args)
+        found = compile_(sig, *args)
+        source_of[found] = sig.pattern_source
+        return found
 
     def counting_candidates(index, found):
-        searched.append(found.signature_id)
+        searched.append(source_of[found])
         return candidates(index, found)
 
     monkeypatch.setattr(structural, "compile_signature", counting_compile)
@@ -193,7 +195,7 @@ def test_rules_sharing_a_source_compile_and_search_once(monkeypatch):
         searched.clear()
         rep = run_audit(corpus=c, raw=True, case_sensitive=case_sensitive)
         assert compiled.count(source) == 1
-        assert sorted(searched) == ["S_1", "S_3"]
+        assert sorted(searched) == sorted([source, c.signatures[2].pattern_source])
         by_label = {}
         for f in rep.findings:
             by_label.setdefault(f.label, []).append((f.signature_id, f.evidence.get("duplicate_of")))
@@ -454,9 +456,10 @@ def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensit
 
 
 def test_bound_charset_is_the_atom_on_the_rules_edges(monkeypatch, capsys, corpus):
-    """A bound's charset is the very object on its rule's NFA edges, so
-    operator extraction and bound analysis share one atom table, in an
-    audit and in ``structure``."""
+    """The charset of a bound's atom, in the table the bound was read
+    through, is the very object on its rule's NFA edges, so operator
+    extraction and bound analysis share one atom table, in an audit and
+    in ``structure``."""
     nfas, bounds = [], []
     real_bounds = structural.bounded_specials
 
@@ -467,7 +470,7 @@ def test_bound_charset_is_the_atom_on_the_rules_edges(monkeypatch, capsys, corpu
 
     def recording(signature, patterns=None):
         found = real_bounds(signature, patterns)
-        bounds.append((signature.id, found))
+        bounds.append((signature.id, [patterns.charset(b.char_class) for b in found]))
         return found
 
     def on_edges(nfa):
@@ -480,14 +483,14 @@ def test_bound_charset_is_the_atom_on_the_rules_edges(monkeypatch, capsys, corpu
     bounded = [(sid, found) for sid, found in bounds if found]
     assert [sid for sid, _ in bounded] == ["S_4", "S_6", "S_21", "S_63", "S_68"]
     for sid, found in bounded:
-        assert all(id(b.charset) in edges[sid] for b in found), sid
+        assert all(id(cs) in edges[sid] for cs in found), sid
     for sid, _ in bounded:
         nfas.clear()
         bounds.clear()
         assert cli.main(["structure", sid]) == 0
         capsys.readouterr()
         [(_, found)] = bounds
-        assert found and all(id(b.charset) in on_edges(nfas[0]) for b in found), sid
+        assert found and all(id(cs) in on_edges(nfas[0]) for cs in found), sid
 
 
 def test_cli_structure_prints_the_same_document(capsys):
@@ -565,13 +568,15 @@ def test_cli_mutate(capsys):
     assert "union%2F%2A%2A%2Fselect" in out.splitlines()  # url-encoded mutants
 
 
-@pytest.mark.parametrize("scheme", ["bounded_repeat=ab:3", "bounded_repeat=x:3", "bounded_repeat= :-3", "bounded_repeat=(:0"])
+@pytest.mark.parametrize("scheme", ["bounded_repeat=ab:3", "bounded_repeat=x:3", "bounded_repeat= :-3", "bounded_repeat=(:0", ""])
 def test_cli_mutate_malformed_scheme_exits_1(scheme, capsys):
     rc = cli.main(["mutate", "--payload", "a (b) c", "--schemes", scheme])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err.startswith("sig-audit: error: bounded_repeat ")
+    # an empty list is one empty token, not the default schemes
+    error = "bounded_repeat " if scheme else "unknown mutation scheme: ''"
+    assert captured.err.startswith("sig-audit: error: " + error)
 
 
 def test_cli_matrix_and_stats(tmp_path, capsys):

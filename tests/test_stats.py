@@ -57,19 +57,6 @@ def test_partition_explicit_list(raw_matrix, set_a_ids):
     assert not a & b
 
 
-def test_partition_threshold_above_max():
-    m = matrix_from_rows({"a": [0], "b": [0, 1]})
-    a, b = partition(m, threshold=99)
-    assert a == frozenset()
-    assert b == {"a", "b"}
-
-
-def test_partition_threshold_one():
-    m = matrix_from_rows({"a": [0], "b": [], "c": [1, 2]})
-    a, _ = partition(m, threshold=1)
-    assert a == {"a", "c"}
-
-
 def test_partition_unknown_id():
     m = matrix_from_rows({"a": [0]})
     with pytest.raises(UnknownId):
