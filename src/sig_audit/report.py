@@ -213,6 +213,16 @@ def run_audit(
     searches each distinct text once for both. The deployed matrix gives
     one bypass set, which the report lists and the inconsistency
     findings read.
+
+    An audit is per-rule facts, then one cross-rule pass. Once the index
+    is dropped, ``rule_facts(n)`` gives rule n's operators and Incomplete
+    finding, its Irrelevant finding or its sub-rules, Semi-relevant
+    finding, bounds and Susceptible finding, with its notes; the facts
+    are merged in rule order, then Redundant, the bypass set,
+    Inconsistent and the statistics read across rules. The index's
+    searches and the facts run through ``matcher.fan_out``, so they are
+    shared among forked workers when rules x index keys reaches
+    ``matcher.FAN_OUT_CELLS``; the report is the same byte for byte.
     """
     if corpus is None:
         corpus = corpus_mod.open_corpus(sig_path, vec_path)
@@ -227,12 +237,9 @@ def run_audit(
     # the Incomplete check reads family members only, so only they are looked for
     tokens = frozenset().union(*(fam.members for fam in families))
 
-    # the rules, sub-rules and atoms of this audit, each parsed once;
-    # operator extraction builds the charset of each atom of the rules,
-    # whose folds the rules then read when they compile, one compile per
-    # source: rules sharing a source share it and its searches
+    # the rules, sub-rules and atoms of this audit, each parsed once; one
+    # compile per source: rules sharing a source share it and its searches
     patterns = structural.PatternTable(corpus.signatures)
-    operators = [structural.extract_operators(sig, tokens, patterns) for sig in corpus.signatures]
     compiled = [patterns.compiled(sig.pattern_source, sig.id, case_sensitive) for sig in corpus.signatures]
     # one index for both matrices, so each rule searches each key once;
     # the per-rule passes do not read it, so it is dropped before them
@@ -244,6 +251,7 @@ def run_audit(
     deployed = matcher.detection_matrix(
         corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, compiled=compiled, index=index
     )
+    cells = len(compiled) * len(index.keys)
     del index
     logical = corpus_mod.logical_subset(corpus)
     logical_mask = matcher._mask(
@@ -252,10 +260,11 @@ def run_audit(
     if not corpus.vectors:
         notes.append("WARNING: empty vector corpus, every signature is vacuously irrelevant")
 
-    findings: list[AuditFinding] = []
-    irrelevant_ids = set()
-    for sig, compiled_sig, tokenized in zip(corpus.signatures, compiled, operators):
-        finding = classify.classify_incomplete(tokenized, families)
+    def rule_facts(n: int) -> tuple[list[AuditFinding], list[str]]:
+        """The findings of rule n that no other rule bears on, and its notes."""
+        sig = corpus.signatures[n]
+        findings, notes = [], []
+        finding = classify.classify_incomplete(structural.extract_operators(sig, tokens, patterns), families)
         if finding:
             findings.append(finding)
 
@@ -264,8 +273,7 @@ def run_audit(
         if not logical_row:  # dead rules are not probed or expanded further
             detected_ids = frozenset(corpus.vectors[i].id for i in matcher.bit_indices(row))
             findings.append(classify.classify_irrelevant(sig.id, detected_ids, logical))
-            irrelevant_ids.add(sig.id)
-            continue
+            return findings, notes
 
         try:
             subs = structural.expand_subrules(sig, patterns)
@@ -288,9 +296,16 @@ def run_audit(
             )
         if bounds:
             seeds = [corpus.vectors[i] for i in matcher.bit_indices(row)]
-            finding = classify.probe_susceptible(compiled_sig, seeds, bounds)
+            finding = classify.probe_susceptible(compiled[n], seeds, bounds)
             if finding:
                 findings.append(finding)
+        return findings, notes
+
+    findings: list[AuditFinding] = []
+    for rule_findings, rule_notes in matcher.fan_out(rule_facts, len(corpus.signatures), cells):
+        findings += rule_findings
+        notes += rule_notes
+    irrelevant_ids = {f.signature_id for f in findings if f.label is Label.IRRELEVANT}
 
     for finding in classify.classify_redundant(raw_matrix):
         if finding.signature_id not in irrelevant_ids:

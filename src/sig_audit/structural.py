@@ -256,7 +256,7 @@ def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int, patterns: PatternT
     enough context around any token the caller looks for."""
     C = sre_constants
     cur = entry
-    for node in nodes:
+    for node in nodes.data:  # the node list: iterating a SubPattern indexes it node by node
         op, arg = node
         if op in _ATOM_OPS:
             cs = patterns.atom(node)

@@ -482,6 +482,16 @@ def test_shared_index_refuses_a_view_or_case_mode_it_does_not_hold(corpus):
         detection_matrix(corpus, normalize.RAW_PIPELINE, case_sensitive=True, index=index)
 
 
+def test_matrix_refuses_compiled_rules_of_another_count(corpus):
+    """One compile per signature: a short or long list would give a
+    matrix with fewer or more rows than ids."""
+    compiled = [compile_signature(s) for s in corpus.signatures]
+    for wrong in (compiled[:-1], compiled + compiled[:1], []):
+        with pytest.raises(ValueError, match="compiled rules for 83 signatures"):
+            detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=wrong)
+    assert len(detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=compiled).rows) == 83
+
+
 def test_required_literals_are_sound(corpus):
     """Every text a rule matches contains one of its literals, compared
     in the rule's case mode."""
