@@ -670,7 +670,7 @@ class TextIndex:
     through ``fan_out``: first the masks of the literals they precheck
     that the index lacks, one item per literal, then their searches, one
     item per compile, each stage shared among forked workers when those
-    rules x keys reach ``FAN_OUT_CELLS``. The caller stores what the
+    rules x keys reach twice ``FAN_OUT_CELLS``. The caller stores what the
     workers send back, so the index ends the same either way.
     """
 
@@ -766,24 +766,26 @@ class TextIndex:
         return tuple(_mask([i for k in self.hits(c) for i in columns[k]], self._size) for c in compiled)
 
 
-# The rules x index keys from which ``fan_out`` forks. Measured on a
-# 2-CPU Linux VM in a 28 MiB audit process: a fan-out of trivial items
-# costs the caller 3.6 ms (0.85 ms of it the fork) and the first import
-# of ``pickle`` 3.2 ms, so the three fan-outs of an audit cost about
-# 14 ms; a cell costs about 0.22 us to precheck and search, half of which
-# a second CPU takes. Break-even: 14 ms / 0.11 us, about 125,000 cells.
-FAN_OUT_CELLS = 125_000
+# The rules x index keys each worker of a ``fan_out`` must take. Measured
+# on a 2-CPU Linux VM in a 28 MiB audit process: a fan-out of trivial
+# items costs the caller 3.6 ms per child (0.85 ms of it the fork) and
+# the first import of ``pickle`` 3.2 ms, so a worker added to the three
+# fan-outs of an audit costs about 14 ms; a cell costs about 0.22 us to
+# precheck and search, which a worker's share takes off the caller.
+# Break-even share: 14 ms / 0.22 us, about 64,000 cells.
+FAN_OUT_CELLS = 64_000
 
 _MISSING = object()  # an item no worker delivered
 
 
 def fan_out(fn, count: int, cells: int) -> list:
     """``[fn(i) for i in range(count)]``, its items shared among forked
-    workers when the work spans at least ``FAN_OUT_CELLS`` rule-key
+    workers when the work spans at least twice ``FAN_OUT_CELLS`` rule-key
     ``cells``.
 
-    With W CPUs in the process's affinity set (at most ``count``), item i
-    goes to worker i mod W: the caller computes worker 0's share and one
+    W is the least of ``count``, the CPUs in the process's affinity set
+    and ``cells // FAN_OUT_CELLS``, so each worker carries at least its
+    break-even share of the cells. Item i goes to worker i mod W: the caller computes worker 0's share and one
     forked child each other share, so the split depends only on
     ``count`` and the CPU set. A child pipes back the pickled results of
     the prefix of its share it finished before any error, closes the
@@ -795,7 +797,7 @@ def fan_out(fn, count: int, cells: int) -> list:
     costs a recompute. Every child is reaped before this returns or
     raises.
 
-    One process does it all below ``FAN_OUT_CELLS``, on one CPU, where
+    One process does it all when W is below 2, on one CPU, where
     ``os.fork`` or ``os.sched_getaffinity`` is missing, and while another
     thread is alive (a fork copies only the calling thread). ``fn`` reads
     the caller's state as it was at the fork; what a child changes stays
@@ -856,14 +858,14 @@ def fan_out(fn, count: int, cells: int) -> list:
 
 def _workers(count: int, cells: int) -> int:
     """The processes a ``fan_out`` of ``count`` items over ``cells`` cells uses."""
-    if cells < FAN_OUT_CELLS or count < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2:
+    workers = min(count, len(os.sched_getaffinity(0)), cells // FAN_OUT_CELLS)
+    if workers < 2:
         return 1
     import threading
 
-    return min(count, cpus) if threading.active_count() == 1 else 1
+    return workers if threading.active_count() == 1 else 1
 
 
 def _prefix(fn, items) -> list:
@@ -903,7 +905,7 @@ def detection_matrix(
     that holds this view, when the caller shares one between matrices;
     each rule then searches each key once across all of them. The
     index's searches are shared among forked workers when rules x keys
-    reaches ``FAN_OUT_CELLS`` (see ``fan_out``); the rows are the same.
+    reaches twice ``FAN_OUT_CELLS`` (see ``fan_out``); the rows are the same.
     ``compiled`` of another length than the signatures raises
     ``ValueError``.
     """

@@ -221,7 +221,7 @@ def run_audit(
     are merged in rule order, then Redundant, the bypass set,
     Inconsistent and the statistics read across rules. The index's
     searches and the facts run through ``matcher.fan_out``, so they are
-    shared among forked workers when rules x index keys reaches
+    shared among forked workers when rules x index keys reaches twice
     ``matcher.FAN_OUT_CELLS``; the report is the same byte for byte.
     """
     if corpus is None:

@@ -1,7 +1,9 @@
 """``matcher.fan_out`` and the audit stages it shares among forked workers.
 
 Forking is forced by patching the CPU set and ``matcher.FAN_OUT_CELLS``;
-each result is checked against the same work done in one process.
+each result is checked against the same work done in one process. A
+fork while another thread lives warns on Python 3.12+, so here that
+warning is an error.
 """
 
 import os
@@ -12,20 +14,26 @@ import threading
 import pytest
 from oracles import random_corpus, with_unions
 
-from sig_audit import matcher, normalize
+from sig_audit import matcher, normalize, structural
 from sig_audit.corpus import bundled_corpus
 from sig_audit.errors import RegexDialectError
 from sig_audit.report import render, run_audit
 
-pytestmark = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="fan_out forks only where both exist"
-)
+pytestmark = [
+    pytest.mark.skipif(
+        not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")), reason="fan_out forks only where both exist"
+    ),
+    pytest.mark.filterwarnings("error::DeprecationWarning"),
+]
+
+CELLS = 10**6  # the cells of a unit fan-out: past any threshold set here
 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPU count ``fan_out`` sees, with no size threshold, and
-    count the forks; returns the setter and the fork list."""
+    """Set the CPU count ``fan_out`` sees and the cells a worker must
+    take (by default one), and count the forks; returns the setter and
+    the fork list."""
     forks = []
     real_fork = os.fork
 
@@ -35,7 +43,7 @@ def cpus(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
 
-    def use(n: int, threshold: int = 0):
+    def use(n: int, threshold: int = 1):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
         monkeypatch.setattr(matcher, "FAN_OUT_CELLS", threshold)
 
@@ -56,7 +64,7 @@ def squares_and_pids(i):
 def test_fan_out_is_the_plain_loop(cpus, workers, count):
     use, forks = cpus
     use(workers)
-    got = matcher.fan_out(squares_and_pids, count, 1)
+    got = matcher.fan_out(squares_and_pids, count, CELLS)
     assert [square for square, _ in got] == [i * i for i in range(count)]
     # item i is computed by worker i mod W, the caller being worker 0
     w = min(workers, count)
@@ -66,13 +74,15 @@ def test_fan_out_is_the_plain_loop(cpus, workers, count):
     no_child_left()
 
 
-def test_below_the_threshold_one_process(cpus):
+@pytest.mark.parametrize("cells, workers", [(0, 1), (199, 1), (200, 2), (299, 2), (300, 3), (CELLS, 3)])
+def test_each_worker_takes_at_least_the_threshold_of_cells(cpus, cells, workers):
     use, forks = cpus
     use(3, threshold=100)
-    assert matcher.fan_out(squares_and_pids, 7, 99) == [squares_and_pids(i) for i in range(7)]
-    assert forks == []
-    assert len(matcher.fan_out(squares_and_pids, 7, 100)) == 7
-    assert len(forks) == 2
+    got = matcher.fan_out(squares_and_pids, 7, cells)
+    assert [square for square, _ in got] == [i * i for i in range(7)]
+    assert len(forks) == workers - 1
+    assert len({pid for _, pid in got}) == workers
+    no_child_left()
 
 
 def test_the_first_error_of_the_plain_loop_reaches_the_caller(cpus):
@@ -93,7 +103,7 @@ def test_the_first_error_of_the_plain_loop_reaches_the_caller(cpus):
         [fn(i) for i in range(8)]
     raised_in.clear()
     with pytest.raises(RegexDialectError) as fanned:
-        matcher.fan_out(fn, 8, 1)
+        matcher.fan_out(fn, 8, CELLS)
     assert forks == [1]
     assert type(fanned.value) is type(plain.value) and str(fanned.value) == str(plain.value) == "S_3: unsupported construct"
     # the caller met item 4 in its share, then item 3 when it recomputed
@@ -114,7 +124,7 @@ def test_a_child_that_dies_partway_costs_a_recompute(cpus, end):
             os.kill(os.getpid(), signal.SIGKILL)
         return i * 10
 
-    assert matcher.fan_out(fn, 12, 1) == [i * 10 for i in range(12)]
+    assert matcher.fan_out(fn, 12, CELLS) == [i * 10 for i in range(12)]
     assert len(forks) == 2
     no_child_left()
 
@@ -136,7 +146,7 @@ def test_no_child_outlives_a_caller_error(cpus):
 
     try:
         with pytest.raises(KeyboardInterrupt):
-            matcher.fan_out(fn, 6, 1)
+            matcher.fan_out(fn, 6, CELLS)
     finally:
         os.close(gate[0])
         os.close(gate[1])
@@ -150,7 +160,7 @@ def test_no_fork_while_another_thread_lives(cpus):
     other = threading.Thread(target=stop.wait, args=(30,))
     other.start()
     try:
-        got = matcher.fan_out(squares_and_pids, 9, 1)
+        got = matcher.fan_out(squares_and_pids, 9, CELLS)
     finally:
         stop.set()
         other.join(timeout=30)
@@ -177,29 +187,70 @@ def _corpora():
         yield random_corpus(rng)
 
 
+def _counting(monkeypatch, owner, name):
+    """Count the calling process's calls of ``owner.name``; a forked
+    worker's calls go to its own copy of the list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _caller_share(calls, use, forks, cpus, run):
+    """``run()`` with ``cpus`` CPUs, the caller's calls it made and
+    whether it forked."""
+    calls.clear()
+    before = len(forks)
+    use(cpus)
+    out = run()
+    return out, len(calls), len(forks) > before
+
+
 @pytest.mark.parametrize("case_sensitive, raw", [(False, False), (True, False), (False, True)])
-def test_audit_bytes_forked_equal_one_process(cpus, case_sensitive, raw):
+def test_audit_bytes_forked_equal_one_process(cpus, monkeypatch, case_sensitive, raw):
+    """Same bytes, and where the audit forked the caller extracted the
+    operators of fewer rules than one process: the workers' facts are
+    the ones used."""
     use, forks = cpus
+    calls = _counting(monkeypatch, structural, "extract_operators")
+    shared = 0
     for corpus in _corpora():
-        use(1)
-        one = _audit_bytes(corpus, case_sensitive, raw)
-        use(3)
-        forked = _audit_bytes(corpus, case_sensitive, raw)
-        assert forked == one
+        def run():
+            return _audit_bytes(corpus, case_sensitive, raw)
+
+        one, one_calls, one_forked = _caller_share(calls, use, forks, 1, run)
+        forked, forked_calls, did_fork = _caller_share(calls, use, forks, 3, run)
+        assert forked == one and not one_forked
         no_child_left()
-    assert forks
+        if did_fork and isinstance(one, bytes) and one_calls >= 2:
+            assert 0 < forked_calls < one_calls == len(corpus.signatures)
+            shared += 1
+    assert shared
 
 
 @pytest.mark.parametrize("case_sensitive", [False, True])
 @pytest.mark.parametrize("apply_prefilter", [False, True])
-def test_matrix_rows_forked_equal_one_process(cpus, case_sensitive, apply_prefilter):
+def test_matrix_rows_forked_equal_one_process(cpus, monkeypatch, case_sensitive, apply_prefilter):
+    """Same rows, and where the matrix forked the caller searched fewer
+    rules than one process: the workers' searches are the ones used."""
     use, forks = cpus
+    calls = _counting(monkeypatch, matcher.TextIndex, "candidates")
     pipeline = normalize.default_pipeline()
+    shared = 0
     for corpus in _corpora():
-        use(1)
-        one = _outcome(lambda: matcher.detection_matrix(corpus, pipeline, case_sensitive, apply_prefilter))
-        use(2)
-        forked = _outcome(lambda: matcher.detection_matrix(corpus, pipeline, case_sensitive, apply_prefilter))
-        assert forked == one
+        def run():
+            return _outcome(lambda: matcher.detection_matrix(corpus, pipeline, case_sensitive, apply_prefilter))
+
+        one, one_calls, one_forked = _caller_share(calls, use, forks, 1, run)
+        forked, forked_calls, did_fork = _caller_share(calls, use, forks, 2, run)
+        assert forked == one and not one_forked
         no_child_left()
-    assert forks
+        if did_fork and one_calls >= 2:
+            assert 0 < forked_calls < one_calls
+            shared += 1
+    assert shared
