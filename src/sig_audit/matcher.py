@@ -663,15 +663,18 @@ class TextIndex:
     The index keeps one NUL-joined precheck buffer of the keys, where a
     key that is not ASCII stands as an empty part and is always searched
     when folding; the mask of the keys holding each literal, a bit set
-    over key positions; and for each compile (by identity) the keys it
-    matches, searched on first use and reused by every view.
+    over key positions; and for each compile (by identity) its packed
+    row in every view, from one search of its candidate keys on first
+    use (``rule_rows``).
 
-    ``rows`` searches the compiles it has not searched yet together,
-    through ``fan_out``: first the masks of the literals they precheck
-    that the index lacks, one item per literal, then their searches, one
-    item per compile, each stage shared among forked workers when those
-    rules x keys reach twice ``FAN_OUT_CELLS``. The caller stores what the
-    workers send back, so the index ends the same either way.
+    ``costs`` builds the masks a list of compiles lacks, one ``fan_out``
+    item per literal, and gives each compile's search cost in cells: its
+    candidate keys. ``rows`` searches the compiles it has not searched
+    yet with one ``fan_out`` item per compile weighted by that cost, so
+    ``matrix`` and ``stats`` share out the same per-rule primitive that
+    an audit's per-rule fan-out runs (``report.run_audit``). The caller
+    stores the rows the workers send back (``keep``), so the index ends
+    the same either way.
     """
 
     def __init__(self, corpus, views, case_sensitive: bool = False):
@@ -694,15 +697,16 @@ class TextIndex:
                 key = text.lower() if fold and text.isascii() else text
                 columns.setdefault(position.setdefault(key, len(position)), []).extend(cols)
         self.keys = list(position)
-        # per view, the columns of each key (none where the view lacks it)
-        self._columns = {view: [cols.get(k, ()) for k in range(len(self.keys))] for view, cols in grouped.items()}
+        # per view, in view order, the columns of each key (none where the view lacks it)
+        self._view_at = {view: n for n, view in enumerate(grouped)}
+        self._columns = [[cols.get(k, ()) for k in range(len(self.keys))] for cols in grouped.values()]
         unchecked = [fold and not key.isascii() for key in self.keys]
         parts = ["" if skip else key for key, skip in zip(self.keys, unchecked)]
         self._buffer = "\0".join(parts)
         self._starts = list(accumulate((len(part) + 1 for part in parts), initial=0))
         self._unchecked = _mask([k for k, skip in enumerate(unchecked) if skip], len(parts))
         self._found: dict[str, int] = {}
-        self._hits: dict[CompiledSignature, list[int]] = {}
+        self._rows: dict[CompiledSignature, tuple[int, ...]] = {}
 
     def _containing(self, literal: str) -> int:
         """Mask of the prechecked keys that contain ``literal``."""
@@ -728,74 +732,102 @@ class TextIndex:
             literals = {lit.lower() for lit in literals}
         return literals
 
-    def candidates(self, compiled: CompiledSignature):
-        """Positions of the keys the rule may match."""
+    def _candidate_mask(self, compiled: CompiledSignature) -> int | None:
+        """Mask of the keys the rule may match; None: every key."""
         literals = self._prechecked(compiled)
         if not literals:
-            return range(len(self.keys))
+            return None
         mask = self._unchecked
         for lit in literals:
             mask |= self._containing(lit)
-        return bit_indices(mask)
+        return mask
+
+    def candidates(self, compiled: CompiledSignature):
+        """Positions of the keys the rule may match."""
+        mask = self._candidate_mask(compiled)
+        return range(len(self.keys)) if mask is None else bit_indices(mask)
+
+    def costs(self, compiled) -> list[int]:
+        """The cells each compile's search takes: its candidate keys. The
+        masks of the literals they precheck that the index lacks are built
+        first, one ``fan_out`` item per literal, each scanning every key."""
+        literals = sorted({lit for c in compiled for lit in self._prechecked(c)} - self._found.keys())
+        scan = [len(self.keys) // KEYS_PER_CELL] * len(literals)
+        self._found.update(zip(literals, fan_out(lambda n: self._containing(literals[n]), scan)))
+        masks = map(self._candidate_mask, compiled)
+        return [len(self.keys) if mask is None else mask.bit_count() for mask in masks]
 
     def hits(self, compiled: CompiledSignature) -> list[int]:
-        """Positions of the keys the rule matches, searched on first use."""
-        found = self._hits.get(compiled)
-        if found is None:
-            if compiled.case_insensitive == self.case_sensitive:
-                raise ValueError("a rule is compiled in the other case mode than the text index")
-            keys, candidates = self.keys, self.candidates(compiled)
-            if self._unchecked:  # a key that is not ASCII is searched in ``ignorecase``
-                found = [k for k in candidates if compiled.search(keys[k])]
-            else:
-                found = list(compress(candidates, map(compiled.pattern.search, map(keys.__getitem__, candidates))))
-            self._hits[compiled] = found
-        return found
+        """Positions of the keys the rule matches, one search of each candidate."""
+        if compiled.case_insensitive == self.case_sensitive:
+            raise ValueError("a rule is compiled in the other case mode than the text index")
+        keys, candidates = self.keys, self.candidates(compiled)
+        if self._unchecked:  # a key that is not ASCII is searched in ``ignorecase``
+            return [k for k in candidates if compiled.search(keys[k])]
+        return list(compress(candidates, map(compiled.pattern.search, map(keys.__getitem__, candidates))))
+
+    def rule_rows(self, compiled: CompiledSignature) -> tuple[int, ...]:
+        """The rule's packed row in each view, in view order, searched on first use."""
+        rows = self._rows.get(compiled)
+        if rows is None:
+            hits = self.hits(compiled)
+            rows = tuple(_mask([i for k in hits for i in columns[k]], self._size) for columns in self._columns)
+            self._rows[compiled] = rows
+        return rows
+
+    def keep(self, compiled, rows) -> None:
+        """Store the ``rule_rows`` of each compile, given in another process."""
+        for c, rule_rows in zip(compiled, rows):
+            self._rows.setdefault(c, rule_rows)
 
     def rows(self, compiled, pipeline: normalize.Pipeline, apply_prefilter: bool) -> tuple[int, ...]:
         """The packed rows of the rules in one indexed view, the compiles
         not searched yet searched first, together (see the class)."""
-        columns = self._columns.get((pipeline, apply_prefilter))
-        if columns is None:
+        at = self._view_at.get((pipeline, apply_prefilter))
+        if at is None:
             raise ValueError("the text index does not hold this view")
-        todo = list(dict.fromkeys(c for c in compiled if c not in self._hits))
-        cells = len(todo) * len(self.keys)
-        literals = sorted({lit for c in todo for lit in self._prechecked(c)} - self._found.keys())
-        self._found.update(zip(literals, fan_out(lambda n: self._containing(literals[n]), len(literals), cells)))
-        self._hits.update(zip(todo, fan_out(lambda n: self.hits(todo[n]), len(todo), cells)))
-        return tuple(_mask([i for k in self.hits(c) for i in columns[k]], self._size) for c in compiled)
+        todo = [c for c in dict.fromkeys(compiled) if c not in self._rows]
+        self.keep(todo, fan_out(lambda n: self.rule_rows(todo[n]), self.costs(todo)))
+        return tuple(self._rows[c][at] for c in compiled)
 
 
-# The rules x index keys each worker of a ``fan_out`` must take. Measured
-# on a 2-CPU Linux VM in a 28 MiB audit process: a fan-out of trivial
-# items costs the caller 3.6 ms per child (0.85 ms of it the fork) and
-# the first import of ``pickle`` 3.2 ms, so a worker added to the three
-# fan-outs of an audit costs about 14 ms; a cell costs about 0.22 us to
-# precheck and search, which a worker's share takes off the caller.
-# Break-even share: 14 ms / 0.22 us, about 64,000 cells.
-FAN_OUT_CELLS = 64_000
+# A cell is one candidate key searched by one rule: about 1.3 us (1.0-1.5
+# us on bundled, wide_rules-0 and wide_vectors-0). The literal mask a
+# precheck reads scans every key of the index, at 1/13-1/18 of a cell a
+# key, so a mask costs the keys / 16 cells.
+KEYS_PER_CELL = 16
+
+# The cells each worker of a ``fan_out`` must take, measured on a 2-CPU
+# Linux VM: a fan-out of trivial items costs the caller 3.6 ms per child
+# (0.85 ms of it the fork), and the first import of ``pickle`` 3.2 ms,
+# which the two fan-outs of an audit or a matrix (masks, then rules)
+# share. So a worker costs about 3.6 + 3.2 / 2 = 5.2 ms a fan-out, and
+# 5.2 ms / 1.3 us is 4,000 cells.
+FAN_OUT_CELLS = 4_000
 
 _MISSING = object()  # an item no worker delivered
 
 
-def fan_out(fn, count: int, cells: int) -> list:
-    """``[fn(i) for i in range(count)]``, its items shared among forked
-    workers when the work spans at least twice ``FAN_OUT_CELLS`` rule-key
-    ``cells``.
+def fan_out(fn, costs, setup: int = 0) -> list:
+    """``[fn(i) for i in range(len(costs))]``, its items shared among
+    forked workers when their ``costs``, in cells, add up to at least
+    twice the break-even, ``FAN_OUT_CELLS`` plus ``setup``: the cells a
+    forked worker spends redoing what the caller had cached for ``fn``.
 
-    W is the least of ``count``, the CPUs in the process's affinity set
-    and ``cells // FAN_OUT_CELLS``, so each worker carries at least its
-    break-even share of the cells. Item i goes to worker i mod W: the caller computes worker 0's share and one
-    forked child each other share, so the split depends only on
-    ``count`` and the CPU set. A child pipes back the pickled results of
-    the prefix of its share it finished before any error, closes the
-    pipe and leaves by ``os._exit``: it never returns into the caller's
-    code, flushes no inherited stream and runs no ``atexit`` hook. The
-    caller then computes every item that was not delivered, in index
-    order, so it raises the error a plain loop would raise first, from
-    its own frame, and a child that was killed or could not be forked
-    costs a recompute. Every child is reaped before this returns or
-    raises.
+    W is the least of the items, the CPUs in the process's affinity set
+    and the total cost // the break-even, so each worker carries at
+    least its break-even share. The shares are dealt longest item first
+    (``_shares``): the caller computes share 0 and one forked child each
+    other share, so the split depends only on ``costs`` and the CPU set,
+    and equal costs send item i to worker i mod W. A child pipes back the
+    pickled results of the prefix of its share it finished before any
+    error, closes the pipe and leaves by ``os._exit``: it never returns
+    into the caller's code, flushes no inherited stream and runs no
+    ``atexit`` hook. The caller then computes every item that was not
+    delivered, in index order, so it raises the error a plain loop would
+    raise first, from its own frame, and a child that was killed or could
+    not be forked costs a recompute. Every child is reaped before this
+    returns or raises.
 
     One process does it all when W is below 2, on one CPU, where
     ``os.fork`` or ``os.sched_getaffinity`` is missing, and while another
@@ -803,16 +835,18 @@ def fan_out(fn, count: int, cells: int) -> list:
     the caller's state as it was at the fork; what a child changes stays
     in the child.
     """
-    workers = _workers(count, cells)
+    count = len(costs)
+    workers = _workers(costs, setup)
     if workers == 1:
         return [fn(i) for i in range(count)]
     import pickle  # only a fan-out needs these
     import signal
 
+    shares = _shares(costs, workers)
     results = [_MISSING] * count
-    children = []  # (worker, pid, read end of its pipe)
+    children = []  # (share, pid, read end of its pipe)
     try:
-        for w in range(1, workers):
+        for share in shares[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -823,24 +857,25 @@ def fan_out(fn, count: int, cells: int) -> list:
             if pid == 0:
                 try:
                     os.close(read)
-                    data = memoryview(pickle.dumps(_prefix(fn, range(w, count, workers)), pickle.HIGHEST_PROTOCOL))
+                    data = memoryview(pickle.dumps(_prefix(fn, share), pickle.HIGHEST_PROTOCOL))
                     while data:
                         data = data[os.write(write, data) :]
                     os.close(write)
                 finally:
                     os._exit(0)
-            children.append((w, pid, read))
+            children.append((share, pid, read))
             os.close(write)
-        own = _prefix(fn, range(0, count, workers))
-        results[0 : len(own) * workers : workers] = own
-        for w, _, read in children:
+        for i, found in zip(shares[0], _prefix(fn, shares[0])):
+            results[i] = found
+        for share, _, read in children:
             with open(read, "rb", closefd=False) as pipe:
                 sent = pipe.read()
             try:
                 done = pickle.loads(sent)
             except (EOFError, pickle.UnpicklingError):  # the child died before it sent all
                 continue
-            results[w : w + len(done) * workers : workers] = done
+            for i, found in zip(share, done):
+                results[i] = found
     finally:
         for _, pid, read in children:
             os.close(read)
@@ -856,16 +891,35 @@ def fan_out(fn, count: int, cells: int) -> list:
     return results
 
 
-def _workers(count: int, cells: int) -> int:
-    """The processes a ``fan_out`` of ``count`` items over ``cells`` cells uses."""
+def _workers(costs, setup: int) -> int:
+    """The processes a ``fan_out`` of items of these costs uses."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    workers = min(count, len(os.sched_getaffinity(0)), cells // FAN_OUT_CELLS)
+    workers = min(len(costs), len(os.sched_getaffinity(0)), sum(costs) // (FAN_OUT_CELLS + setup))
     if workers < 2:
         return 1
     import threading
 
     return workers if threading.active_count() == 1 else 1
+
+
+def _shares(costs, workers: int) -> list[list[int]]:
+    """The item positions of each of ``workers`` shares, each in index
+    order. Items are dealt longest first, each to the share with the
+    least cost so far (on a tie the one with fewer items, then the
+    lower-numbered), so no share exceeds the total / ``workers`` plus the
+    largest item, and equal costs deal item i to share i mod ``workers``."""
+    import heapq
+
+    loads = [(0, 0, w) for w in range(workers)]  # a heap of (cost so far, items, share)
+    shares = [[] for _ in range(workers)]
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):  # stable: ties in index order
+        load, items, w = heapq.heappop(loads)
+        shares[w].append(i)
+        heapq.heappush(loads, (load + costs[i], items + 1, w))
+    for share in shares:
+        share.sort()
+    return shares
 
 
 def _prefix(fn, items) -> list:
@@ -903,9 +957,11 @@ def detection_matrix(
     holds the corpus signatures already compiled, in corpus order.
     ``index`` is a ``TextIndex`` of the corpus in the same case mode
     that holds this view, when the caller shares one between matrices;
-    each rule then searches each key once across all of them. The
-    index's searches are shared among forked workers when rules x keys
-    reaches twice ``FAN_OUT_CELLS`` (see ``fan_out``); the rows are the same.
+    each rule then searches each key once across all of them, and a
+    rule whose rows the index already holds is not searched again. The
+    index's searches are shared among forked workers when their
+    candidate keys reach twice ``FAN_OUT_CELLS`` (see ``TextIndex`` and
+    ``fan_out``); the rows are the same.
     ``compiled`` of another length than the signatures raises
     ``ValueError``.
     """

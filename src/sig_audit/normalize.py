@@ -139,6 +139,9 @@ class Pipeline(namedtuple("Pipeline", "transforms prefilter")):
             raise ParseError(f"invalid pipeline JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("pipeline JSON must be an object")
+        for key in doc:
+            if key not in cls._fields:  # a misspelt key would otherwise mean the empty pipeline
+                raise ParseError(f"unknown pipeline key: {key!r}")
         transforms = doc.get("transforms", [])
         if not isinstance(transforms, list) or not all(isinstance(t, str) for t in transforms):
             raise ParseError("'transforms' must be a list of transform names")

@@ -181,6 +181,19 @@ def render(report: AuditReport, format: str = "json") -> bytes:
     raise ValueError(f"unknown format: {format!r}")
 
 
+# A rule's facts (operators, sub-rules, semi-relevance, bounds, probing)
+# in ``matcher.fan_out`` cells: 0.48-0.69 ms a rule in one process on
+# bundled, wide_rules-0 and wide_vectors-0, at 1.3 us a cell.
+FACTS_CELLS = 450
+# What a worker forked for the rules repeats of the caller's cached work
+# (the sub-rules and atoms that rules of another share compiled, and the
+# pages its first writes copy), in cells. Measured on a 2-CPU Linux VM as
+# the time two processes take over half the time one takes, less the
+# fork's own cost: 18-53 ms on wide_vectors-0 and wide_rules-0, so about
+# 31 ms, 24,000 cells. A worker thus takes at least 28,000 cells of rules.
+FACTS_SETUP_CELLS = 24_000
+
+
 def run_audit(
     sig_path=None,
     vec_path=None,
@@ -214,15 +227,20 @@ def run_audit(
     one bypass set, which the report lists and the inconsistency
     findings read.
 
-    An audit is per-rule facts, then one cross-rule pass. Once the index
-    is dropped, ``rule_facts(n)`` gives rule n's operators and Incomplete
-    finding, its Irrelevant finding or its sub-rules, Semi-relevant
-    finding, bounds and Susceptible finding, with its notes; the facts
-    are merged in rule order, then Redundant, the bypass set,
-    Inconsistent and the statistics read across rules. The index's
-    searches and the facts run through ``matcher.fan_out``, so they are
-    shared among forked workers when rules x index keys reaches twice
-    ``matcher.FAN_OUT_CELLS``; the report is the same byte for byte.
+    An audit is per-rule items, then one cross-rule pass. Once the rules
+    compile and the index holds the masks of their literals, item n
+    searches rule n's candidate keys, packs its raw and deployed rows,
+    and reads off the raw row ``rule_facts(n, row)``: its operators and
+    Incomplete finding, its Irrelevant finding or its sub-rules,
+    Semi-relevant finding, bounds and Susceptible finding, with its
+    notes. The items run through one ``matcher.fan_out``, each costing
+    its candidate keys plus ``FACTS_CELLS``, so they are shared among
+    forked workers when that reaches twice ``matcher.FAN_OUT_CELLS`` plus
+    ``FACTS_SETUP_CELLS`` for each worker. The caller stores the rows in
+    the index, builds both matrices from them with no search left, and
+    merges the facts in rule order; then Redundant, the bypass set,
+    Inconsistent and the statistics read across rules. The report is
+    the same byte for byte however the items are shared.
     """
     if corpus is None:
         corpus = corpus_mod.open_corpus(sig_path, vec_path)
@@ -241,18 +259,8 @@ def run_audit(
     # compile per source: rules sharing a source share it and its searches
     patterns = structural.PatternTable(corpus.signatures)
     compiled = [patterns.compiled(sig.pattern_source, sig.id, case_sensitive) for sig in corpus.signatures]
-    # one index for both matrices, so each rule searches each key once;
-    # the per-rule passes do not read it, so it is dropped before them
-    # and stays out of the audit's peak memory
+    # one index for both matrices, so each rule searches each key once
     index = matcher.TextIndex(corpus, [(normalize.RAW_PIPELINE, False), (pipeline, True)], case_sensitive)
-    raw_matrix = matcher.detection_matrix(
-        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, compiled=compiled, index=index
-    )
-    deployed = matcher.detection_matrix(
-        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, compiled=compiled, index=index
-    )
-    cells = len(compiled) * len(index.keys)
-    del index
     logical = corpus_mod.logical_subset(corpus)
     logical_mask = matcher._mask(
         [i for i, v in enumerate(corpus.vectors) if v.id in logical], len(corpus.vectors)
@@ -260,15 +268,15 @@ def run_audit(
     if not corpus.vectors:
         notes.append("WARNING: empty vector corpus, every signature is vacuously irrelevant")
 
-    def rule_facts(n: int) -> tuple[list[AuditFinding], list[str]]:
-        """The findings of rule n that no other rule bears on, and its notes."""
+    def rule_facts(n: int, row: int) -> tuple[list[AuditFinding], list[str]]:
+        """The findings of rule n, whose raw row is ``row``, that no other
+        rule bears on, and its notes."""
         sig = corpus.signatures[n]
         findings, notes = [], []
         finding = classify.classify_incomplete(structural.extract_operators(sig, tokens, patterns), families)
         if finding:
             findings.append(finding)
 
-        row = raw_matrix.row_bits(sig.id)
         logical_row = row & logical_mask
         if not logical_row:  # dead rules are not probed or expanded further
             detected_ids = frozenset(corpus.vectors[i].id for i in matcher.bit_indices(row))
@@ -301,8 +309,24 @@ def run_audit(
                 findings.append(finding)
         return findings, notes
 
+    def rule_item(n: int):
+        """Rule n's rows in both views and the facts read off its raw row."""
+        rows = index.rule_rows(compiled[n])
+        return rows, rule_facts(n, rows[0])
+
+    # one item per rule, weighted by its candidate keys plus its facts
+    costs = [cost + FACTS_CELLS for cost in index.costs(compiled)]
+    items = matcher.fan_out(rule_item, costs, FACTS_SETUP_CELLS)
+    index.keep(compiled, [rows for rows, _ in items])
+    raw_matrix = matcher.detection_matrix(
+        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, compiled=compiled, index=index
+    )
+    deployed = matcher.detection_matrix(
+        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, compiled=compiled, index=index
+    )
+    del index
     findings: list[AuditFinding] = []
-    for rule_findings, rule_notes in matcher.fan_out(rule_facts, len(corpus.signatures), cells):
+    for _, (rule_findings, rule_notes) in items:
         findings += rule_findings
         notes += rule_notes
     irrelevant_ids = {f.signature_id for f in findings if f.label is Label.IRRELEVANT}

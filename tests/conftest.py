@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from sig_audit import mutate, normalize
@@ -37,3 +39,10 @@ def probe_cap_guard(monkeypatch):
         return real(payload, char, count)
 
     monkeypatch.setattr(mutate, "_bounded_repeat", guarded)
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """``matcher.fan_out`` sees one CPU, so a test counting an audit's
+    calls counts them all in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

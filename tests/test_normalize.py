@@ -1,3 +1,4 @@
+import json
 from urllib.parse import unquote
 
 import pytest
@@ -72,6 +73,15 @@ def test_pipeline_json_round_trip():
     again = Pipeline.from_json(p.to_json())
     assert again == p
     assert again.fingerprint == p.fingerprint
+
+
+@pytest.mark.parametrize("key", ["transfroms", "Prefilter", ""])
+def test_pipeline_json_names_an_unknown_key(key):
+    """A misspelt key is an error naming it, not the empty pipeline."""
+    with pytest.raises(ParseError, match=f"unknown pipeline key: {key!r}"):
+        Pipeline.from_json(json.dumps({key: ["url_decode", "case_fold"]}))
+    with pytest.raises(ParseError, match=f"unknown pipeline key: {key!r}"):
+        Pipeline.from_json(json.dumps({"transforms": [], key: None}))
 
 
 def test_fingerprint_distinguishes_pipelines():

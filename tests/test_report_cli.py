@@ -414,7 +414,7 @@ def _shared_subrule_corpus():
 
 @pytest.mark.parametrize("case_sensitive", [False, True])
 @pytest.mark.parametrize("kind", ["bundled", "shared_subrules", "unions"])
-def test_audit_parses_each_distinct_source_once(monkeypatch, corpus, case_sensitive, kind):
+def test_audit_parses_each_distinct_source_once(monkeypatch, one_process, corpus, case_sensitive, kind):
     """Rules, sub-rules, quantified atoms and the prefilter: no source is
     parsed or span-scanned twice in one audit, and none is compiled twice
     in one case mode."""
@@ -800,6 +800,7 @@ def _json_vectors(text):
     "command, flag, text, parse",
     [
         (["audit"], "--pipeline", '{"prefilter": 5}', normalize.Pipeline.from_json),
+        (["audit"], "--pipeline", '{"transfroms": ["url_decode", "case_fold"]}', normalize.Pipeline.from_json),
         (["stats"], "--matrix", "{}", matcher.DetectionMatrix.from_json),
         (
             ["stats"], "--matrix",
@@ -829,7 +830,7 @@ def _json_vectors(text):
         ),
     ],
     ids=[
-        "pipeline", "matrix", "matrix_row_length", "families", "signatures_null",
+        "pipeline", "pipeline_unknown_key", "matrix", "matrix_row_length", "families", "signatures_null",
         "signature_pattern_list", "vector_intent_null", "matrix_id_types", "matrix_row_string",
         "matrix_duplicate_ids", "vector_dialects_empty", "matrix_stray_row",
     ],
