@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from . import matcher, mutate, normalize
 from .corpus import AttackVector, Corpus
-from .errors import IndeterminateExpansion, ParseError
+from .errors import IndeterminateExpansion, ParseError, load_json
 # compile_signature stays bound here: perfbench/trace.py checks that its wrapper replaces it
 from .matcher import CompiledSignature, DetectionMatrix, compile_signature  # noqa: F401
 from .structural import PatternTable, QuantifierBound, SubRuleSet, TokenizedSignature
@@ -66,10 +66,7 @@ def load_families(source) -> list[RelatedOperatorFamily]:
         text = source.read()
     else:
         text = source.read_text(encoding="utf-8") if hasattr(source, "read_text") else str(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid families JSON: {exc}") from exc
+    doc = load_json(text, "invalid families JSON")
     if not isinstance(doc, list):
         raise ParseError("families JSON must be an array of {name, members} objects")
     families = []

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import matcher
-from .errors import AuditError, DuplicateId, ParseError, UnknownIntent, UnknownSignatureRef
+from .errors import AuditError, DuplicateId, ParseError, UnknownIntent, UnknownSignatureRef, load_json
 
 FREE_FLOATING = "none"  # sentinel target for probes not tied to a rule
 
@@ -188,10 +188,7 @@ def _signatures_from_tsv(text: str) -> list[Signature]:
 
 def _json_objects(text: str, kind: str) -> list[dict]:
     """The objects of a JSON array document of ``kind`` rows."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    doc = load_json(text, "invalid JSON")
     if not isinstance(doc, list):
         raise ParseError(f"{kind} JSON must be an array of objects")
     for i, row in enumerate(doc):

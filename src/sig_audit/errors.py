@@ -1,4 +1,7 @@
-"""Exception types raised by the audit library."""
+"""Exception types raised by the audit library, and the JSON reader
+every document loader shares."""
+
+import json
 
 
 class AuditError(Exception):
@@ -13,6 +16,16 @@ class ParseError(AuditError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def load_json(text: str, invalid: str):
+    """``json.loads(text)``. A malformed document, or one nested too deep
+    to read, raises ``ParseError`` whose message is ``invalid``, a colon
+    and the reason."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"{invalid}: {exc}") from exc
 
 
 class DuplicateId(AuditError):

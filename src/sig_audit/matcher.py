@@ -42,12 +42,12 @@ form, and ``.``, ``\\d``, ``\\s``, ``\\w`` and the anchors do not depend
 on case. A text that is not ASCII stays its own key (``re.IGNORECASE``
 matches the long s to ``s`` and the Kelvin sign to ``k``). One
 ``TextIndex`` can hold several views, a view being a pipeline with or
-without its prefilter; an audit's raw and deployed matrices share one,
-so a rule searches each key once for both. The index transforms the
-payloads of each view with ``normalize.apply_all``, which gives
-``apply`` of each payload and runs each transform once per 512
-payloads joined with NUL (a chunk holding a NUL, raw or decoded from
-``%00``, is run again payload by payload), and skips a text of a
+without its prefilter; an audit's raw and deployed views share one,
+so a rule searches each key once for both matrices. The index
+transforms the payloads of each view with ``normalize.apply_all``,
+which gives ``apply`` of each payload and runs each transform once
+per 512 payloads joined with NUL (a chunk holding a NUL, raw or decoded
+from ``%00``, is run again payload by payload), and skips a text of a
 prefiltered view by the prefilter's ``fullmatch``, as
 ``normalize.prefilter_pass`` does.
 
@@ -87,7 +87,7 @@ except ImportError:  # pragma: no cover
     import sre_parse
 
 from . import normalize
-from .errors import ParseError, RegexDialectError
+from .errors import ParseError, RegexDialectError, load_json
 
 _ALLOWED_CATEGORIES = {
     sre_constants.CATEGORY_DIGIT,
@@ -249,11 +249,10 @@ def ascii_fold(tree, fold_atom):
     finds a match in such a text iff ``tree`` under ``re.IGNORECASE``
     does.
 
-    An ASCII literal is lowercased, and every other literal, negated
-    literal or class becomes ``fold_atom`` of it, which is
-    ``ascii_class_of`` or gives the same node. Anchors, ``.``, repeats,
-    groups and branches stay: none depends on case. ``tree`` is not
-    changed.
+    Every literal, negated literal or class becomes ``fold_atom`` of
+    it, which is ``ascii_class_of`` or gives the same node (an ASCII
+    letter comes out lowercased). Anchors, ``.``, repeats, groups and
+    branches stay: none depends on case. ``tree`` is not changed.
     """
     return sre_parse.SubPattern(tree.state, _fold_nodes(tree.data, fold_atom))
 
@@ -263,10 +262,7 @@ def _fold_nodes(nodes, fold_atom) -> list:
     out = []
     for node in nodes:
         op, arg = node
-        if op is C.LITERAL and arg < 128:
-            if 65 <= arg <= 90:  # A-Z
-                node = (op, arg + 32)
-        elif op is C.LITERAL or op is C.NOT_LITERAL or op is C.IN:
+        if op is C.LITERAL or op is C.NOT_LITERAL or op is C.IN:
             node = fold_atom(node)
         elif op is C.SUBPATTERN:
             node = (op, (*arg[:3], ascii_fold(arg[3], fold_atom)))
@@ -498,10 +494,7 @@ class DetectionMatrix(namedtuple("DetectionMatrix", "signature_ids vector_ids ro
         m = _canonical_matrix(text)
         if m is not None:
             return m
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid matrix JSON: {exc}") from exc
+        doc = load_json(text, "invalid matrix JSON")
         if not isinstance(doc, dict):
             raise ParseError("matrix JSON must be an object")
         signature_ids, vector_ids = _id_list(doc, "signature_ids"), _id_list(doc, "vector_ids")
@@ -662,19 +655,17 @@ class TextIndex:
     column of a view maps to the ``match_key`` of its transformed text.
     The index keeps one NUL-joined precheck buffer of the keys, where a
     key that is not ASCII stands as an empty part and is always searched
-    when folding; the mask of the keys holding each literal, a bit set
-    over key positions; and for each compile (by identity) its packed
-    row in every view, from one search of its candidate keys on first
-    use (``rule_rows``).
+    when folding; and the mask of the keys holding each literal, a bit
+    set over key positions.
 
     ``costs`` builds the masks a list of compiles lacks, one ``fan_out``
     item per literal, and gives each compile's search cost in cells: its
-    candidate keys. ``rows`` searches the compiles it has not searched
-    yet with one ``fan_out`` item per compile weighted by that cost, so
-    ``matrix`` and ``stats`` share out the same per-rule primitive that
-    an audit's per-rule fan-out runs (``report.run_audit``). The caller
-    stores the rows the workers send back (``keep``), so the index ends
-    the same either way.
+    candidate keys. ``rule_rows`` hands out a compile's packed row in
+    every view, from one search of its candidate keys, remembered by
+    compile identity in the process that searched it, so rules sharing
+    a compile search once. A caller fans its rules out over
+    ``rule_rows`` and keeps the rows it gets back (``detection_matrix``,
+    ``report.run_audit``); the index stores none of them for later.
     """
 
     def __init__(self, corpus, views, case_sensitive: bool = False):
@@ -698,7 +689,6 @@ class TextIndex:
                 columns.setdefault(position.setdefault(key, len(position)), []).extend(cols)
         self.keys = list(position)
         # per view, in view order, the columns of each key (none where the view lacks it)
-        self._view_at = {view: n for n, view in enumerate(grouped)}
         self._columns = [[cols.get(k, ()) for k in range(len(self.keys))] for cols in grouped.values()]
         unchecked = [fold and not key.isascii() for key in self.keys]
         parts = ["" if skip else key for key, skip in zip(self.keys, unchecked)]
@@ -774,21 +764,6 @@ class TextIndex:
             rows = tuple(_mask([i for k in hits for i in columns[k]], self._size) for columns in self._columns)
             self._rows[compiled] = rows
         return rows
-
-    def keep(self, compiled, rows) -> None:
-        """Store the ``rule_rows`` of each compile, given in another process."""
-        for c, rule_rows in zip(compiled, rows):
-            self._rows.setdefault(c, rule_rows)
-
-    def rows(self, compiled, pipeline: normalize.Pipeline, apply_prefilter: bool) -> tuple[int, ...]:
-        """The packed rows of the rules in one indexed view, the compiles
-        not searched yet searched first, together (see the class)."""
-        at = self._view_at.get((pipeline, apply_prefilter))
-        if at is None:
-            raise ValueError("the text index does not hold this view")
-        todo = [c for c in dict.fromkeys(compiled) if c not in self._rows]
-        self.keep(todo, fan_out(lambda n: self.rule_rows(todo[n]), self.costs(todo)))
-        return tuple(self._rows[c][at] for c in compiled)
 
 
 # A cell is one candidate key searched by one rule: about 1.3 us (1.0-1.5
@@ -946,36 +921,34 @@ def detection_matrix(
     pipeline: normalize.Pipeline,
     case_sensitive: bool = False,
     apply_prefilter: bool = False,
-    compiled: list[CompiledSignature] | None = None,
-    index: TextIndex | None = None,
+    rows: list[int] | None = None,
 ) -> DetectionMatrix:
     """Evaluate every signature against every transformed payload.
 
     The prefilter is not applied unless asked for: rows describe what
     the rules themselves can detect. ``apply_prefilter=True`` gives the
-    deployed view where skipped payloads reach no rule. ``compiled``
-    holds the corpus signatures already compiled, in corpus order.
-    ``index`` is a ``TextIndex`` of the corpus in the same case mode
-    that holds this view, when the caller shares one between matrices;
-    each rule then searches each key once across all of them, and a
-    rule whose rows the index already holds is not searched again. The
-    index's searches are shared among forked workers when their
-    candidate keys reach twice ``FAN_OUT_CELLS`` (see ``TextIndex`` and
-    ``fan_out``); the rows are the same.
-    ``compiled`` of another length than the signatures raises
-    ``ValueError``.
+    deployed view where skipped payloads reach no rule.
+
+    Without ``rows`` the rules compile and a one-view ``TextIndex`` of
+    the corpus gives each rule's row (``TextIndex.rule_rows``), the
+    searches shared among forked workers when their candidate keys reach
+    twice ``FAN_OUT_CELLS`` (see ``fan_out``); the rows are the same.
+    ``rows`` holds the packed rows already searched in this view, in
+    corpus order, as an audit's per-rule items return them; the matrix
+    only wraps them. ``rows`` of another length than the signatures
+    raises ``ValueError``.
     """
-    if compiled is None:
+    if rows is None:
         fold_atom = _fold_each_atom_once()
         compiled = [compile_signature(s, case_sensitive, fold_atom) for s in corpus.signatures]
-    elif len(compiled) != len(corpus.signatures):
-        raise ValueError(f"{len(compiled)} compiled rules for {len(corpus.signatures)} signatures")
-    if index is None:
         index = TextIndex(corpus, [(pipeline, apply_prefilter)], case_sensitive)
+        rows = [row for (row,) in fan_out(lambda n: index.rule_rows(compiled[n]), index.costs(compiled))]
+    elif len(rows) != len(corpus.signatures):
+        raise ValueError(f"{len(rows)} rows for {len(corpus.signatures)} signatures")
     return DetectionMatrix(
         signature_ids=tuple(s.id for s in corpus.signatures),
         vector_ids=tuple(v.id for v in corpus.vectors),
-        rows=index.rows(compiled, pipeline, apply_prefilter),
+        rows=tuple(rows),
         pipeline_fingerprint=pipeline.fingerprint,
     )
 

@@ -25,7 +25,7 @@ import re
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, load_json
 
 # Payloads travel URL-encoded; each %XX escape decodes to the latin-1
 # character of its byte, which keeps every byte value addressable as a
@@ -133,10 +133,7 @@ class Pipeline(namedtuple("Pipeline", "transforms prefilter")):
 
     @classmethod
     def from_json(cls, text: str) -> "Pipeline":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid pipeline JSON: {exc}") from exc
+        doc = load_json(text, "invalid pipeline JSON")
         if not isinstance(doc, dict):
             raise ParseError("pipeline JSON must be an object")
         for key in doc:

@@ -17,7 +17,7 @@ from . import __version__ as VERSION
 from . import classify, corpus as corpus_mod, matcher, mutate, normalize, stats, structural
 from .classify import AuditFinding, Label
 from .corpus import Corpus
-from .errors import IndeterminateExpansion, ParseError
+from .errors import IndeterminateExpansion, ParseError, load_json
 
 
 class AuditReport(
@@ -60,10 +60,7 @@ class AuditReport(
 
     @classmethod
     def from_json(cls, text: str) -> "AuditReport":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid report JSON: {exc}") from exc
+        doc = load_json(text, "invalid report JSON")
         if not isinstance(doc, dict):
             raise ParseError("report JSON must be an object")
         try:
@@ -222,10 +219,10 @@ def run_audit(
     its bounds were read from. A bound whose probe would repeat a
     character more than ``mutate.MAX_REPEAT_COUNT`` times gets no mutant
     from ``mutate.targeted_repeats``; a note names it. Two
-    matrices are built, raw and deployed, over one text index, so a rule
-    searches each distinct text once for both. The deployed matrix gives
-    one bypass set, which the report lists and the inconsistency
-    findings read.
+    matrices are built, raw and deployed, from rows searched in one text
+    index, so a rule searches each distinct text once for both. The
+    deployed matrix gives one bypass set, which the report lists and the
+    inconsistency findings read.
 
     An audit is per-rule items, then one cross-rule pass. Once the rules
     compile and the index holds the masks of their literals, item n
@@ -236,11 +233,12 @@ def run_audit(
     notes. The items run through one ``matcher.fan_out``, each costing
     its candidate keys plus ``FACTS_CELLS``, so they are shared among
     forked workers when that reaches twice ``matcher.FAN_OUT_CELLS`` plus
-    ``FACTS_SETUP_CELLS`` for each worker. The caller stores the rows in
-    the index, builds both matrices from them with no search left, and
-    merges the facts in rule order; then Redundant, the bypass set,
-    Inconsistent and the statistics read across rules. The report is
-    the same byte for byte however the items are shared.
+    ``FACTS_SETUP_CELLS`` for each worker. The caller drops the index,
+    wraps the rows the items return as the raw and the deployed matrix
+    (``matcher.detection_matrix`` with ``rows``, which searches
+    nothing), and merges the facts in rule order; then Redundant, the
+    bypass set, Inconsistent and the statistics read across rules. The
+    report is the same byte for byte however the items are shared.
     """
     if corpus is None:
         corpus = corpus_mod.open_corpus(sig_path, vec_path)
@@ -317,14 +315,13 @@ def run_audit(
     # one item per rule, weighted by its candidate keys plus its facts
     costs = [cost + FACTS_CELLS for cost in index.costs(compiled)]
     items = matcher.fan_out(rule_item, costs, FACTS_SETUP_CELLS)
-    index.keep(compiled, [rows for rows, _ in items])
+    del index
     raw_matrix = matcher.detection_matrix(
-        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, compiled=compiled, index=index
+        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, rows=[rows[0] for rows, _ in items]
     )
     deployed = matcher.detection_matrix(
-        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, compiled=compiled, index=index
+        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, rows=[rows[1] for rows, _ in items]
     )
-    del index
     findings: list[AuditFinding] = []
     for _, (rule_findings, rule_notes) in items:
         findings += rule_findings

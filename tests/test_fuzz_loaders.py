@@ -9,7 +9,7 @@ checks behind the top-level shape check.
 import json
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sig_audit import classify, normalize
@@ -19,6 +19,13 @@ from sig_audit.matcher import DetectionMatrix
 from sig_audit.report import AuditReport
 
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# documents nested deeper than ``json`` reads: every parser is tried on both
+DEEP_ARRAY = "[" * 100_000
+DEEP_OBJECT = '{"a":' * 100_000
+
+
+def deep(test):
+    return example(DEEP_ARRAY)(example(DEEP_OBJECT)(test))
 
 SIGNATURES = [Signature("S_1", "a")]
 TOKENS = ["S_1", "S_2", "none", "exec", "error", "probe", "mysql", "mssql", "generic", "x", "", "0", "1", "a{4294967296}"]
@@ -59,24 +66,28 @@ def only_audit_errors(parse, text):
 
 
 @FUZZ
+@deep
 @given(documents(objects(["id", "pattern", "note"], values | PATTERN_TEXT)))
 def test_signature_json(text):
     only_audit_errors(lambda t: load_signatures(t, format="json"), text)
 
 
 @FUZZ
+@deep
 @given(tsv(2))
 def test_signature_tsv(text):
     only_audit_errors(load_signatures, text)
 
 
 @FUZZ
+@deep
 @given(documents(objects(["id", "target", "intent", "dialects", "payload"], values | st.lists(tokens, max_size=3))))
 def test_vector_json(text):
     only_audit_errors(lambda t: load_vectors(t, SIGNATURES, format="json"), text)
 
 
 @FUZZ
+@deep
 @given(tsv(5))
 def test_vector_tsv(text):
     only_audit_errors(lambda t: load_vectors(t, SIGNATURES), text)
@@ -86,6 +97,7 @@ transform_names = st.lists(st.sampled_from(list(normalize.TRANSFORMS)), max_size
 
 
 @FUZZ
+@deep
 @given(documents(st.fixed_dictionaries({}, optional={"transforms": values | transform_names, "prefilter": values | PATTERN_TEXT})))
 def test_pipeline_json(text):
     only_audit_errors(normalize.Pipeline.from_json, text)
@@ -96,6 +108,7 @@ cells = st.lists(st.sampled_from([0, 1, 2, True, -1, 1.0, "1", None]), max_size=
 
 
 @FUZZ
+@deep
 @given(
     documents(
         st.fixed_dictionaries(
@@ -114,6 +127,7 @@ def test_matrix_json(text):
 
 
 @FUZZ
+@deep
 @given(documents(objects(["name", "members"], values | st.lists(tokens, max_size=3))))
 def test_families_json(text):
     only_audit_errors(classify.load_families, text)
@@ -150,6 +164,7 @@ def reports(draw):
 
 
 @FUZZ
+@deep
 @given(documents(reports()))
 def test_report_json(text):
     only_audit_errors(AuditReport.from_json, text)

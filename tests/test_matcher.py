@@ -373,10 +373,14 @@ def test_row_lookups_agree_with_cells(corpus, raw_matrix):
 
 
 def test_precompiled_signatures_give_the_same_matrices(corpus, raw_matrix, default_pipeline):
+    """Rows searched for precompiled rules in a two-view index and passed
+    by value give the matrices a plain build gives."""
     compiled = [compile_signature(s) for s in corpus.signatures]
-    assert detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=compiled) == raw_matrix
+    index = TextIndex(corpus, [(normalize.RAW_PIPELINE, False), (default_pipeline, True)])
+    rows = [index.rule_rows(c) for c in compiled]
+    assert detection_matrix(corpus, normalize.RAW_PIPELINE, rows=[r[0] for r in rows]) == raw_matrix
     deployed = detection_matrix(corpus, default_pipeline, apply_prefilter=True)
-    again = detection_matrix(corpus, default_pipeline, apply_prefilter=True, compiled=compiled)
+    again = detection_matrix(corpus, default_pipeline, apply_prefilter=True, rows=[r[1] for r in rows])
     assert again == deployed
 
 
@@ -465,8 +469,9 @@ def test_shared_index_matches_per_cell_search(case_sensitive):
         corpus = with_case_variants(awkward_corpus(rng), rng)
         compiled = [compile_signature(s, case_sensitive) for s in corpus.signatures]
         index = TextIndex(corpus, views, case_sensitive)
-        for pipeline, deployed in views:
-            shared = detection_matrix(corpus, pipeline, case_sensitive, deployed, compiled, index=index)
+        rows = [index.rule_rows(c) for c in compiled]
+        for at, (pipeline, deployed) in enumerate(views):
+            shared = detection_matrix(corpus, pipeline, case_sensitive, deployed, rows=[r[at] for r in rows])
             assert shared.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed), (
                 [s.pattern_source for s in corpus.signatures],
                 [v.payload for v in corpus.vectors],
@@ -474,22 +479,22 @@ def test_shared_index_matches_per_cell_search(case_sensitive):
             assert shared == detection_matrix(corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=deployed)
 
 
-def test_shared_index_refuses_a_view_or_case_mode_it_does_not_hold(corpus):
-    index = TextIndex(corpus, [(normalize.RAW_PIPELINE, False)])
-    with pytest.raises(ValueError):
-        detection_matrix(corpus, normalize.default_pipeline(), index=index)
-    with pytest.raises(ValueError):
-        detection_matrix(corpus, normalize.RAW_PIPELINE, case_sensitive=True, index=index)
+def test_shared_index_refuses_a_case_mode_it_does_not_hold(corpus):
+    rule = corpus.signatures[0]
+    for case_sensitive in (False, True):
+        index = TextIndex(corpus, [(normalize.RAW_PIPELINE, False)], case_sensitive)
+        with pytest.raises(ValueError, match="other case mode"):
+            index.rule_rows(compile_signature(rule, not case_sensitive))
 
 
-def test_matrix_refuses_compiled_rules_of_another_count(corpus):
-    """One compile per signature: a short or long list would give a
-    matrix with fewer or more rows than ids."""
-    compiled = [compile_signature(s) for s in corpus.signatures]
-    for wrong in (compiled[:-1], compiled + compiled[:1], []):
-        with pytest.raises(ValueError, match="compiled rules for 83 signatures"):
-            detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=wrong)
-    assert len(detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=compiled).rows) == 83
+def test_matrix_refuses_rows_of_another_count(corpus, raw_matrix):
+    """One row per signature: a short or long list would give a matrix
+    with fewer or more rows than ids."""
+    rows = list(raw_matrix.rows)
+    for wrong in (rows[:-1], rows + rows[:1], []):
+        with pytest.raises(ValueError, match="rows for 83 signatures"):
+            detection_matrix(corpus, normalize.RAW_PIPELINE, rows=wrong)
+    assert detection_matrix(corpus, normalize.RAW_PIPELINE, rows=rows) == raw_matrix
 
 
 def test_required_literals_are_sound(corpus):
@@ -585,7 +590,7 @@ def test_hits_are_kept_per_compile_even_where_the_code_is_equal():
     assert [index.hits(c) for c in compiled] == [[1], [0, 1]]
 
 
-def test_matrix_searches_each_distinct_text_at_most_once():
+def test_matrix_searches_each_distinct_text_at_most_once(monkeypatch):
     rng = random.Random(21)
     base = awkward_corpus(rng)
     copies = 3
@@ -596,22 +601,37 @@ def test_matrix_searches_each_distinct_text_at_most_once():
     )
     corpus = Corpus(base.signatures, vectors)
     distinct = len({v.payload for v in vectors})
-    counted = [counting(c) for c in map(compile_signature, corpus.signatures)]
-    m = detection_matrix(corpus, normalize.RAW_PIPELINE, compiled=counted)
+    # the matrix's own one-view build, its compiles counting their searches
+    counted = []
+    real = matcher.compile_signature
+
+    def counting_compile(*args):
+        counted.append(counting(real(*args)))
+        return counted[-1]
+
+    monkeypatch.setattr(matcher, "compile_signature", counting_compile)
+    m = detection_matrix(corpus, normalize.RAW_PIPELINE)
+    monkeypatch.undo()
     assert m.rows == per_cell_rows(corpus, normalize.RAW_PIPELINE, False, False)
+    assert len(counted) == len(corpus.signatures)
     for c in counted:
         assert len(c.pattern.texts) <= distinct < len(vectors)
         assert len(set(c.pattern.texts)) == len(c.pattern.texts)
 
     # one index shared by the raw and the deployed view: each rule
-    # searches each key at most once across both
+    # searches each key at most once across both, and asked again
+    # searches nothing
     views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
     for case_sensitive in (False, True):
         counted = [counting(compile_signature(s, case_sensitive)) for s in corpus.signatures]
         index = TextIndex(corpus, views, case_sensitive)
-        for pipeline, deployed in views:
-            m = detection_matrix(corpus, pipeline, case_sensitive, deployed, counted, index=index)
+        rows = [index.rule_rows(c) for c in counted]
+        for at, (pipeline, deployed) in enumerate(views):
+            m = detection_matrix(corpus, pipeline, case_sensitive, deployed, rows=[r[at] for r in rows])
             assert m.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed)
+        searched = [len(c.pattern.texts) for c in counted]
+        assert [index.rule_rows(c) for c in counted] == rows
+        assert [len(c.pattern.texts) for c in counted] == searched
         for c in counted:
             assert len(c.pattern.texts) <= len(index.keys)
             assert len(set(c.pattern.texts)) == len(c.pattern.texts)
@@ -629,13 +649,13 @@ def test_texts_differing_in_case_share_a_key_when_case_insensitive(case_sensitiv
     # the default pipeline folds both to "union select 1'", which its prefilter forwards
     views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
     for shared_views, searches in ((views[:1], raw_searches), (views, shared_searches)):
-        compiled = compile_signature(corpus.signatures[0], case_sensitive)
-        counted = [counting(compiled)]
+        counted = counting(compile_signature(corpus.signatures[0], case_sensitive))
         index = TextIndex(corpus, shared_views, case_sensitive)
-        for pipeline, deployed in shared_views:
-            m = detection_matrix(corpus, pipeline, case_sensitive, deployed, counted, index=index)
+        rows = index.rule_rows(counted)
+        for at, (pipeline, deployed) in enumerate(shared_views):
+            m = detection_matrix(corpus, pipeline, case_sensitive, deployed, rows=[rows[at]])
             assert m.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed) == (0b11,)
-        assert len(counted[0].pattern.texts) == searches
+        assert len(counted.pattern.texts) == searches
 
 
 def _dialect_patterns(corpus):

@@ -120,6 +120,21 @@ def test_one_charset_per_distinct_atom():
     assert len(other.atoms) == 5 and len(patterns._atoms) == 8  # x is the one new atom
 
 
+def test_case_insensitive_compiles_build_every_literal_and_class_charset(corpus):
+    """A case-insensitive compile folds each literal, negated literal and
+    class through its charset, so after the bundled rules compile through
+    one table, operator extraction adds no charset but that of ``.``."""
+    patterns = PatternTable(corpus.signatures)
+    for s in corpus.signatures:
+        patterns.compiled(s.pattern_source, s.id)
+    built = set(patterns._atoms)
+    tokens = frozenset().union(*(fam.members for fam in default_families()))
+    for s in corpus.signatures:
+        extract_operators(s, tokens, patterns)
+    any_op = parse_pattern(".")[0][0]
+    assert {key[0] for key in set(patterns._atoms) - built} <= {any_op}
+
+
 def test_shared_atom_table_gives_the_fresh_extraction(corpus):
     """Extracting every rule through one pattern table, so one atom table
     and its cached moves, in any order, equals extracting each with a
