@@ -40,21 +40,29 @@ def _add_shared(parser: argparse.ArgumentParser, matching: bool = True) -> None:
         parser.add_argument("--case-sensitive", action="store_true", help="disable case-insensitive matching")
 
 
-def _run_audit(args):
-    from . import classify, report
+def _inputs(args):
+    """The corpus and the pipeline that --signatures, --vectors, --pipeline
+    and --raw name. The pipeline is None when neither of the last two is
+    given: ``run_audit`` then runs the stock pipeline and notes that it
+    is reverse engineered."""
+    from . import corpus as corpus_mod, normalize
 
+    corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
+    if args.pipeline is None and not args.raw:
+        return corpus, None
+    return corpus, normalize.load_pipeline(args.pipeline, args.raw)
+
+
+def _run_audit(args):
+    from . import classify, corpus as corpus_mod, report
+
+    # the small files first: a bad one fails before any rule compiles
+    set_a = None if getattr(args, "set_a", None) is None else corpus_mod.load_id_list(args.set_a)
     families = None
     if args.families is not None:
         families = classify.default_families() + classify.load_families(args.families)
-    return report.run_audit(
-        sig_path=args.signatures,
-        vec_path=args.vectors,
-        pipeline_path=args.pipeline,
-        raw=args.raw,
-        set_a_path=getattr(args, "set_a", None),
-        families=families,
-        case_sensitive=args.case_sensitive,
-    )
+    corpus, pipeline = _inputs(args)
+    return report.run_audit(corpus, pipeline, set_a, families, args.case_sensitive)
 
 
 def _cmd_audit(args) -> int:
@@ -67,12 +75,18 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _cmd_matrix(args) -> int:
-    from . import corpus as corpus_mod, matcher, normalize
+def _matrix(args):
+    """The deployed detection matrix of the corpus and pipeline the flags name."""
+    from . import matcher, normalize
 
-    corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
-    pipeline = normalize.load_pipeline(args.pipeline, args.raw)
-    m = matcher.detection_matrix(corpus, pipeline, case_sensitive=args.case_sensitive)
+    corpus, pipeline = _inputs(args)
+    if pipeline is None:
+        pipeline = normalize.default_pipeline()
+    return matcher.detection_matrix(corpus, pipeline, case_sensitive=args.case_sensitive)
+
+
+def _cmd_matrix(args) -> int:
+    m = _matrix(args)
     if args.format == "csv":
         sys.stdout.write(m.to_csv())
     else:
@@ -98,16 +112,11 @@ def _cmd_stats(args) -> int:
         ]
         if unused:
             args.usage_error(f"--matrix cannot be combined with {', '.join(unused)}")
-        m = matcher.DetectionMatrix.from_json(args.matrix.read_text(encoding="utf-8"))
-    else:
-        from . import normalize
-
-        corpus = corpus_mod.open_corpus(args.signatures, args.vectors)
-        pipeline = normalize.load_pipeline(args.pipeline, args.raw)
-        m = matcher.detection_matrix(corpus, pipeline, case_sensitive=args.case_sensitive)
+    set_a = None if args.set_a is None else corpus_mod.load_id_list(args.set_a)  # before any work
+    m = matcher.DetectionMatrix.from_json(args.matrix.read_text(encoding="utf-8")) if args.matrix else _matrix(args)
     profile = stats.contribution(m)
     doc = {"profile": profile.to_dict()}
-    set_a = corpus_mod.set_a_ids(args.set_a, m.signature_ids)
+    set_a = corpus_mod.set_a_ids(set_a, m.signature_ids)
     if set_a:
         a, b = stats.partition(m, ids=set_a)
         doc["partition"] = {"set_a": sorted(a), "set_b": sorted(b)}
@@ -170,7 +179,7 @@ def _cmd_classify(args) -> int:
     from . import classify
 
     wanted = None
-    if args.only:
+    if args.only is not None:  # an empty list is an empty token, which is an error
         wanted = {tok.strip().lower() for tok in args.only.split(",")}
         valid = [label.value.lower() for label in classify.Label]
         unknown = sorted(wanted.difference(valid))

@@ -118,14 +118,20 @@ class Corpus(namedtuple("Corpus", "signatures vectors")):
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _unique(ids) -> set[str]:
+    """The set of ``ids``; an id met twice raises ``DuplicateId``."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise DuplicateId(i)
+        seen.add(i)
+    return seen
+
+
 def _check_ids(signatures, vectors=()) -> None:
     """Ids are unique within each kind, and every vector targets one of
     ``signatures`` or is free-floating."""
-    sig_ids = set()
-    for sig in signatures:
-        if sig.id in sig_ids:
-            raise DuplicateId(sig.id)
-        sig_ids.add(sig.id)
+    sig_ids = _unique(sig.id for sig in signatures)
     vec_ids = set()
     for vec in vectors:
         if vec.id in vec_ids:
@@ -403,12 +409,15 @@ def bundled_corpus() -> Corpus:
 
 
 def load_id_list(path) -> list[str]:
-    """Ids listed one per line; blank lines and '#' comments are skipped."""
-    return [
+    """Ids listed one per line; blank lines and '#' comments are skipped.
+    An id listed twice raises ``DuplicateId``."""
+    ids = [
         line.strip()
         for line in Path(path).read_text(encoding="utf-8").splitlines()
         if line.strip() and not line.startswith("#")
     ]
+    _unique(ids)
+    return ids
 
 
 def bundled_set_a() -> list[str]:
@@ -416,10 +425,10 @@ def bundled_set_a() -> list[str]:
     return load_id_list(data_dir() / "set_a.txt")
 
 
-def set_a_ids(path, signature_ids) -> tuple[str, ...] | None:
-    """The generic set A: the ids listed in the file at ``path``; with no
-    path, the bundled list when all of it is among ``signature_ids``."""
-    if path is not None:
-        return tuple(load_id_list(path))
+def set_a_ids(ids, signature_ids) -> tuple[str, ...] | None:
+    """The generic set A: ``ids`` as given; with None, the bundled list
+    when all of it is among ``signature_ids``."""
+    if ids is not None:
+        return tuple(ids)
     bundled = tuple(bundled_set_a())
     return bundled if set(bundled) <= set(signature_ids) else None

@@ -1,6 +1,6 @@
 """End-to-end audit runs and report rendering.
 
-``run_audit`` wires corpus loading, the pipeline, the detection matrix,
+``run_audit`` wires a corpus, a pipeline, the detection matrix,
 all six classifiers and the coverage analytics into one deterministic
 report. Capability figures (contribution, overlap, the definitional
 classifiers) are computed on raw payloads; the deployed pipeline only
@@ -192,20 +192,20 @@ FACTS_SETUP_CELLS = 24_000
 
 
 def run_audit(
-    sig_path=None,
-    vec_path=None,
-    pipeline_path=None,
-    raw: bool = False,
-    set_a_path=None,
+    corpus: Corpus | None = None,
+    pipeline: normalize.Pipeline | None = None,
+    set_a=None,
     families=None,
     case_sensitive: bool = False,
-    corpus: Corpus | None = None,
 ) -> AuditReport:
     """Run the full audit and return a deterministic report.
 
-    ``corpus`` defaults to ``corpus.open_corpus(sig_path, vec_path)``,
-    the bundled set when no paths are given. A set-A file naming an id
-    the corpus lacks raises ``UnknownId``.
+    ``corpus`` defaults to the bundled set. ``pipeline`` defaults to the
+    stock pipeline, and only then does the report note that it is
+    reverse engineered. ``set_a`` is the generic set's ids; by default
+    the bundled list, when the corpus holds all of it. An id the corpus
+    lacks raises ``UnknownId``. The audit reads no file but the bundled
+    data: the command line turns its flags into these inputs.
 
     Each rule is analysed once: its pattern is parsed once
     (``Signature.tree``) and compiled from that parse, and the parse tree
@@ -241,10 +241,10 @@ def run_audit(
     report is the same byte for byte however the items are shared.
     """
     if corpus is None:
-        corpus = corpus_mod.open_corpus(sig_path, vec_path)
-    pipeline = normalize.load_pipeline(pipeline_path, raw)
+        corpus = corpus_mod.bundled_corpus()
     notes = []
-    if not raw and pipeline_path is None:
+    if pipeline is None:
+        pipeline = normalize.default_pipeline()
         notes.append(
             "default pipeline and prefilter approximate the IDS pre-processing; "
             "they are reverse engineered from observed bypasses, not vendor source"
@@ -338,7 +338,7 @@ def run_audit(
 
     profile = stats.contribution(raw_matrix)
 
-    set_a = corpus_mod.set_a_ids(set_a_path, raw_matrix.signature_ids)
+    set_a = corpus_mod.set_a_ids(set_a, raw_matrix.signature_ids)
     overlap = None
     if set_a:
         a, b = stats.partition(raw_matrix, ids=list(set_a))

@@ -27,12 +27,6 @@ class ContributionProfile(namedtuple("ContributionProfile", "entries total_vecto
     def top(self) -> ContributionEntry:
         return self.entries[0]
 
-    def by_id(self, signature_id: str) -> ContributionEntry:
-        for entry in self.entries:
-            if entry.signature_id == signature_id:
-                return entry
-        raise UnknownId(signature_id)
-
     def to_dict(self) -> dict:
         return {
             "total_vectors": self.total_vectors,

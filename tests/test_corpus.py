@@ -15,6 +15,7 @@ from sig_audit.corpus import (
     load_signatures,
     load_vectors,
     logical_subset,
+    open_corpus,
     signatures_to_json,
     signatures_to_tsv,
     vectors_to_json,
@@ -374,3 +375,16 @@ def test_json_writers_give_the_bytes_of_json_dumps(sigs, vecs):
     ]
     assert signatures_to_json(sigs) == json.dumps(sig_rows, sort_keys=True)
     assert vectors_to_json(vecs) == json.dumps(vec_rows, sort_keys=True)
+
+
+def test_open_corpus_takes_str_or_path(tmp_path, corpus):
+    signatures = corpus.signatures[:6]
+    targets = {s.id for s in signatures}
+    vectors = tuple(v for v in corpus.vectors if v.target_signature_id in targets)
+    (tmp_path / "s.tsv").write_text(signatures_to_tsv(signatures), encoding="utf-8")
+    (tmp_path / "v.tsv").write_text(vectors_to_tsv(vectors), encoding="utf-8")
+    (tmp_path / "s.json").write_text(signatures_to_json(signatures), encoding="utf-8")
+    (tmp_path / "v.json").write_text(vectors_to_json(vectors), encoding="utf-8")
+    for ext in ("tsv", "json"):  # the signature file's name picks the format
+        sig_path, vec_path = tmp_path / f"s.{ext}", tmp_path / f"v.{ext}"
+        assert open_corpus(sig_path, vec_path) == open_corpus(str(sig_path), str(vec_path)) == (signatures, vectors)

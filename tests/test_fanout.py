@@ -240,7 +240,8 @@ def _outcome(call):
 
 
 def _audit_bytes(corpus, case_sensitive, raw):
-    return _outcome(lambda: render(run_audit(corpus=corpus, case_sensitive=case_sensitive, raw=raw), "json"))
+    pipeline = normalize.RAW_PIPELINE if raw else None
+    return _outcome(lambda: render(run_audit(corpus, pipeline, case_sensitive=case_sensitive), "json"))
 
 
 def _corpora():

@@ -19,10 +19,9 @@ from sig_audit.corpus import (
     data_dir,
     load_signatures,
     load_vectors,
+    open_corpus,
     signatures_to_json,
-    signatures_to_tsv,
     vectors_to_json,
-    vectors_to_tsv,
 )
 from sig_audit.errors import ParseError
 from sig_audit.report import AuditReport, render, run_audit
@@ -85,7 +84,7 @@ def test_render_csv_keeps_each_finding_on_one_row(sid):
             for i, p in enumerate(["x or\n1", "x or 1"])
         ),
     )
-    rep = run_audit(corpus=c, raw=True)
+    rep = run_audit(corpus=c, pipeline=normalize.RAW_PIPELINE)
     lines = rep.to_csv().splitlines()
     assert len(lines) == 1 + len(rep.findings)
     row = sid.replace(",", ";").replace("\n", "\\n")
@@ -102,7 +101,7 @@ def test_render_text_keeps_each_finding_on_one_line(sid):
             for i, p in enumerate(["x or\n1", "x or 1"])
         ),
     )
-    rep = run_audit(corpus=c, raw=True)
+    rep = run_audit(corpus=c, pipeline=normalize.RAW_PIPELINE)
     lines = rep.to_text().splitlines()
     row = sid.replace("\n", "\\n")
     assert f"  {row:<6} x or\\n 1" in lines
@@ -115,7 +114,7 @@ def _one_rule_corpus(sid, pattern, payload):
 
 
 def test_render_text_keeps_the_top_contributor_on_one_line():
-    rep = run_audit(corpus=_one_rule_corpus("S\n1", "zzz9", "zzz9"), raw=True)
+    rep = run_audit(corpus=_one_rule_corpus("S\n1", "zzz9", "zzz9"), pipeline=normalize.RAW_PIPELINE)
     lines = rep.to_text().splitlines()
     assert "top contributor: S\\n1 (1/1, 100.0%)" in lines
     assert json.loads(render(rep, "json"))["profile"]["ranking"][0]["signature"] == "S\n1"
@@ -123,7 +122,7 @@ def test_render_text_keeps_the_top_contributor_on_one_line():
 
 def test_render_text_keeps_each_note_on_one_line():
     # 2**7 sub-rules exceed the expansion cap, which the audit notes
-    rep = run_audit(corpus=_one_rule_corpus("S\n2", "(?:a|b)" * 7, "abababa"), raw=True)
+    rep = run_audit(corpus=_one_rule_corpus("S\n2", "(?:a|b)" * 7, "abababa"), pipeline=normalize.RAW_PIPELINE)
     note = "S\n2: sub-rule expansion hit caps, semi-relevance not classified"
     assert rep.notes == (note,)
     lines = rep.to_text().splitlines()
@@ -153,7 +152,7 @@ def test_audit_does_not_probe_a_bound_past_the_probe_cap(monkeypatch, past_cap):
         (Signature("S_1", rf"or\s{{0,{hi}}}1"), Signature("S_2", r"or\s{0,1}1")),
         (AttackVector("v1", "S_1", "x or 1", Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC})),),
     )
-    rep = run_audit(corpus=c, raw=True)
+    rep = run_audit(corpus=c, pipeline=normalize.RAW_PIPELINE)
     susceptible = {f.signature_id for f in rep.findings if f.label is Label.SUSCEPTIBLE}
     note = f"S_1: bound \\s at 2 not probed, exceeding it takes more than the probe cap of {cap} repeats"
     if past_cap:
@@ -193,7 +192,7 @@ def test_rules_sharing_a_source_compile_and_search_once(monkeypatch):
     for case_sensitive in (False, True):
         compiled.clear()
         searched.clear()
-        rep = run_audit(corpus=c, raw=True, case_sensitive=case_sensitive)
+        rep = run_audit(corpus=c, pipeline=normalize.RAW_PIPELINE, case_sensitive=case_sensitive)
         assert compiled.count(source) == 1
         assert sorted(searched) == sorted([source, c.signatures[2].pattern_source])
         by_label = {}
@@ -215,13 +214,13 @@ def test_render_empty_report():
         (AttackVector("v1", "S_1", "zzz9", Intent.EXEC_UNAUTHORIZED,
                       frozenset({Dialect.GENERIC})),),
     )
-    rep = run_audit(corpus=c, raw=True)
+    rep = run_audit(corpus=c, pipeline=normalize.RAW_PIPELINE)
     doc = json.loads(render(rep, "json"))
     assert doc["findings"] == []
 
 
 def test_raw_audit_never_inconsistent(corpus):
-    rep = run_audit(corpus=corpus, raw=True)
+    rep = run_audit(corpus=corpus, pipeline=normalize.RAW_PIPELINE)
     assert all(f.label is not Label.INCONSISTENT for f in rep.findings)
 
 
@@ -236,11 +235,12 @@ def test_case_sensitive_flag_reaches_semirelevance(tmp_path):
     sig_path.write_text("S_1\t(?:UNION|select)\n")
     vec_path = tmp_path / "v.tsv"
     vec_path.write_text("v1\tS_1\texec\tgeneric\tunion select 1\n")
-    rep = run_audit(sig_path=sig_path, vec_path=vec_path, raw=True, case_sensitive=True)
+    c = open_corpus(sig_path, vec_path)
+    rep = run_audit(corpus=c, pipeline=normalize.RAW_PIPELINE, case_sensitive=True)
     semi = [f for f in rep.findings if f.label is Label.SEMI_RELEVANT]
     assert [f.signature_id for f in semi] == ["S_1"]
     assert semi[0].evidence["dead_subrules"] == [{"index": 0, "source": "UNION"}]
-    folded = run_audit(sig_path=sig_path, vec_path=vec_path, raw=True)
+    folded = run_audit(corpus=c, pipeline=normalize.RAW_PIPELINE)
     assert all(f.label is not Label.SEMI_RELEVANT for f in folded.findings)
 
 
@@ -250,7 +250,7 @@ def test_family_member_outside_probe_set_reaches_incompleteness(tmp_path):
     vec_path = tmp_path / "v.tsv"
     vec_path.write_text("v1\tS_1\texec\tgeneric\t1 ¬ 1\n", encoding="utf-8")
     families = [classify.RelatedOperatorFamily("negation", frozenset({"¬", "!"}))]
-    rep = run_audit(sig_path=sig_path, vec_path=vec_path, raw=True, families=families)
+    rep = run_audit(corpus=open_corpus(sig_path, vec_path), pipeline=normalize.RAW_PIPELINE, families=families)
     incomplete = [f for f in rep.findings if f.label is Label.INCOMPLETE]
     assert [f.evidence["violations"] for f in incomplete] == [
         [{"family": "negation", "present": ["¬"], "missing": ["!"]}]
@@ -508,7 +508,7 @@ def test_empty_vector_file_marks_all_irrelevant(tmp_path):
     sig_path = data_dir() / "phpids_sqli_signatures.tsv"
     vec_path = tmp_path / "empty.tsv"
     vec_path.write_text("")
-    rep = run_audit(sig_path=sig_path, vec_path=vec_path)
+    rep = run_audit(corpus=open_corpus(sig_path, vec_path))
     irrelevant = {f.signature_id for f in rep.findings if f.label is Label.IRRELEVANT}
     assert len(irrelevant) == 83
     assert any("WARNING" in n for n in rep.notes)
@@ -639,6 +639,36 @@ def test_cli_set_a_with_an_unknown_id_exits_1(set_a_file, capsys, command):
     assert captured.err == "sig-audit: error: unknown id: NOPE\n"
 
 
+# the set-A file is read first, so no m.json need exist
+@pytest.mark.parametrize("command", [["audit"], ["stats"], ["stats", "--matrix", "m.json"]])
+def test_cli_set_a_file_that_repeats_an_id_exits_1(set_a_file, capsys, command):
+    assert cli.main(command + ["--set-a", set_a_file("S_7", "S_6", "S_7")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "sig-audit: error: duplicate id: S_7\n")
+
+
+@pytest.mark.parametrize("command", [["audit"], ["stats"]])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "repeating"])
+def test_cli_set_a_file_fails_before_any_rule_compiles(monkeypatch, tmp_path, set_a_file, capsys, command, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was compiled")
+
+    monkeypatch.setattr(matcher, "compile_signature", refuse)
+    monkeypatch.setattr(structural, "compile_signature", refuse)
+    (tmp_path / "latin1.txt").write_bytes(b"S_\xe9\n")
+    path = {
+        "missing": tmp_path / "nonexistent",
+        "directory": tmp_path,
+        "not_utf8": tmp_path / "latin1.txt",
+        "repeating": set_a_file("S_7", "S_7"),
+    }[kind]
+    corpus_args = ["--signatures", str(data_dir() / "phpids_sqli_signatures.tsv"),
+                   "--vectors", str(data_dir() / "phpids_sqli_vectors.tsv")]
+    assert cli.main(command + corpus_args + ["--set-a", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("sig-audit: error: ")
+
+
 def test_cli_set_a_file_gives_its_overlap(set_a_file, capsys, raw_matrix):
     path = set_a_file("S_7", "S_6")
     expected = overlap(raw_matrix, *partition(raw_matrix, ids=["S_7", "S_6"])).to_dict()
@@ -661,12 +691,14 @@ def test_cli_classify_only(capsys):
 
 
 def test_cli_classify_only_unknown_label(capsys):
-    rc = cli.main(["classify", "--only", "redundnat", "--fail-on-findings"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out == ""
-    assert "'redundnat'" in captured.err
-    assert "valid labels: incomplete, irrelevant, semirelevant" in captured.err
+    # an empty list is one empty token, not every label
+    for only in ("redundnat", ""):
+        rc = cli.main(["classify", "--only", only, "--fail-on-findings"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert f"unknown label {only!r} in --only" in captured.err
+        assert "valid labels: incomplete, irrelevant, semirelevant" in captured.err
 
 
 def test_cli_classify_rows_are_the_audit_findings(capsys):
@@ -859,20 +891,6 @@ def test_cli_nested_set_is_a_dialect_error(tmp_path):
     assert proc.returncode == 1
     [line] = proc.stderr.splitlines()  # the error line and no warning
     assert line.startswith("sig-audit: error: S_1: ") and "nested set" in line
-
-
-def test_run_audit_takes_str_or_path(tmp_path, corpus):
-    signatures = corpus.signatures[:6]
-    targets = {s.id for s in signatures}
-    vectors = [v for v in corpus.vectors if v.target_signature_id in targets]
-    (tmp_path / "s.tsv").write_text(signatures_to_tsv(signatures), encoding="utf-8")
-    (tmp_path / "v.tsv").write_text(vectors_to_tsv(vectors), encoding="utf-8")
-    (tmp_path / "s.json").write_text(signatures_to_json(signatures), encoding="utf-8")
-    (tmp_path / "v.json").write_text(vectors_to_json(vectors), encoding="utf-8")
-    for ext in ("tsv", "json"):
-        sig_path, vec_path = tmp_path / f"s.{ext}", tmp_path / f"v.{ext}"
-        as_path = render(run_audit(sig_path=sig_path, vec_path=vec_path))
-        assert render(run_audit(sig_path=str(sig_path), vec_path=str(vec_path))) == as_path
 
 
 def test_cli_pipeline_file(tmp_path, capsys):
