@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_right
 from collections import namedtuple
 
 from . import matcher, mutate, normalize
@@ -87,6 +88,10 @@ def load_families(source) -> list[RelatedOperatorFamily]:
     return families
 
 
+# ``json.dumps(evidence, sort_keys=True)`` without a new encoder per call
+_evidence_key = json.JSONEncoder(sort_keys=True).encode
+
+
 class AuditFinding(namedtuple("AuditFinding", "signature_id label evidence")):
     """One weakness classification (a ``Label``) with re-checkable
     evidence (a dict)."""
@@ -94,7 +99,7 @@ class AuditFinding(namedtuple("AuditFinding", "signature_id label evidence")):
     __slots__ = ()
 
     def sort_key(self):
-        return (self.signature_id, self.label.value, json.dumps(self.evidence, sort_keys=True))
+        return (self.signature_id, self.label.value, _evidence_key(self.evidence))
 
     def to_dict(self) -> dict:
         return {
@@ -264,36 +269,34 @@ def classify_redundant(matrix: DetectionMatrix) -> list[AuditFinding]:
     """Rules whose detected set sits strictly inside another rule's.
 
     Empty rows are the irrelevant case and are excluded. Equal non-empty
-    rows are reported once, on the lexicographically larger id, tagged
-    as duplicates.
+    rows are reported once per pair, on the lexicographically larger id,
+    tagged as duplicates. Rules are grouped by row, and each distinct row
+    is tested only against the rows with more set bits, since a strict
+    superset has more.
     """
-    findings = []
-    ids = matrix.signature_ids
-    rows = matrix.rows
-    n = len(ids)
-    for i in range(n):
-        if rows[i] == 0:
-            continue
-        for j in range(n):
-            if i == j or rows[j] == 0:
-                continue
-            if rows[i] == rows[j]:
-                if ids[i] > ids[j]:
-                    findings.append(
-                        AuditFinding(
-                            signature_id=ids[i],
-                            label=Label.REDUNDANT,
-                            evidence={"duplicate_of": ids[j]},
-                        )
-                    )
-            elif rows[i] & ~rows[j] == 0:
-                findings.append(
-                    AuditFinding(
-                        signature_id=ids[i],
-                        label=Label.REDUNDANT,
-                        evidence={"superseded_by": ids[j]},
-                    )
-                )
+    ids_of: dict[int, list[str]] = {}
+    for sid, row in zip(matrix.signature_ids, matrix.rows):
+        if row:
+            ids_of.setdefault(row, []).append(sid)
+    findings = [
+        AuditFinding(signature_id=a, label=Label.REDUNDANT, evidence={"duplicate_of": b})
+        for ids in ids_of.values()
+        for a in ids
+        for b in ids
+        if a > b
+    ]
+    rows = sorted(ids_of, key=int.bit_count)
+    counts = [row.bit_count() for row in rows]
+    outside = [~row for row in rows]
+    for row, count in zip(rows, counts):
+        first = bisect_right(counts, count)
+        supersets = [rows[k] for k in range(first, len(rows)) if not row & outside[k]]
+        findings += [
+            AuditFinding(signature_id=a, label=Label.REDUNDANT, evidence={"superseded_by": b})
+            for a in ids_of[row]
+            for other in supersets
+            for b in ids_of[other]
+        ]
     findings.sort(key=AuditFinding.sort_key)
     return findings
 

@@ -14,11 +14,10 @@ Each command imports the modules it runs when it runs: ``matrix`` and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .errors import AuditError
+from .errors import AuditError, dump_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +125,7 @@ def _cmd_stats(args) -> int:
         lines += [f"{matcher.csv_field(e.signature_id)},{e.count}" for e in profile.entries]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dump_json(doc) + "\n")
     return 0
 
 
@@ -157,7 +156,7 @@ def _cmd_structure(args) -> int:
             for b in bounds
         ],
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(dump_json(doc) + "\n")
     return 0
 
 
@@ -193,7 +192,7 @@ def _cmd_classify(args) -> int:
         row for row in rep.to_dict()["findings"]
         if wanted is None or row["label"].lower() in wanted
     ]
-    sys.stdout.write(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(dump_json(rows) + "\n")
     if args.fail_on_findings and rows:
         return 2
     return 0

@@ -426,9 +426,12 @@ def bundled_set_a() -> list[str]:
 
 
 def set_a_ids(ids, signature_ids) -> tuple[str, ...] | None:
-    """The generic set A: ``ids`` as given; with None, the bundled list
-    when all of it is among ``signature_ids``."""
+    """The generic set A: ``ids`` as given, where an id listed twice
+    raises ``DuplicateId``; with None, the bundled list when all of it is
+    among ``signature_ids``."""
     if ids is not None:
-        return tuple(ids)
+        ids = tuple(ids)
+        _unique(ids)
+        return ids
     bundled = tuple(bundled_set_a())
     return bundled if set(bundled) <= set(signature_ids) else None

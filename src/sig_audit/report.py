@@ -10,14 +10,13 @@ reported side by side rather than folded into one number.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from . import __version__ as VERSION
 from . import classify, corpus as corpus_mod, matcher, mutate, normalize, stats, structural
 from .classify import AuditFinding, Label
 from .corpus import Corpus
-from .errors import IndeterminateExpansion, ParseError, load_json
+from .errors import IndeterminateExpansion, ParseError, dump_json, load_json
 
 
 class AuditReport(
@@ -56,7 +55,7 @@ class AuditReport(
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dump_json(self.to_dict()) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AuditReport":
@@ -203,9 +202,10 @@ def run_audit(
     ``corpus`` defaults to the bundled set. ``pipeline`` defaults to the
     stock pipeline, and only then does the report note that it is
     reverse engineered. ``set_a`` is the generic set's ids; by default
-    the bundled list, when the corpus holds all of it. An id the corpus
-    lacks raises ``UnknownId``. The audit reads no file but the bundled
-    data: the command line turns its flags into these inputs.
+    the bundled list, when the corpus holds all of it. An id listed
+    twice raises ``DuplicateId`` before any rule compiles, and an id the
+    corpus lacks raises ``UnknownId``. The audit reads no file but the
+    bundled data: the command line turns its flags into these inputs.
 
     Each rule is analysed once: its pattern is parsed once
     (``Signature.tree``) and compiled from that parse, and the parse tree
@@ -242,6 +242,7 @@ def run_audit(
     """
     if corpus is None:
         corpus = corpus_mod.bundled_corpus()
+    set_a = corpus_mod.set_a_ids(set_a, [sig.id for sig in corpus.signatures])
     notes = []
     if pipeline is None:
         pipeline = normalize.default_pipeline()
@@ -338,7 +339,6 @@ def run_audit(
 
     profile = stats.contribution(raw_matrix)
 
-    set_a = corpus_mod.set_a_ids(set_a, raw_matrix.signature_ids)
     overlap = None
     if set_a:
         a, b = stats.partition(raw_matrix, ids=list(set_a))

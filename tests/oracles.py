@@ -12,6 +12,7 @@ and set operations, straight from the set-theoretic statements.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -23,6 +24,7 @@ except ImportError:  # pragma: no cover
     import sre_parse
 
 from sig_audit import normalize, structural
+from sig_audit.classify import AuditFinding, Label
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
 
 
@@ -311,6 +313,30 @@ def oracle_redundant(corpus: Corpus) -> set[tuple[str, str, str]]:
             elif rows[n] < rows[m]:
                 out.add((n, "superseded_by", m))
     return out
+
+
+def naive_redundant(matrix) -> list:
+    """``classify_redundant`` as a pairwise loop over the matrix rows:
+    row i strictly inside row j gives i ``superseded_by`` j, and equal
+    non-empty rows give the larger id ``duplicate_of`` the smaller.
+    Sorted by id, label and the evidence's ``json.dumps`` text."""
+    findings = []
+    ids = matrix.signature_ids
+    rows = matrix.rows
+    n = len(ids)
+    for i in range(n):
+        if rows[i] == 0:
+            continue
+        for j in range(n):
+            if i == j or rows[j] == 0:
+                continue
+            if rows[i] == rows[j]:
+                if ids[i] > ids[j]:
+                    findings.append(AuditFinding(ids[i], Label.REDUNDANT, {"duplicate_of": ids[j]}))
+            elif rows[i] & ~rows[j] == 0:
+                findings.append(AuditFinding(ids[i], Label.REDUNDANT, {"superseded_by": ids[j]}))
+    findings.sort(key=lambda f: (f.signature_id, f.label.value, json.dumps(f.evidence, sort_keys=True)))
+    return findings
 
 
 def oracle_bypass(corpus: Corpus, pipeline) -> set[str]:

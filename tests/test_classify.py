@@ -2,10 +2,12 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from audit_inputs import inconsistent, logical_payloads
 from oracles import (
     naive_logical,
+    naive_redundant,
     naive_rows,
     oracle_incomplete,
     oracle_inconsistent,
@@ -28,7 +30,7 @@ from sig_audit.classify import (
 )
 from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature, logical_subset
 from sig_audit.errors import IndeterminateExpansion, ParseError
-from sig_audit.matcher import compile_signature, detection_matrix, matches
+from sig_audit.matcher import DetectionMatrix, compile_signature, detection_matrix, matches
 from sig_audit.report import run_audit
 from sig_audit.structural import expand_subrules, extract_operators
 
@@ -296,6 +298,41 @@ def test_equal_rows_tagged_duplicate():
     findings = classify_redundant(m)
     dups = [f for f in findings if "duplicate_of" in f.evidence]
     assert [(f.signature_id, f.evidence["duplicate_of"]) for f in dups] == [("S_2", "S_1")]
+
+
+# ids whose JSON-escaped order differs from their raw order: '"' sorts
+# before '1' raw and after it escaped (a backslash), 'é' after 'a' raw and
+# before it escaped
+REDUNDANT_IDS = st.text(alphabet='Sa_1"\\\xe9\x01', min_size=1, max_size=3)
+
+
+@st.composite
+def nested_matrices(draw):
+    """Up to 12 rules whose rows are unions of up to four base rows of up
+    to 70 bits: empty, repeated and nested rows are all common."""
+    bases = draw(st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=4))
+    ids = draw(st.lists(REDUNDANT_IDS, max_size=12, unique=True))
+    rows = []
+    for _ in ids:
+        picks = draw(st.integers(0, 2 ** len(bases) - 1))
+        row = 0
+        for k, base in enumerate(bases):
+            if picks >> k & 1:
+                row |= base
+        rows.append(row)
+    return DetectionMatrix(tuple(ids), tuple(f"v{i}" for i in range(70)), tuple(rows), "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(nested_matrices())
+def test_redundant_equals_the_pairwise_oracle(m):
+    assert classify_redundant(m) == naive_redundant(m)
+
+
+def test_redundant_equals_the_pairwise_oracle_on_bundled(raw_matrix):
+    findings = classify_redundant(raw_matrix)
+    assert len(findings) == 47
+    assert findings == naive_redundant(raw_matrix)
 
 
 def test_redundancy_transitively_consistent(raw_matrix):

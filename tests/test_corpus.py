@@ -16,6 +16,7 @@ from sig_audit.corpus import (
     load_vectors,
     logical_subset,
     open_corpus,
+    set_a_ids,
     signatures_to_json,
     signatures_to_tsv,
     vectors_to_json,
@@ -388,3 +389,12 @@ def test_open_corpus_takes_str_or_path(tmp_path, corpus):
     for ext in ("tsv", "json"):  # the signature file's name picks the format
         sig_path, vec_path = tmp_path / f"s.{ext}", tmp_path / f"v.{ext}"
         assert open_corpus(sig_path, vec_path) == open_corpus(str(sig_path), str(vec_path)) == (signatures, vectors)
+
+
+def test_set_a_ids_rejects_a_repeated_id_as_the_file_reader_does():
+    ids = ["S_1", "S_2"]
+    assert set_a_ids(iter(["S_2", "S_1"]), ids) == ("S_2", "S_1")
+    assert set_a_ids([], ids) == ()
+    for given_ids in (["S_1", "S_1"], ("S_2", "S_1", "S_2"), iter(["S_1", "S_1"])):
+        with pytest.raises(DuplicateId):
+            set_a_ids(given_ids, ids)

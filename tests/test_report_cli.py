@@ -23,7 +23,7 @@ from sig_audit.corpus import (
     signatures_to_json,
     vectors_to_json,
 )
-from sig_audit.errors import ParseError
+from sig_audit.errors import DuplicateId, ParseError
 from sig_audit.report import AuditReport, render, run_audit
 from sig_audit.stats import overlap, partition
 
@@ -667,6 +667,17 @@ def test_cli_set_a_file_fails_before_any_rule_compiles(monkeypatch, tmp_path, se
     assert cli.main(command + corpus_args + ["--set-a", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("sig-audit: error: ")
+
+
+def test_library_set_a_that_repeats_an_id_fails_before_any_rule_compiles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was compiled")
+
+    monkeypatch.setattr(matcher, "compile_signature", refuse)
+    monkeypatch.setattr(structural, "compile_signature", refuse)
+    with pytest.raises(DuplicateId) as info:
+        run_audit(set_a=["S_7", "S_6", "S_7"])
+    assert info.value.duplicate_id == "S_7"
 
 
 def test_cli_set_a_file_gives_its_overlap(set_a_file, capsys, raw_matrix):
