@@ -19,8 +19,8 @@ import json
 from bisect import bisect_right
 from collections import namedtuple
 
-from . import matcher, mutate, normalize
-from .corpus import AttackVector, Corpus
+from . import matcher, mutate
+from .corpus import AttackVector, _read_text
 from .errors import IndeterminateExpansion, ParseError, load_json
 # compile_signature stays bound here: perfbench/trace.py checks that its wrapper replaces it
 from .matcher import CompiledSignature, DetectionMatrix, compile_signature  # noqa: F401
@@ -62,12 +62,9 @@ def default_families() -> list[RelatedOperatorFamily]:
 
 
 def load_families(source) -> list[RelatedOperatorFamily]:
-    """Load extra families from a JSON array of {name, members} objects."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source.read_text(encoding="utf-8") if hasattr(source, "read_text") else str(source)
-    doc = load_json(text, "invalid families JSON")
+    """Load extra families from a JSON array of {name, members} objects:
+    ``source`` is the document (``str`` or ``bytes``) or a ``Path`` to it."""
+    doc = load_json(_read_text(source), "invalid families JSON")
     if not isinstance(doc, list):
         raise ParseError("families JSON must be an array of {name, members} objects")
     families = []
@@ -273,6 +270,11 @@ def classify_redundant(matrix: DetectionMatrix) -> list[AuditFinding]:
     tagged as duplicates. Rules are grouped by row, and each distinct row
     is tested only against the rows with more set bits, since a strict
     superset has more.
+
+    The order is the matrix's: the duplicates first, by row in the order
+    rows first occur; then the supersessions, by the set bits of the
+    inner row and then of the outer, ties in the order rows first occur;
+    ids of one row in matrix order.
     """
     ids_of: dict[int, list[str]] = {}
     for sid, row in zip(matrix.signature_ids, matrix.rows):
@@ -297,7 +299,6 @@ def classify_redundant(matrix: DetectionMatrix) -> list[AuditFinding]:
             for other in supersets
             for b in ids_of[other]
         ]
-    findings.sort(key=AuditFinding.sort_key)
     return findings
 
 
@@ -305,29 +306,22 @@ def classify_redundant(matrix: DetectionMatrix) -> list[AuditFinding]:
 # inconsistent (deployed stack passes vectors the rules can detect)
 
 def classify_inconsistent(
-    corpus: Corpus,
-    pipeline: normalize.Pipeline,
     raw: DetectionMatrix,
     bypassed: frozenset[str],
+    skipped: frozenset[str],
 ) -> list[AuditFinding]:
     """Rules that raw-match vectors the deployed pipeline lets through.
 
-    ``raw`` is the corpus matrix under the raw pipeline and ``bypassed``
-    the ``matcher.full_pipeline_bypass`` set of the corpus under
-    ``pipeline``. Evidence names the stage responsible per vector, found
-    by replaying the stages: a prefilter skip or a transform that
-    mangles the payload out of the rule's reach.
+    ``raw`` is the corpus matrix under the raw pipeline, ``bypassed`` the
+    ``matcher.full_pipeline_bypass`` set of the corpus under the deployed
+    pipeline, and ``skipped`` the ids of the vectors its prefilter skips
+    (``TextIndex.skipped`` of the deployed view). Evidence names the
+    stage responsible per vector: a prefilter skip if the vector is in
+    ``skipped``, else a transform that mangles the payload out of the
+    rule's reach. One finding per rule, in matrix order.
     """
     if not bypassed:
         return []
-    stages = {}
-    for v in corpus.vectors:
-        if v.id in bypassed:
-            transformed = normalize.apply(pipeline, v.payload)
-            if not normalize.prefilter_pass(pipeline, transformed):
-                stages[v.id] = "prefilter-skip"
-            else:
-                stages[v.id] = "transform-mangle"
     vector_ids = raw.vector_ids
     bypass_mask = matcher._mask([i for i, vid in enumerate(vector_ids) if vid in bypassed], len(vector_ids))
     findings = []
@@ -335,7 +329,7 @@ def classify_inconsistent(
         hits = sorted(vector_ids[i] for i in matcher.bit_indices(row & bypass_mask))
         if not hits:
             continue
-        detail = [{"id": vid, "stage": stages[vid]} for vid in hits]
+        detail = [{"id": vid, "stage": "prefilter-skip" if vid in skipped else "transform-mangle"} for vid in hits]
         findings.append(
             AuditFinding(
                 signature_id=sid,
@@ -343,5 +337,4 @@ def classify_inconsistent(
                 evidence={"vectors": detail},
             )
         )
-    findings.sort(key=AuditFinding.sort_key)
     return findings

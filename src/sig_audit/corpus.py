@@ -145,20 +145,16 @@ def _check_ids(signatures, vectors=()) -> None:
 # loading
 
 def _read_text(source) -> str:
+    """The text of a document given as ``str``, UTF-8 ``bytes`` or a ``Path``."""
     if isinstance(source, bytes):
         return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
     if isinstance(source, Path):
         return source.read_text(encoding="utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+    return source
 
 
 def load_signatures(source, format: str = "tsv") -> list[Signature]:
-    """Load signatures from a TSV or JSON stream.
+    """Load signatures from a TSV or JSON document (see ``_read_text``).
 
     Every pattern is parsed (``Signature.tree``) as a validity check, so
     a bad rule fails at load time, not in the middle of an audit.

@@ -652,7 +652,9 @@ class TextIndex:
     """The distinct match keys of one or more views of a corpus.
 
     A view is a ``(pipeline, apply_prefilter)`` pair. Each forwarded
-    column of a view maps to the ``match_key`` of its transformed text.
+    column of a view maps to the ``match_key`` of its transformed text;
+    ``skipped`` holds, per view in view order, the frozenset of the ids
+    of the vectors its prefilter skips (empty without one).
     The index keeps one NUL-joined precheck buffer of the keys, where a
     key that is not ASCII stands as an empty part and is always searched
     when folding; and the mask of the keys holding each literal, a bit
@@ -671,26 +673,31 @@ class TextIndex:
     def __init__(self, corpus, views, case_sensitive: bool = False):
         self.case_sensitive = case_sensitive
         self._size = len(corpus.vectors)
-        fold = not case_sensitive
         position: dict[str, int] = {}
-        grouped = {}
+        grouped = []
+        self.skipped = []
         payloads = [vector.payload for vector in corpus.vectors]
         for pipeline, apply_prefilter in views:
             # as ``normalize.prefilter_pass``: a text the prefilter fully matches is skipped
             prefilter = pipeline._prefilter_re if apply_prefilter else None
             harmless = prefilter.fullmatch if prefilter is not None else None
             texts: dict[str, list[int]] = {}
+            skipped = []
             for i, text in enumerate(normalize.apply_all(pipeline, payloads)):
-                if harmless is None or harmless(text) is None:
+                if harmless is not None and harmless(text) is not None:
+                    skipped.append(corpus.vectors[i].id)
+                else:
                     texts.setdefault(text, []).append(i)
-            columns = grouped[pipeline, apply_prefilter] = {}
+            self.skipped.append(frozenset(skipped))
+            columns = {}
             for text, cols in texts.items():
-                key = text.lower() if fold and text.isascii() else text
+                key = match_key(text, case_sensitive)
                 columns.setdefault(position.setdefault(key, len(position)), []).extend(cols)
+            grouped.append(columns)
         self.keys = list(position)
         # per view, in view order, the columns of each key (none where the view lacks it)
-        self._columns = [[cols.get(k, ()) for k in range(len(self.keys))] for cols in grouped.values()]
-        unchecked = [fold and not key.isascii() for key in self.keys]
+        self._columns = [[cols.get(k, ()) for k in range(len(self.keys))] for cols in grouped]
+        unchecked = [not case_sensitive and not key.isascii() for key in self.keys]
         parts = ["" if skip else key for key, skip in zip(self.keys, unchecked)]
         self._buffer = "\0".join(parts)
         self._starts = list(accumulate((len(part) + 1 for part in parts), initial=0))

@@ -157,14 +157,11 @@ def default_pipeline() -> Pipeline:
     return Pipeline(transforms=DEFAULT_TRANSFORMS, prefilter=DEFAULT_PREFILTER)
 
 
-def load_pipeline(path=None, raw: bool = False) -> Pipeline:
-    """The empty pipeline when ``raw``, else the pipeline JSON file at
-    ``path``, else the stock pipeline."""
+def load_pipeline(path, raw: bool = False) -> Pipeline:
+    """The empty pipeline when ``raw``, else the pipeline JSON file at ``path``."""
     if raw:
         return RAW_PIPELINE
-    if path is not None:
-        return Pipeline.from_json(Path(path).read_text(encoding="utf-8"))
-    return default_pipeline()
+    return Pipeline.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def apply(pipeline: Pipeline, payload: str) -> str:

@@ -116,9 +116,7 @@ class AuditReport(
             return ev["witnesses"][0]["mutant"] if ev["witnesses"] else ""
         if f.label is Label.INCONSISTENT:
             return " ".join(v["id"] for v in ev["vectors"])
-        if f.label is Label.IRRELEVANT:
-            return f"detects {ev['detected_count']} vectors, none logical"
-        return ""
+        return f"detects {ev['detected_count']} vectors, none logical"  # Label.IRRELEVANT
 
     def to_csv(self) -> str:
         lines = ["signature,label,detail"]
@@ -222,7 +220,8 @@ def run_audit(
     matrices are built, raw and deployed, from rows searched in one text
     index, so a rule searches each distinct text once for both. The
     deployed matrix gives one bypass set, which the report lists and the
-    inconsistency findings read.
+    inconsistency findings read, with the ids the index's deployed view
+    skipped at its prefilter, so no payload is transformed twice.
 
     An audit is per-rule items, then one cross-rule pass. Once the rules
     compile and the index holds the masks of their literals, item n
@@ -238,7 +237,8 @@ def run_audit(
     (``matcher.detection_matrix`` with ``rows``, which searches
     nothing), and merges the facts in rule order; then Redundant, the
     bypass set, Inconsistent and the statistics read across rules. The
-    report is the same byte for byte however the items are shared.
+    findings are sorted once, by ``AuditFinding.sort_key``. The report is
+    the same byte for byte however the items are shared.
     """
     if corpus is None:
         corpus = corpus_mod.bundled_corpus()
@@ -316,6 +316,7 @@ def run_audit(
     # one item per rule, weighted by its candidate keys plus its facts
     costs = [cost + FACTS_CELLS for cost in index.costs(compiled)]
     items = matcher.fan_out(rule_item, costs, FACTS_SETUP_CELLS)
+    skipped = index.skipped[1]
     del index
     raw_matrix = matcher.detection_matrix(
         corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, rows=[rows[0] for rows, _ in items]
@@ -334,7 +335,7 @@ def run_audit(
             findings.append(finding)
 
     bypassed = matcher.full_pipeline_bypass(deployed)
-    findings.extend(classify.classify_inconsistent(corpus, pipeline, raw_matrix, bypassed))
+    findings.extend(classify.classify_inconsistent(raw_matrix, bypassed, skipped))
     findings.sort(key=AuditFinding.sort_key)
 
     profile = stats.contribution(raw_matrix)

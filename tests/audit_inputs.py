@@ -14,9 +14,16 @@ def bypass(corpus, pipeline, case_sensitive=False) -> frozenset[str]:
     return full_pipeline_bypass(detection_matrix(corpus, pipeline, case_sensitive, apply_prefilter=True))
 
 
+def skipped(corpus, pipeline) -> frozenset[str]:
+    """The ids of the vectors the prefilter of ``pipeline`` skips, by replaying the stages."""
+    return frozenset(
+        v.id for v in corpus.vectors if not normalize.prefilter_pass(pipeline, normalize.apply(pipeline, v.payload))
+    )
+
+
 def inconsistent(corpus, pipeline, case_sensitive=False):
     raw = detection_matrix(corpus, normalize.RAW_PIPELINE, case_sensitive)
-    return classify.classify_inconsistent(corpus, pipeline, raw, bypass(corpus, pipeline, case_sensitive))
+    return classify.classify_inconsistent(raw, bypass(corpus, pipeline, case_sensitive), skipped(corpus, pipeline))
 
 
 def logical_payloads(corpus) -> list[str]:

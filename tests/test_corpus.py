@@ -398,3 +398,26 @@ def test_set_a_ids_rejects_a_repeated_id_as_the_file_reader_does():
     for given_ids in (["S_1", "S_1"], ("S_2", "S_1", "S_2"), iter(["S_1", "S_1"])):
         with pytest.raises(DuplicateId):
             set_a_ids(given_ids, ids)
+
+
+@pytest.mark.parametrize("load", [load_signatures, lambda text, format: load_vectors(text, [], format=format)])
+def test_loaders_reject_an_unknown_format(load):
+    with pytest.raises(ParseError, match="unknown format: 'xml'"):
+        load("", format="xml")
+
+
+def test_json_signature_note_must_be_a_string():
+    rows = [{"id": "S_1", "pattern": "a", "note": 7}]
+    with pytest.raises(ParseError, match="'note' must be a string"):
+        load_signatures(json.dumps(rows), format="json")
+    rows[0]["note"] = "kept"
+    assert load_signatures(json.dumps(rows), format="json")[0].note == "kept"
+
+
+def test_json_vector_dialects_must_be_a_list():
+    sigs = [Signature("S_1", "a")]
+    row = {"id": "v1", "target": "S_1", "intent": "exec", "dialects": "mysql", "payload": "a"}
+    with pytest.raises(ParseError, match="'dialects' must be a list of strings"):
+        load_vectors(json.dumps([row]), sigs, format="json")
+    row["dialects"] = ["mysql"]
+    assert load_vectors(json.dumps([row]), sigs, format="json")[0].dialects == {Dialect.MYSQL}

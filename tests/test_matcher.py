@@ -1,11 +1,12 @@
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from audit_inputs import bypass, logical_payloads
+from audit_inputs import bypass, logical_payloads, skipped
 from oracles import naive_search, random_corpus, random_pattern, random_payload
 from sig_audit import matcher, normalize
 from sig_audit.classify import Label, classify_semirelevant
@@ -49,6 +50,21 @@ def test_compile_table_rule():
 )
 def test_dialect_rejections(pattern, why):
     with pytest.raises(RegexDialectError):
+        parse_pattern(pattern)
+
+
+@pytest.mark.parametrize("pattern", [r"\b", r"\B", r"\A", r"\Z", "(?>ab)c", "a*+b", "a++"])
+def test_dialect_rejects_other_anchors_atomic_groups_and_possessive_repeats(pattern):
+    """Only ``^`` and ``$`` anchor. Atomic groups and possessive repeats
+    parse from 3.11 on and are refused as constructs; 3.10 cannot parse
+    them."""
+    if pattern.startswith("\\"):
+        why = "unsupported anchor"
+    elif sys.version_info >= (3, 11):
+        why = "unsupported construct: (ATOMIC_GROUP|POSSESSIVE_REPEAT)"
+    else:
+        why = "unparsable pattern"
+    with pytest.raises(RegexDialectError, match=why):
         parse_pattern(pattern)
 
 
@@ -852,3 +868,53 @@ def test_prefilter_is_not_cut():
     pipeline = normalize.Pipeline(prefilter="a+")
     assert not normalize.prefilter_pass(pipeline, "aa")
     assert normalize.prefilter_pass(pipeline, "ab")
+
+
+def test_matrix_json_fingerprint_must_be_a_string(raw_matrix):
+    doc = json.loads(raw_matrix.to_json())
+    doc["pipeline_fingerprint"] = 7
+    text = json.dumps(doc, indent=1)  # not a canonical export: read through ``json.loads``
+    assert matcher._canonical_matrix(text) is None
+    with pytest.raises(ParseError, match="'pipeline_fingerprint' must be a string"):
+        DetectionMatrix.from_json(text)
+    doc["pipeline_fingerprint"] = "fp"
+    assert DetectionMatrix.from_json(json.dumps(doc, indent=1)) == raw_matrix._replace(pipeline_fingerprint="fp")
+
+
+def _assert_skipped_is_the_replay(corpus, pipeline):
+    """A prefiltered view records the vectors whose transformed payload
+    its prefilter fully matches; a view without its prefilter skips none."""
+    index = TextIndex(corpus, [(normalize.RAW_PIPELINE, False), (pipeline, True), (pipeline, False)])
+    assert index.skipped == [frozenset(), skipped(corpus, pipeline), frozenset()]
+
+
+def test_index_skips_the_vectors_the_prefilter_skips(corpus, default_pipeline):
+    _assert_skipped_is_the_replay(corpus, default_pipeline)
+    assert skipped(corpus, default_pipeline) == {"v09_1", "v75_1"}  # of the three bypassed
+    _assert_skipped_is_the_replay(corpus, normalize.RAW_PIPELINE)
+    assert skipped(corpus, normalize.RAW_PIPELINE) == frozenset()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet=st.sampled_from("aZ1 _.,!?%20%2'\"<>-\x00\xa0ſ"), min_size=1, max_size=10), max_size=12))
+def test_index_skips_what_the_prefilter_replay_skips(payloads):
+    corpus = Corpus(
+        (),
+        tuple(
+            AttackVector(f"v{i}", "none", p, Intent.EXEC_UNAUTHORIZED, frozenset({Dialect.GENERIC}))
+            for i, p in enumerate(payloads)
+        ),
+    )
+    _assert_skipped_is_the_replay(corpus, normalize.default_pipeline())
+    _assert_skipped_is_the_replay(corpus, normalize.RAW_PIPELINE)
+
+
+def test_index_keeps_a_repeated_view_as_its_own(corpus, default_pipeline):
+    """Views are kept in the order given, a repeated one included: a rule
+    gets one row per view."""
+    views = [(default_pipeline, True), (normalize.RAW_PIPELINE, False), (default_pipeline, True)]
+    index = TextIndex(corpus, views)
+    deployed = detection_matrix(corpus, default_pipeline, apply_prefilter=True)
+    raw = detection_matrix(corpus, normalize.RAW_PIPELINE)
+    for n, sig in enumerate(corpus.signatures):
+        assert index.rule_rows(compile_signature(sig)) == (deployed.rows[n], raw.rows[n], deployed.rows[n])

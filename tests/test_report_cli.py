@@ -113,6 +113,21 @@ def _one_rule_corpus(sid, pattern, payload):
     return Corpus((Signature(sid, pattern),), (vector,))
 
 
+def test_render_irrelevant_finding_as_text_and_csv():
+    # the rule detects its one vector, a probe, which is not logical
+    vector = AttackVector("v1", "S_1", "zzz9", Intent.PROBE, frozenset({Dialect.GENERIC}))
+    rep = run_audit(corpus=Corpus((Signature("S_1", "zzz9"),), (vector,)), pipeline=normalize.RAW_PIPELINE)
+    assert [f.label for f in rep.findings] == [Label.IRRELEVANT]
+    assert rep.to_csv().splitlines() == ["signature,label,detail", "S_1,Irrelevant,detects 1 vectors; none logical"]
+    lines = rep.to_text().splitlines()
+    assert lines[lines.index("Irrelevant (1)") + 1] == "  S_1    detects 1 vectors, none logical"
+
+
+def test_render_rejects_an_unknown_format(audit):
+    with pytest.raises(ValueError, match="unknown format: 'xml'"):
+        render(audit, "xml")
+
+
 def test_render_text_keeps_the_top_contributor_on_one_line():
     rep = run_audit(corpus=_one_rule_corpus("S\n1", "zzz9", "zzz9"), pipeline=normalize.RAW_PIPELINE)
     lines = rep.to_text().splitlines()
@@ -347,6 +362,30 @@ def test_audit_works_out_the_bypass_set_once(monkeypatch):
     assert inconsistent == set(rep.bypass_ids)
 
 
+def test_audit_sorts_its_findings_once_and_replays_no_payload(monkeypatch):
+    """The findings are sorted once, one key each; the stage of an
+    inconsistent vector comes from the text index, so no payload goes
+    through the pipeline or the prefilter outside it."""
+    keyed = []
+    real_sort_key = classify.AuditFinding.sort_key
+
+    def sort_key(finding):
+        keyed.append(finding)
+        return real_sort_key(finding)
+
+    def refused(*args):
+        raise AssertionError("a payload went through the pipeline again")
+
+    monkeypatch.setattr(classify.AuditFinding, "sort_key", sort_key)
+    monkeypatch.setattr(normalize, "apply", refused)
+    monkeypatch.setattr(normalize, "prefilter_pass", refused)
+    rep = run_audit()
+    assert len(keyed) == len(rep.findings)
+    assert list(rep.findings) == sorted(rep.findings, key=real_sort_key)
+    stages = {v["id"]: v["stage"] for f in rep.findings if f.label is Label.INCONSISTENT for v in f.evidence["vectors"]}
+    assert stages == {"v08_1": "transform-mangle", "v09_1": "prefilter-skip", "v75_1": "prefilter-skip"}
+
+
 def _count_parses_and_compiles(monkeypatch):
     """Record the source of every regex parse and the (source, case
     mode) of every code generation, ``re.compile`` calls included; the
@@ -538,6 +577,13 @@ def test_cli_fail_on_findings(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("only,status", [("redundant", 2), ("irrelevant", 0)])
+def test_cli_classify_fail_on_findings(capsys, only, status):
+    # the bundled set has redundant rules and no irrelevant one
+    assert cli.main(["classify", "--only", only, "--fail-on-findings"]) == status
+    assert bool(json.loads(capsys.readouterr().out)) == (status == 2)
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("onlyonefield\n")
@@ -556,6 +602,13 @@ def test_cli_structure(capsys):
     doc = json.loads(out)
     assert len(doc["subrules"]) == 6
     assert doc["expansion_complete"] is True
+
+
+def test_cli_structure_of_an_unknown_signature_exits_1(capsys):
+    assert cli.main(["structure", "NOPE"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sig-audit: error: no such signature: NOPE\n"
 
 
 def test_cli_mutate(capsys):
