@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import matcher
-from .errors import AuditError, DuplicateId, ParseError, UnknownIntent, UnknownSignatureRef, load_json
+from .errors import AuditError, DuplicateId, ParseError, UnknownId, UnknownIntent, UnknownSignatureRef, load_json
 
 FREE_FLOATING = "none"  # sentinel target for probes not tied to a rule
 
@@ -310,35 +310,6 @@ def open_corpus(signature_path=None, vector_path=None) -> Corpus:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _tsv_row(*fields: str) -> str:
-    """``fields`` as one TSV row, or ``ParseError`` when the row would not
-    load back the same."""
-    row = "\t".join(fields)
-    splits_differently = row.count("\t") != len(fields) - 1 or row.splitlines() != [row]
-    if splits_differently or row.startswith("#") or not row.strip():  # loaders skip both
-        raise ParseError(
-            f"row {fields[0]!r} holds a tab or line break, starts with '#' or is blank: use the JSON format"
-        )
-    return row
-
-
-def signatures_to_tsv(signatures) -> str:
-    rows = (
-        _tsv_row(sig.id, sig.pattern_source, *([sig.note] if sig.note else []))
-        for sig in signatures
-    )
-    return "\n".join(rows) + "\n"
-
-
-def vectors_to_tsv(vectors) -> str:
-    rows = (
-        _tsv_row(vec.id, vec.target_signature_id, vec.intent.value,
-                 ",".join(sorted(d.value for d in vec.dialects)), vec.payload)
-        for vec in vectors
-    )
-    return "\n".join(rows) + "\n"
-
-
 # The JSON writers give the bytes of ``json.dumps(rows, sort_keys=True)``
 # for the rows as objects, written field by field in sorted key order
 # without building an object per row.
@@ -423,11 +394,16 @@ def bundled_set_a() -> list[str]:
 
 def set_a_ids(ids, signature_ids) -> tuple[str, ...] | None:
     """The generic set A: ``ids`` as given, where an id listed twice
-    raises ``DuplicateId``; with None, the bundled list when all of it is
-    among ``signature_ids``."""
+    raises ``DuplicateId`` and then the first id not among
+    ``signature_ids`` raises ``UnknownId``; with None, the bundled list
+    when all of it is among ``signature_ids``."""
+    known = set(signature_ids)
     if ids is not None:
         ids = tuple(ids)
         _unique(ids)
+        for sid in ids:
+            if sid not in known:
+                raise UnknownId(sid)
         return ids
     bundled = tuple(bundled_set_a())
-    return bundled if set(bundled) <= set(signature_ids) else None
+    return bundled if set(bundled) <= known else None

@@ -120,7 +120,10 @@ def parse_pattern(source: str, signature_id: str | None = None):
     # a str pattern always carries the unicode flag; (?u) adds nothing
     if tree.state.flags & ~sre_constants.SRE_FLAG_UNICODE:
         raise RegexDialectError(signature_id, "inline flags are not supported")
-    _check_nodes(tree, signature_id)
+    try:  # one frame per tree level, where the parser takes two per group
+        _check_nodes(tree, signature_id)
+    except RecursionError as exc:
+        raise RegexDialectError(signature_id, f"unparsable pattern: {exc}") from exc
     return tree
 
 
@@ -252,15 +255,12 @@ def ascii_fold(tree, fold_atom):
     Every literal, negated literal or class becomes ``fold_atom`` of
     it, which is ``ascii_class_of`` or gives the same node (an ASCII
     letter comes out lowercased). Anchors, ``.``, repeats, groups and
-    branches stay: none depends on case. ``tree`` is not changed.
+    branches stay: none depends on case. ``tree`` is not changed. One
+    frame per tree level, as the dialect check that loading runs takes.
     """
-    return sre_parse.SubPattern(tree.state, _fold_nodes(tree.data, fold_atom))
-
-
-def _fold_nodes(nodes, fold_atom) -> list:
     C = sre_constants
     out = []
-    for node in nodes:
+    for node in tree.data:
         op, arg = node
         if op is C.LITERAL or op is C.NOT_LITERAL or op is C.IN:
             node = fold_atom(node)
@@ -269,9 +269,12 @@ def _fold_nodes(nodes, fold_atom) -> list:
         elif op is C.MAX_REPEAT or op is C.MIN_REPEAT:
             node = (op, (arg[0], arg[1], ascii_fold(arg[2], fold_atom)))
         elif op is C.BRANCH:
-            node = (op, (arg[0], [ascii_fold(branch, fold_atom) for branch in arg[1]]))
+            branches = []
+            for branch in arg[1]:  # a loop, not a comprehension: no frame of its own
+                branches.append(ascii_fold(branch, fold_atom))
+            node = (op, (arg[0], branches))
         out.append(node)
-    return out
+    return sre_parse.SubPattern(tree.state, out)
 
 
 def _check_nodes(nodes, sig_id) -> None:
@@ -626,12 +629,14 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _row_of_cells(cells) -> int | None:
-    """The packed row of a list of 0/1 cells, None when ``cells`` is not one."""
-    if not isinstance(cells, list):
+    """The packed row of a list of 0/1 cells, None when ``cells`` is not
+    one. A cell is the int 0 or 1: ``true`` and ``false`` are not cells,
+    though ``bytes`` would read them as 1 and 0."""
+    if not isinstance(cells, list) or not set(map(type, cells)) <= {int}:
         return None
     try:
         raw = bytes(cells)
-    except (TypeError, ValueError):  # a cell that is not an integer in 0..255
+    except ValueError:  # an integer outside 0..255
         return None
     if raw.translate(None, b"\0\1"):
         return None

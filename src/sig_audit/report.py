@@ -201,9 +201,10 @@ def run_audit(
     stock pipeline, and only then does the report note that it is
     reverse engineered. ``set_a`` is the generic set's ids; by default
     the bundled list, when the corpus holds all of it. An id listed
-    twice raises ``DuplicateId`` before any rule compiles, and an id the
-    corpus lacks raises ``UnknownId``. The audit reads no file but the
-    bundled data: the command line turns its flags into these inputs.
+    twice raises ``DuplicateId``, and an id the corpus lacks
+    ``UnknownId``, both before any rule compiles. The audit reads no
+    file but the bundled data: the command line turns its flags into
+    these inputs.
 
     Each rule is analysed once: its pattern is parsed once
     (``Signature.tree``) and compiled from that parse, and the parse tree

@@ -2,12 +2,17 @@
 
 Three views of a rule:
 
-* operator extraction, from an NFA built off the rule's parse, with a
-  loop for each repeat without an upper bound: which SQL operators the
-  rule can actually match as standalone tokens (word operators only
-  count where the pattern admits a word boundary on both sides, so
-  ``or`` buried in a longer literal like ``preorder`` never counts;
-  which characters an atom matches is asked of ``re`` itself);
+* operator extraction, from one recursive walk of the rule's parse:
+  which SQL operators the rule can actually match as standalone tokens
+  (word operators only count where the pattern admits a word boundary
+  on both sides, so ``or`` buried in a longer literal like ``preorder``
+  never counts; which characters an atom matches is asked of ``re``
+  itself). The walk carries, as one int, the set of progress values
+  through every token that the text read so far can reach: an atom
+  moves the set through its move table, a sequence composes, a branch
+  ORs, and a repeat applies its body exactly as its count says, each
+  body's result kept per input set, so neither deep nesting nor a large
+  count multiplies the work;
 * sub-rule expansion, from span scans of the source and of each source
   it splices: cross product of the alternations inside unquantified
   groups, giving the individual criteria a rule ORs together;
@@ -31,9 +36,9 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import accumulate
 
 from .corpus import Signature
-from .errors import RegexDialectError
 from .matcher import CompiledSignature, ascii_class, atom_key, compile_atom, compile_signature, parse_pattern, sre_constants
 
 # Characters usable an unbounded number of times in an attack payload
@@ -95,15 +100,15 @@ class _CharSet:
 
     The atom is compiled twice, plain and under ``re.IGNORECASE``, and
     ``mask`` and ``folded`` hold the probe characters each matches, read
-    once, so the NFA walk answers its questions with integer masking.
-    Characters outside the probe set (custom family members can hold
-    any) ask the compiled atom. Move tables are cached per token, since
-    one atom serves every rule of an audit. ``ascii`` is the atom's
+    once, so operator extraction answers its questions with integer
+    masking. Characters outside the probe set (custom family members can
+    hold any) ask the compiled atom. Move tables are cached per lexicon,
+    since one atom serves every rule of an audit. ``ascii`` is the atom's
     ``matcher.ascii_class``, read off the same folded compile, which a
     case-insensitive rule is searched with.
     """
 
-    __slots__ = ("_match", "_match_ci", "mask", "folded", "ascii", "narrow", "can_word", "can_nonword", "_moves")
+    __slots__ = ("_match", "_match_ci", "mask", "folded", "ascii", "narrow", "can_word", "can_nonword", "_tables")
 
     # atoms realizing more probe characters than this are treated as
     # wildcards: they can carry a boundary but never spell an operator
@@ -117,7 +122,7 @@ class _CharSet:
         self.narrow = self.mask.bit_count() <= self._NARROW
         self.can_word = bool(self.mask & _WORD_PROBES)
         self.can_nonword = bool(self.mask & ~_WORD_PROBES)
-        self._moves: dict[str, list[tuple[int, ...]]] = {}
+        self._tables: dict[tuple[str, ...], tuple] = {}
 
     def contains(self, ch: str) -> bool:
         bit = _PROBE_BIT.get(ch)
@@ -131,11 +136,12 @@ class _CharSet:
             return self._match_ci(ch) is not None
         return bool(self.folded & bit)
 
-    def moves(self, token: str) -> list[tuple[int, ...]]:
-        """``_char_moves(self, token)``, computed once."""
-        table = self._moves.get(token)
+    def moves(self, lexicon: tuple[str, ...]) -> tuple:
+        """The ``_move_table`` of ``_char_moves`` for each token of
+        ``lexicon``, computed once."""
+        table = self._tables.get(lexicon)
         if table is None:
-            table = self._moves[token] = _char_moves(self, token)
+            table = self._tables[lexicon] = _move_table(_char_moves(self, token) for token in lexicon)
         return table
 
     def can_other_than(self, ch: str) -> bool:
@@ -149,14 +155,16 @@ class PatternTable:
     """The patterns of one audit: each distinct rule or sub-rule source
     is parsed and checked once and compiled at most once per case mode,
     through one ``Signature``, each distinct source is span-scanned
-    once, and each distinct atom has one charset.
+    once, and each distinct atom has one charset. A charset keeps one
+    move table per lexicon for operator extraction, whose walk of a
+    rule's parse applies every count exactly, never cut.
 
     Seeded with the audit's rules, which compile through ``compiled``
     as sub-rules do, so rules that share a source share one compile, and
     a sub-rule spelled like a rule needs no parse or code of its own. A
     source's parse is handed to its compiled form. Atoms are keyed by
     parse node, so a rule's atom and the same atom quantified share one
-    charset and its cached moves, and a case-insensitive rule or
+    charset and its cached move tables, and a case-insensitive rule or
     sub-rule folds each atom through it; the atom a bound caps is parsed
     by ``parse_pattern``. A source's scan
     serves every pass and rule that reaches it: bound analysis reads the
@@ -224,98 +232,22 @@ class PatternTable:
 
 
 # ---------------------------------------------------------------------------
-# operator extraction via a small NFA over abstract character edges
+# operator extraction: one walk over the parse, every token at once
 
-_EPS = "eps"
-_CHAR = "char"
-_ANCHOR = "anchor"
-
-
-class _Nfa:
-    def __init__(self):
-        self.edges: dict[int, list[tuple[str, object, int]]] = {}
-        self.atoms: set[_CharSet] = set()  # the charsets on this rule's edges
-        self._next = 0
-
-    def state(self) -> int:
-        s = self._next
-        self._next += 1
-        self.edges[s] = []
-        return s
-
-    def add(self, src: int, kind: str, payload, dst: int) -> None:
-        self.edges[src].append((kind, payload, dst))
-
-
-def _build_nfa(nodes, nfa: _Nfa, entry: int, repeat_cap: int, patterns: PatternTable) -> int:
-    """Thompson-style construction, each atom's charset from ``patterns``;
-    returns the exit state.
-
-    A repeat without an upper bound is ``min(lo, repeat_cap)`` copies of
-    its body and a loop; a counted repeat is cut at ``repeat_cap`` copies,
-    enough context around any token the caller looks for."""
-    C = sre_constants
-    cur = entry
-    for node in nodes.data:  # the node list: iterating a SubPattern indexes it node by node
-        op, arg = node
-        if op in _ATOM_OPS:
-            cs = patterns.atom(node)
-            nfa.atoms.add(cs)
-            nxt = nfa.state()
-            nfa.add(cur, _CHAR, cs, nxt)
-            cur = nxt
-        elif op is C.AT:
-            nxt = nfa.state()
-            nfa.add(cur, _ANCHOR, arg, nxt)
-            cur = nxt
-        elif op is C.SUBPATTERN:
-            cur = _build_nfa(arg[3], nfa, cur, repeat_cap, patterns)
-        elif op is C.BRANCH:
-            exits = []
-            for branch in arg[1]:
-                b_entry = nfa.state()
-                nfa.add(cur, _EPS, None, b_entry)
-                exits.append(_build_nfa(branch, nfa, b_entry, repeat_cap, patterns))
-            nxt = nfa.state()
-            for e in exits:
-                nfa.add(e, _EPS, None, nxt)
-            cur = nxt
-        elif op in (C.MAX_REPEAT, C.MIN_REPEAT):
-            lo, hi, body = arg
-            lo = min(lo, repeat_cap)
-            for _ in range(lo):
-                cur = _build_nfa(body, nfa, cur, repeat_cap, patterns)
-            if hi is C.MAXREPEAT:
-                # a fresh loop state, and a fresh exit with no edge back
-                # into the body: looping on ``cur`` would interleave two
-                # loops in a row, and an optional group ending in this
-                # repeat skips to its exit
-                loop, out = nfa.state(), nfa.state()
-                nfa.add(cur, _EPS, None, loop)
-                nfa.add(_build_nfa(body, nfa, loop, repeat_cap, patterns), _EPS, None, loop)
-                nfa.add(loop, _EPS, None, out)
-                cur = out
-            else:
-                for _ in range(min(hi, repeat_cap) - lo):
-                    skip_from = cur
-                    cur = _build_nfa(body, nfa, cur, repeat_cap, patterns)
-                    nfa.add(skip_from, _EPS, None, cur)
-        else:
-            raise RegexDialectError(None, f"unsupported construct: {op}")
-    return cur
-
-
-# Token progress along an NFA walk: _GLUED and _SEARCH before the token
+# Token progress along the walk: _GLUED and _SEARCH before the token
 # (_GLUED right after a character that would glue onto its first
 # character), 1..len(token) characters spelled, then len(token) + 1 once
-# the closing boundary is seen. Move tables are indexed by progress + 2
-# (slot 2, progress 0, is never used).
+# the closing boundary is seen. ``_char_moves`` lists are indexed by
+# progress + 2 (slot 2, progress 0, is never used), and so is each
+# token's stretch of a progress set: token by token, in lexicon order,
+# len(token) + 4 bits each, one bit per progress value.
 _GLUED = -2
 _SEARCH = -1
+_REPEATS = (sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT)
 
 
 def _char_moves(cs: _CharSet, token: str) -> list[tuple[int, ...]]:
-    """Progress reachable over one ``cs`` edge, for each progress value."""
+    """Progress reachable over one ``cs`` character, for each progress value."""
     n = len(token)
     if all(map(_WORD.match, token)):
         opens = closes = cs.can_nonword
@@ -331,46 +263,94 @@ def _char_moves(cs: _CharSet, token: str) -> list[tuple[int, ...]]:
     return moves
 
 
-def _token_realizable(nfa: _Nfa, start: int, accept: int, token: str, narrow: list[_CharSet], spelled: int) -> bool:
-    """Can the pattern spell ``token`` as a standalone occurrence?
+def _move_table(moves_per_token) -> tuple[tuple[int, int, int], ...]:
+    """The moves of each token of a lexicon as ``(mask, up, down)``
+    triples over its progress sets: a set ``s`` moves to the OR of
+    ``(s & mask) << up >> down``. A move changes progress by at most two
+    slots, so there are at most four triples."""
+    masks: dict[int, int] = {}
+    base = 0
+    for moves in moves_per_token:
+        for slot, succ in enumerate(moves):
+            for k in succ:
+                shift = k + 2 - slot
+                masks[shift] = masks.get(shift, 0) | 1 << (base + slot)
+        base += len(moves)
+    return tuple((mask, max(shift, 0), max(-shift, 0)) for shift, mask in masks.items())
 
-    Standalone means: for word tokens, non-word characters (or the match
-    edge) on both sides; for symbol tokens, the occurrence is a maximal
-    run (not extendable with the token's own characters). Token
-    characters must come from ``narrow``, the NFA's narrow atoms, whose
-    ``folded`` masks OR to ``spelled``; a wildcard like ``[^\\n]``
-    admits every operator and says nothing about what the rule was
-    written to catch.
+
+def _walk(nodes, s: int, tables: dict, memo: dict) -> int:
+    """The progress set after ``nodes``, entered with the set ``s``;
+    ``tables`` holds the ``_move_table`` of each character and anchor
+    node, by node id.
+
+    A sequence composes, a branch ORs its alternatives and a group is
+    its body. A repeat ``{lo,hi}`` applies its body exactly ``lo``
+    times, skipping whole periods once the sets repeat, then ORs in up
+    to ``hi - lo`` more applications, stopping once the set is stable.
+    A body's result is kept in ``memo`` per input set, so the cost is
+    bounded by the tree size times the distinct sets, however deep the
+    nesting and however large the counts. One frame per tree level.
     """
-    if not all(
-        spelled & _PROBE_BIT[ch] if ch in _PROBE_BIT else any(cs.contains_ci(ch) for cs in narrow) for ch in token
-    ):
-        return False  # some character of the token is spelled by no atom
-    n = len(token)
-    moves = {cs: cs.moves(token) for cs in nfa.atoms}
-    # an anchor is a match edge: a boundary before or after the token,
-    # and never inside it
-    anchor_moves = [(_SEARCH,), (_SEARCH,), ()] + [()] * (n - 1) + [(n + 1,), (n + 1,)]
+    C = sre_constants
+    for node in nodes.data:  # the node list: iterating a SubPattern indexes it node by node
+        if not s:
+            return 0
+        op, arg = node
+        if op is C.SUBPATTERN:
+            s = _walk(arg[3], s, tables, memo)
+        elif op is C.BRANCH:
+            out = 0
+            for branch in arg[1]:
+                out |= _walk(branch, s, tables, memo)
+            s = out
+        elif op in _REPEATS:
+            lo, hi, body = arg
+            # the sets met in the first lo applications; applications made; the set after lo
+            seen, done, floor = {}, 0, 0
+            while done < hi:
+                if done < lo:
+                    first = seen.setdefault(s, done)
+                    if first < done:  # the sets repeat with period done - first
+                        done, seen = lo - (lo - done) % (done - first), {}
+                        continue
+                elif done == lo:
+                    floor = s
+                after = memo.get((body, s))
+                if after is None:
+                    after = memo[body, s] = _walk(body, s, tables, memo)
+                after |= floor
+                if after == s:  # a fixed point: every further application gives s
+                    break
+                s, done = after, done + 1
+        else:  # a character or an anchor
+            out = 0
+            for mask, up, down in tables[id(node)]:
+                out |= (s & mask) << up >> down
+            s = out
+    return s
 
-    seen = {(start, _SEARCH)}
-    queue = [(start, _SEARCH)]
-    while queue:
-        state, k = queue.pop()
-        if state == accept and k >= n:
-            return True
-        for kind, payload, dst in nfa.edges[state]:
-            if kind == _EPS:
-                succ = (k,)
-            elif kind == _ANCHOR:
-                succ = anchor_moves[k + 2]
-            else:
-                succ = moves[payload][k + 2]
-            for ts in succ:
-                nxt = (dst, ts)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return False
+
+def _leaves(tree, patterns: PatternTable) -> dict[int, _CharSet | None]:
+    """The charset of each character node of ``tree``, and None for each
+    anchor, by node id: every node read once however it is repeated, from
+    a stack rather than by recursion, so a charset is built near the top
+    of the call stack however deep its node sits."""
+    C = sre_constants
+    leaves: dict[int, _CharSet | None] = {}
+    stack = [tree]
+    while stack:
+        for node in stack.pop().data:
+            op, arg = node
+            if op is C.SUBPATTERN:
+                stack.append(arg[3])
+            elif op is C.BRANCH:
+                stack += arg[1]
+            elif op in _REPEATS:
+                stack.append(arg[2])
+            else:  # in the dialect, a character or an anchor
+                leaves[id(node)] = patterns.atom(node) if op in _ATOM_OPS else None
+    return leaves
 
 
 def extract_operators(
@@ -378,17 +358,38 @@ def extract_operators(
 ) -> TokenizedSignature:
     """Every one of ``tokens`` the pattern can match as a standalone token.
 
-    Each atom's charset, with its cached moves, comes from ``patterns``."""
+    Standalone means: for word tokens, non-word characters (or the match
+    edge) on both sides; for symbol tokens, the occurrence is a maximal
+    run (not extendable with the token's own characters). Token
+    characters must come from the rule's narrow atoms; a wildcard like
+    ``[^\\n]`` admits every operator and says nothing about what the
+    rule was written to catch. The tokens some narrow atom spells are
+    answered together by one ``_walk`` of the parse, counts exact; each
+    atom's charset, with its cached move tables, comes from ``patterns``.
+    """
     patterns = patterns or PatternTable()
-    cap = max(map(len, tokens), default=1) + 2
-    nfa = _Nfa()
-    entry = nfa.state()
-    accept = _build_nfa(signature.tree, nfa, entry, cap, patterns)
-    narrow = [cs for cs in nfa.atoms if cs.narrow]
+    leaves = _leaves(signature.tree, patterns)
+    narrow = {cs for cs in leaves.values() if cs is not None and cs.narrow}
     spelled = 0
     for cs in narrow:
         spelled |= cs.folded
-    found = frozenset(token for token in tokens if _token_realizable(nfa, entry, accept, token, narrow, spelled))
+    lexicon = tuple(
+        token
+        for token in tokens
+        if all(
+            spelled & _PROBE_BIT[ch] if ch in _PROBE_BIT else any(cs.contains_ci(ch) for cs in narrow)
+            for ch in token
+        )
+    )
+    if not lexicon:  # some character of each token is spelled by no narrow atom
+        return TokenizedSignature(signature_id=signature.id, operators=frozenset())
+    # a match edge is a boundary before or after a token, and never inside it
+    anchor = _move_table([(_SEARCH,), (_SEARCH,), ()] + [()] * (len(t) - 1) + [(len(t) + 1,)] * 2 for t in lexicon)
+    tables = {key: anchor if cs is None else cs.moves(lexicon) for key, cs in leaves.items()}
+    bases = list(accumulate((len(t) + 4 for t in lexicon), initial=0))[:-1]
+    final = _walk(signature.tree, sum(2 << base for base in bases), tables, {})  # _SEARCH in every token
+    # a token is found where the walk ends at progress len(t) or past it
+    found = frozenset(t for t, base in zip(lexicon, bases) if final >> (base + len(t) + 2) & 3)
     return TokenizedSignature(signature_id=signature.id, operators=found)
 
 

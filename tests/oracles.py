@@ -144,11 +144,31 @@ def naive_search(pattern_src: str, text: str, case_insensitive: bool = True) -> 
 # ---------------------------------------------------------------------------
 # reference forms of the structural passes
 
+class Nfa:
+    """A Thompson-style NFA over character, anchor and epsilon edges."""
+
+    def __init__(self):
+        self.edges: dict[int, list[tuple[str, object, int]]] = {}
+        self.atoms: set = set()  # the charsets on this NFA's edges
+        self._next = 0
+
+    def state(self) -> int:
+        s = self._next
+        self._next += 1
+        self.edges[s] = []
+        return s
+
+    def add(self, src: int, kind: str, payload, dst: int) -> None:
+        self.edges[src].append((kind, payload, dst))
+
+
+EPS, CHAR, ANCHOR = "eps", "char", "anchor"
+
+
 def unrolled_nfa(nodes, nfa, entry, repeat_cap, patterns):
-    """``structural._build_nfa`` with every repeat unrolled: a repeat is
-    cut at ``repeat_cap`` copies of its body, unbounded ones included,
-    and has no loop. The reference the looped construction answers
-    operator questions against."""
+    """Thompson construction of a parse with every repeat unrolled: a
+    repeat is cut at ``repeat_cap`` copies of its body, unbounded ones
+    included, and has no loop. Returns the exit state."""
     cur = entry
     for node in nodes:
         op, arg = node
@@ -156,11 +176,11 @@ def unrolled_nfa(nodes, nfa, entry, repeat_cap, patterns):
             cs = patterns.atom(node)
             nfa.atoms.add(cs)
             nxt = nfa.state()
-            nfa.add(cur, structural._CHAR, cs, nxt)
+            nfa.add(cur, CHAR, cs, nxt)
             cur = nxt
         elif op is C.AT:
             nxt = nfa.state()
-            nfa.add(cur, structural._ANCHOR, arg, nxt)
+            nfa.add(cur, ANCHOR, arg, nxt)
             cur = nxt
         elif op is C.SUBPATTERN:
             cur = unrolled_nfa(arg[3], nfa, cur, repeat_cap, patterns)
@@ -168,11 +188,11 @@ def unrolled_nfa(nodes, nfa, entry, repeat_cap, patterns):
             exits = []
             for branch in arg[1]:
                 b_entry = nfa.state()
-                nfa.add(cur, structural._EPS, None, b_entry)
+                nfa.add(cur, EPS, None, b_entry)
                 exits.append(unrolled_nfa(branch, nfa, b_entry, repeat_cap, patterns))
             nxt = nfa.state()
             for e in exits:
-                nfa.add(e, structural._EPS, None, nxt)
+                nfa.add(e, EPS, None, nxt)
             cur = nxt
         elif op in (C.MAX_REPEAT, C.MIN_REPEAT):
             lo, hi, body = arg
@@ -183,10 +203,48 @@ def unrolled_nfa(nodes, nfa, entry, repeat_cap, patterns):
             for _ in range(hi - lo):
                 skip_from = cur
                 cur = unrolled_nfa(body, nfa, cur, repeat_cap, patterns)
-                nfa.add(skip_from, structural._EPS, None, cur)
+                nfa.add(skip_from, EPS, None, cur)
         else:
             raise ValueError(f"node {op}")
     return cur
+
+
+def _nfa_spells(nfa, start, accept, token):
+    """Depth-first search of the NFA paired with the token progress of
+    ``structural._char_moves``: can the NFA spell ``token`` standalone?"""
+    n = len(token)
+    search = structural._SEARCH
+    moves = {cs: structural._char_moves(cs, token) for cs in nfa.atoms}
+    anchor_moves = [(search,), (search,), ()] + [()] * (n - 1) + [(n + 1,), (n + 1,)]
+    seen = {(start, search)}
+    queue = [(start, search)]
+    while queue:
+        state, k = queue.pop()
+        if state == accept and k >= n:
+            return True
+        for kind, payload, dst in nfa.edges[state]:
+            if kind == EPS:
+                succ = (k,)
+            elif kind == ANCHOR:
+                succ = anchor_moves[k + 2]
+            else:
+                succ = moves[payload][k + 2]
+            for ts in succ:
+                if (dst, ts) not in seen:
+                    seen.add((dst, ts))
+                    queue.append((dst, ts))
+    return False
+
+
+def nfa_operators(signature, tokens, patterns) -> frozenset[str]:
+    """``structural.extract_operators(signature, tokens, patterns)``
+    answered by an NFA: the rule's parse unrolled with each repeat cut at
+    the longest token's length plus two copies, enough context around any
+    token, and one search per token."""
+    nfa = Nfa()
+    entry = nfa.state()
+    accept = unrolled_nfa(signature.tree, nfa, entry, max(map(len, tokens), default=1) + 2, patterns)
+    return frozenset(token for token in tokens if _nfa_spells(nfa, entry, accept, token))
 
 
 _SCAN_TOKEN = re.compile(

@@ -18,9 +18,7 @@ from sig_audit.corpus import (
     open_corpus,
     set_a_ids,
     signatures_to_json,
-    signatures_to_tsv,
     vectors_to_json,
-    vectors_to_tsv,
 )
 from sig_audit.errors import (
     AuditError,
@@ -187,9 +185,9 @@ def test_filter_never_returns_untagged(corpus):
 
 
 def test_round_trip_bundled(corpus):
-    sig_tsv = signatures_to_tsv(corpus.signatures)
-    vec_tsv = vectors_to_tsv(corpus.vectors)
-    again = load_corpus(sig_tsv, vec_tsv)
+    sig_json = signatures_to_json(corpus.signatures)
+    vec_json = vectors_to_json(corpus.vectors)
+    again = load_corpus(sig_json, vec_json, format="json")
     assert again == corpus
     assert again.fingerprint == corpus.fingerprint
 
@@ -212,8 +210,8 @@ def test_tab_payload_rejected_by_tsv_but_fine_in_json():
     sigs = (Signature("S_1", "a"),)
     vec = AttackVector("v1", "S_1", "a\tb", Intent.EXEC_UNAUTHORIZED,
                        frozenset({Dialect.GENERIC}))
-    with pytest.raises(ParseError):
-        vectors_to_tsv((vec,))
+    with pytest.raises(ParseError):  # the tab splits the row into six fields
+        load_vectors("v1\tS_1\texec\tgeneric\ta\tb\n", sigs)
     again = load_vectors(vectors_to_json((vec,)), sigs, format="json")
     assert again[0].payload == "a\tb"
 
@@ -238,7 +236,7 @@ def test_round_trip_random_vectors(payloads, intents):
         for i, p in enumerate(payloads)
     )
     c = Corpus(sigs, vecs)
-    again = load_corpus(signatures_to_tsv(sigs), vectors_to_tsv(vecs))
+    again = load_corpus(signatures_to_json(sigs), vectors_to_json(vecs), format="json")
     assert again == c
     # logical ids and probe ids partition the corpus
     logical = logical_subset(c)
@@ -280,26 +278,64 @@ def test_dialect_tokens_read_the_same_from_tsv_and_json(tokens, expected):
         assert from_json[0].dialects == expected
 
 
+def _tsv(rows) -> str | None:
+    """Tab-joined ``rows``, one a line, or None when some row would not
+    load back as written: a field holds a tab or a line break, or the
+    row starts with '#' or is blank, which the loaders skip."""
+    lines = ["\t".join(row) for row in rows]
+    for line, row in zip(lines, rows):
+        if line.count("\t") != len(row) - 1 or line.splitlines() != [line]:
+            return None
+        if line.startswith("#") or not line.strip():
+            return None
+    return "".join(line + "\n" for line in lines)
+
+
+def _signature_rows(sigs):
+    return [[s.id, s.pattern_source, *([s.note] if s.note else [])] for s in sigs]
+
+
+def _vector_rows(vecs):
+    return [
+        [v.id, v.target_signature_id, v.intent.value, ",".join(sorted(d.value for d in v.dialects)), v.payload]
+        for v in vecs
+    ]
+
+
+_GENERIC = frozenset({Dialect.GENERIC})
+
+
 @pytest.mark.parametrize(
-    "write, rows",
+    "sigs, vecs",
     [
-        (signatures_to_tsv, [Signature("S_1", "a\tb")]),
-        (signatures_to_tsv, [Signature("S_1", "a", "note\twith tab")]),
-        (signatures_to_tsv, [Signature("S_1", "a\x85b")]),
-        (signatures_to_tsv, [Signature("S_1", "a\x0cb")]),
-        (signatures_to_tsv, [Signature("S_1", "a\nb")]),
-        (signatures_to_tsv, [Signature("S_1", "a", "line\u2028break")]),
-        (signatures_to_tsv, [Signature("#S_1", "a")]),
-        (signatures_to_tsv, [Signature(" ", " ")]),
-        (vectors_to_tsv, [AttackVector("v1", "S_1", "a\nb", Intent.PROBE, frozenset({Dialect.GENERIC}))]),
-        (vectors_to_tsv, [AttackVector("v1", "S_1", "a\rb", Intent.PROBE, frozenset({Dialect.GENERIC}))]),
-        (vectors_to_tsv, [AttackVector("#v1", "S_1", "a", Intent.PROBE, frozenset({Dialect.GENERIC}))]),
-        (vectors_to_tsv, [AttackVector("v1", "S\t1", "a", Intent.PROBE, frozenset({Dialect.GENERIC}))]),
+        ([Signature("S_1", "a\tb")], []),
+        ([Signature("S_1", "a", "note\twith tab")], []),
+        ([Signature("S_1", "a\x85b")], []),
+        ([Signature("S_1", "a\x0cb")], []),
+        ([Signature("S_1", "a\nb")], []),
+        ([Signature("S_1", "a", "line\u2028break")], []),
+        ([Signature("#S_1", "a")], []),
+        ([Signature(" ", " ")], []),
+        ([Signature("S_1", "a")], [AttackVector("v1", "S_1", "a\nb", Intent.PROBE, _GENERIC)]),
+        ([Signature("S_1", "a")], [AttackVector("v1", "S_1", "a\rb", Intent.PROBE, _GENERIC)]),
+        ([Signature("S_1", "a")], [AttackVector("#v1", "S_1", "a", Intent.PROBE, _GENERIC)]),
+        ([Signature("S\t1", "a")], [AttackVector("v1", "S\t1", "a", Intent.PROBE, _GENERIC)]),
+    ],
+    ids=[
+        "tab_in_pattern", "tab_in_note", "next_line_in_pattern", "form_feed_in_pattern", "newline_in_pattern",
+        "line_separator_in_note", "hash_signature_id", "blank_signature_row", "newline_in_payload",
+        "return_in_payload", "hash_vector_id", "tab_in_target",
     ],
 )
-def test_tsv_writers_refuse_rows_that_would_not_load_back(write, rows):
-    with pytest.raises(ParseError, match="use the JSON format"):
-        write(rows)
+def test_json_carries_rows_that_tsv_cannot(sigs, vecs):
+    """A field with a tab or a line break, an id starting with '#', a
+    blank row: the JSON writers and loader carry each, where the same
+    fields joined by tabs load as something else, or not at all."""
+    rows = (tuple(sigs), tuple(vecs))
+    assert load_corpus(signatures_to_json(sigs), vectors_to_json(vecs), format="json") == rows
+    assert _tsv(_signature_rows(sigs)) is None or _tsv(_vector_rows(vecs)) is None
+    joined = ["".join("\t".join(row) + "\n" for row in table) for table in (_signature_rows(sigs), _vector_rows(vecs))]
+    assert _outcome(lambda: load_corpus(*joined)) != rows
 
 
 # fields that may hold a tab, a line break, blanks or a leading '#'
@@ -327,11 +363,11 @@ def _corpora(draw):
 @settings(max_examples=300)
 @given(_corpora())
 def test_tsv_and_json_forms_load_the_same(corpus):
-    """Whatever the TSV writer accepts loads back as the JSON form does."""
+    """Whatever TSV text holds the rows as written loads back as the JSON
+    form does."""
     sigs, vecs = corpus
-    try:
-        sig_tsv, vec_tsv = signatures_to_tsv(sigs), vectors_to_tsv(vecs)
-    except ParseError:
+    sig_tsv, vec_tsv = _tsv(_signature_rows(sigs)), _tsv(_vector_rows(vecs))
+    if sig_tsv is None or vec_tsv is None:
         return
     from_tsv = _outcome(lambda: load_corpus(sig_tsv, vec_tsv))
     from_json = _outcome(
@@ -382,8 +418,8 @@ def test_open_corpus_takes_str_or_path(tmp_path, corpus):
     signatures = corpus.signatures[:6]
     targets = {s.id for s in signatures}
     vectors = tuple(v for v in corpus.vectors if v.target_signature_id in targets)
-    (tmp_path / "s.tsv").write_text(signatures_to_tsv(signatures), encoding="utf-8")
-    (tmp_path / "v.tsv").write_text(vectors_to_tsv(vectors), encoding="utf-8")
+    (tmp_path / "s.tsv").write_text(_tsv(_signature_rows(signatures)), encoding="utf-8")
+    (tmp_path / "v.tsv").write_text(_tsv(_vector_rows(vectors)), encoding="utf-8")
     (tmp_path / "s.json").write_text(signatures_to_json(signatures), encoding="utf-8")
     (tmp_path / "v.json").write_text(vectors_to_json(vectors), encoding="utf-8")
     for ext in ("tsv", "json"):  # the signature file's name picks the format

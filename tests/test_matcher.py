@@ -308,7 +308,9 @@ _SMALL_JSON = _SMALL.to_json() + "\n"
     "edits, expected",
     [
         pytest.param({'"S_1": [1,': '"S_1": [2,'}, "matrix row S_1 must be a list of 0/1 cells", id="cell_2"),
-        pytest.param({'"S_3": [1, 1,': '"S_3": [1, true,'}, _SMALL, id="cell_true"),
+        # ``bytes`` would read true and false as 1 and 0
+        pytest.param({'"S_3": [1, 1,': '"S_3": [1, true,'}, "matrix row S_3 must be a list of 0/1 cells", id="cell_true"),
+        pytest.param({'"S_2": [0, 0,': '"S_2": [0, false,'}, "matrix row S_2 must be a list of 0/1 cells", id="cell_false"),
         pytest.param({'"S_1": [1, 0, 1,': '"S_1": [1, 0, 1.0,'}, "matrix row S_1 must be", id="cell_1.0"),
         # the digits read as the row -7, which renders back as "1, 1, 1, -"
         # with a row sum of 3; no JSON reads a bare "-"
@@ -860,6 +862,28 @@ def test_search_form_shape(corpus):
         assert search_form(form) is form, pattern
         if repr(form) == before:
             assert form is tree, pattern
+
+
+def test_nesting_too_deep_to_check_is_a_dialect_error():
+    """A capturing group holding a branch, repeated, is three tree levels
+    a group, where the parser takes two frames: nested as deep as the
+    parser reads, the dialect check runs out of stack, which is a
+    ``RegexDialectError`` and not a ``RecursionError``."""
+    def nest(depth):
+        return "x" + "(o|" * depth + "or" + ")?" * depth
+
+    lo, hi = 1, sys.getrecursionlimit()  # the parser reads lo, and not hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            matcher.sre_parse.parse(nest(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid
+    depth = lo - 10  # the parse itself succeeds one call deeper
+    with pytest.raises(RegexDialectError, match="unparsable pattern"):
+        parse_pattern(nest(depth))
+    assert parse_pattern(nest(depth // 4))  # well within the stack
 
 
 def test_prefilter_is_not_cut():

@@ -23,7 +23,7 @@ from sig_audit.corpus import (
     signatures_to_json,
     vectors_to_json,
 )
-from sig_audit.errors import DuplicateId, ParseError
+from sig_audit.errors import DuplicateId, ParseError, UnknownId
 from sig_audit.report import AuditReport, render, run_audit
 from sig_audit.stats import overlap, partition
 
@@ -494,42 +494,87 @@ def test_audit_parses_each_distinct_source_once(monkeypatch, one_process, corpus
         assert len(set(parsed) - rules) > len(rules)  # sub-rules and atoms
 
 
-def test_bound_charset_is_the_atom_on_the_rules_edges(monkeypatch, capsys, corpus):
+def test_bound_charset_is_an_atom_its_rule_extracts_with(monkeypatch, capsys, corpus):
     """The charset of a bound's atom, in the table the bound was read
-    through, is the very object on its rule's NFA edges, so operator
-    extraction and bound analysis share one atom table, in an audit and
-    in ``structure``."""
-    nfas, bounds = [], []
-    real_bounds = structural.bounded_specials
+    through, is one that ``PatternTable.atom`` returned while its rule's
+    operators were extracted, so operator extraction and bound analysis
+    share one atom table, in an audit and in ``structure``."""
+    extracted, bounds, returned = {}, [], []
+    real_bounds, real_extract = structural.bounded_specials, structural.extract_operators
+    real_atom = structural.PatternTable.atom
 
-    class RecordedNfa(structural._Nfa):
-        def __init__(self):
-            super().__init__()
-            nfas.append(self)
+    def atom(self, node):
+        cs = real_atom(self, node)
+        returned.append(id(cs))
+        return cs
+
+    def extracting(signature, tokens=structural.DEFAULT_OPERATORS, patterns=None):
+        returned.clear()
+        found = real_extract(signature, tokens, patterns)
+        extracted[signature.id] = set(returned)
+        return found
 
     def recording(signature, patterns=None):
         found = real_bounds(signature, patterns)
         bounds.append((signature.id, [patterns.charset(b.char_class) for b in found]))
         return found
 
-    def on_edges(nfa):
-        return {id(cs) for out in nfa.edges.values() for kind, cs, _ in out if kind == structural._CHAR}
-
-    monkeypatch.setattr(structural, "_Nfa", RecordedNfa)
+    monkeypatch.setattr(structural.PatternTable, "atom", atom)
+    monkeypatch.setattr(structural, "extract_operators", extracting)
     monkeypatch.setattr(structural, "bounded_specials", recording)
     run_audit()
-    edges = dict(zip((s.id for s in corpus.signatures), map(on_edges, nfas)))
     bounded = [(sid, found) for sid, found in bounds if found]
     assert [sid for sid, _ in bounded] == ["S_4", "S_6", "S_21", "S_63", "S_68"]
     for sid, found in bounded:
-        assert all(id(cs) in edges[sid] for cs in found), sid
+        assert all(id(cs) in extracted[sid] for cs in found), sid
     for sid, _ in bounded:
-        nfas.clear()
+        extracted.clear()
         bounds.clear()
         assert cli.main(["structure", sid]) == 0
         capsys.readouterr()
         [(_, found)] = bounds
-        assert found and all(id(cs) in on_edges(nfas[0]) for cs in found), sid
+        assert found and all(id(cs) in extracted[sid] for cs in found), sid
+
+
+_NESTINGS = {
+    "group": lambda depth: "x" + "(" * depth + "or" + ")" * depth,
+    "branch": lambda depth: "x" + "(?:a|" * depth + "or" + ")" * depth,
+    "repeat": lambda depth: "x" + "(?:" * depth + "a" + "){1,2}" * depth,
+    "branch_in_repeat": lambda depth: "x" + "(?:o|" * depth + " or " + ")?" * depth,
+    "group_branch_repeat": lambda depth: "x" + "(o|" * depth + " or " + ")?" * depth,
+}
+
+
+@pytest.mark.parametrize("kind", list(_NESTINGS))
+def test_deepest_nesting_the_cli_loads_exits_cleanly(tmp_path, capsys, kind):
+    """At the deepest nesting of each kind that ``structure`` or
+    ``audit`` loads, both exit 0, or 1 with an error line, and never
+    raise: every pass after the parse takes at most one frame per tree
+    level, where the parser takes two per group, and a group that is
+    three tree levels deep fails the dialect check at load. The one
+    payload holds no ``x``, so the rule's own search stays trivial."""
+    nest = _NESTINGS[kind]
+    (tmp_path / "v.tsv").write_text("v1\tD_1\tprobe\tgeneric\t1 or 1\n", encoding="utf-8")
+    files = ["--signatures", str(tmp_path / "s.tsv"), "--vectors", str(tmp_path / "v.tsv")]
+
+    def run(command, depth):
+        (tmp_path / "s.tsv").write_text(f"D_1\t{nest(depth)}\n", encoding="utf-8")
+        status = cli.main(command + files)
+        return status, capsys.readouterr().err
+
+    def loads(command, depth):
+        return "unparsable pattern" not in run(command, depth)[1]
+
+    commands = (["structure", "D_1"], ["audit"])
+    for command in commands:
+        lo, hi = 1, sys.getrecursionlimit()  # lo loads, hi does not
+        assert loads(command, lo) and not loads(command, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if loads(command, mid) else (lo, mid)
+        for other in commands:
+            status, err = run(other, lo)
+            assert status == 0 or (status == 1 and err.startswith("sig-audit: error: ")), (other, lo, err)
 
 
 def test_cli_structure_prints_the_same_document(capsys):
@@ -731,6 +776,21 @@ def test_library_set_a_that_repeats_an_id_fails_before_any_rule_compiles(monkeyp
     with pytest.raises(DuplicateId) as info:
         run_audit(set_a=["S_7", "S_6", "S_7"])
     assert info.value.duplicate_id == "S_7"
+
+
+def test_set_a_with_an_unknown_id_fails_before_any_rule_compiles(monkeypatch, set_a_file, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was compiled")
+
+    monkeypatch.setattr(matcher, "compile_signature", refuse)
+    monkeypatch.setattr(structural, "compile_signature", refuse)
+    with pytest.raises(UnknownId) as info:
+        run_audit(set_a=["S_7", "NOPE", "ALSO_NOPE"])
+    assert info.value.missing_id == "NOPE"
+    with pytest.raises(DuplicateId):  # a repeat is reported first
+        run_audit(set_a=["NOPE", "S_7", "S_7"])
+    assert cli.main(["audit", "--set-a", set_a_file("S_7", "NOPE")]) == 1
+    assert capsys.readouterr() == ("", "sig-audit: error: unknown id: NOPE\n")
 
 
 def test_cli_set_a_file_gives_its_overlap(set_a_file, capsys, raw_matrix):

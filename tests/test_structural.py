@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from oracles import _in_match, random_nested_pattern, unrolled_nfa, with_unions
+from oracles import _in_match, nfa_operators, random_nested_pattern, with_unions
 
 from sig_audit import structural
 from sig_audit.classify import default_families
@@ -104,20 +104,31 @@ def test_atom_masks_agree_with_predicates(corpus):
     assert checked > 500
 
 
-def test_one_charset_per_distinct_atom():
+def _extracted_charsets(monkeypatch, patterns, pattern):
+    """The charsets ``PatternTable.atom`` returns while the operators of
+    ``pattern`` are extracted through ``patterns``, one per call."""
+    returned, real_atom = [], PatternTable.atom
+
+    def atom(self, node):
+        cs = real_atom(self, node)
+        returned.append(cs)
+        return cs
+
+    with monkeypatch.context() as m:
+        m.setattr(PatternTable, "atom", atom)
+        extract_operators(sig(pattern), patterns=patterns)
+    return returned
+
+
+def test_one_charset_per_distinct_atom(monkeypatch):
     patterns = PatternTable()
-    nfa = structural._Nfa()
-    entry = nfa.state()
-    tree = parse_pattern(r"(?:\s*or\s*[0-9]\s*(?:and|or)\s*[0-9])")
-    structural._build_nfa(tree, nfa, entry, 6, patterns)
-    on_edges = {id(cs) for edges in nfa.edges.values() for kind, cs, _ in edges if kind == "char"}
-    assert on_edges == {id(cs) for cs in nfa.atoms}
-    assert len(nfa.atoms) == 7  # \s, o, r, [0-9], a, n, d: one object each
-    # a second rule built over the same table reuses its objects
-    other = structural._Nfa()
-    structural._build_nfa(parse_pattern(r"\s*xor\s*[0-9]"), other, other.state(), 6, patterns)
-    assert len(other.atoms & nfa.atoms) == 4
-    assert len(other.atoms) == 5 and len(patterns._atoms) == 8  # x is the one new atom
+    first = _extracted_charsets(monkeypatch, patterns, r"(?:\s*or\s*[0-9]\s*(?:and|or)\s*[0-9])")
+    assert len(first) == 13  # each atom node read once
+    assert len(set(map(id, first))) == 7  # \s, o, r, [0-9], a, n, d: one object each
+    # a second rule read through the same table reuses its objects
+    second = _extracted_charsets(monkeypatch, patterns, r"\s*xor\s*[0-9]")
+    assert len(set(map(id, second)) & set(map(id, first))) == 4
+    assert len(set(map(id, second))) == 5 and len(patterns._atoms) == 8  # x is the one new atom
 
 
 def test_case_insensitive_compiles_build_every_literal_and_class_charset(corpus):
@@ -215,12 +226,13 @@ def test_family_member_lexicon_gives_the_default_lexicons_members(corpus):
     assert checked > 400
 
 
-def test_looped_nfa_gives_the_unrolled_answers(monkeypatch, corpus):
-    """A repeat without an upper bound is a loop; the reference unrolls it
-    to ``repeat_cap`` copies. Both answer every operator question alike,
-    for the family members and the default tokens: on the bundled rules,
-    40 pairwise unions of them, and patterns of quantified and nested
-    groups, lazy repeats, counts above the cap and anchors."""
+def test_walk_gives_the_nfa_answers(corpus):
+    """The walk over the parse answers every operator question as an NFA
+    with each repeat unrolled to the longest token's length plus two
+    copies does, for the family members, the default tokens and the
+    default tokens with two members outside the probe set: on the bundled
+    rules, 40 pairwise unions of them, and patterns of quantified and
+    nested groups, lazy repeats, counts above that cut and anchors."""
     rng = random.Random(18)
     sources = [s.pattern_source for s in with_unions(corpus, 40, rng).signatures]
     sources += [random_nested_pattern(rng) for _ in range(1100)]
@@ -235,14 +247,38 @@ def test_looped_nfa_gives_the_unrolled_answers(monkeypatch, corpus):
     assert len(signatures) > 83 + 40 + 1000
     members = frozenset().union(*(fam.members for fam in default_families()))
     patterns = PatternTable()
-    for tokens in (members, DEFAULT_OPERATORS):
-        looped = [extract_operators(s, tokens, patterns).operators for s in signatures]
+    for tokens in (members, DEFAULT_OPERATORS, DEFAULT_OPERATORS | {"ß", "¬"}):
+        walked = [extract_operators(s, tokens, patterns).operators for s in signatures]
+        for s, found in zip(signatures, walked):
+            assert found == nfa_operators(s, tokens, patterns), s.pattern_source
+        assert sum(map(bool, walked)) > 500
+
+
+@pytest.mark.parametrize(
+    "nest, tokens, expected",
+    [
+        (lambda d: "x" + "(?:" * d + "a" + "){1,2}" * d, DEFAULT_OPERATORS | {"xa"}, {"xa"}),
+        (lambda d: "x" + "(?:" * d + "o" + "){0,5}" * d + "r", DEFAULT_OPERATORS, {"xor"}),
+        (lambda d: "1" + "(?:" * d + r"\s|or" + "){2,65535}" * d, DEFAULT_OPERATORS, {"or"}),
+    ],
+    ids=["doubling", "quintupling", "huge_counts"],
+)
+def test_nested_counts_cost_linear_in_depth(monkeypatch, nest, tokens, expected):
+    """Counted repeats nested ``depth`` deep: an NFA that copies each
+    body once per count has a number of atoms exponential in the depth.
+    The walk reads each atom node once and walks each body once per
+    distinct progress set, so both counts grow at most linearly."""
+    costs = []
+    for depth in (4, 8, 12):
+        atoms, walks = [], []
+        real_atom, real_walk = PatternTable.atom, structural._walk
         with monkeypatch.context() as m:
-            m.setattr(structural, "_build_nfa", unrolled_nfa)
-            unrolled = [extract_operators(s, tokens, patterns).operators for s in signatures]
-        for s, a, b in zip(signatures, looped, unrolled):
-            assert a == b, s.pattern_source
-        assert sum(map(bool, looped)) > 500
+            m.setattr(PatternTable, "atom", lambda self, node: atoms.append(node) or real_atom(self, node))
+            m.setattr(structural, "_walk", lambda *args: walks.append(args) or real_walk(*args))
+            assert extract_operators(sig(nest(depth)), tokens).operators == expected
+        costs.append((len(atoms), len(walks)))
+    for cost_4, cost_8, cost_12 in zip(*costs):
+        assert 0 < cost_4 <= cost_8 and cost_12 - cost_8 <= cost_8 - cost_4, costs
 
 
 @pytest.mark.parametrize("pattern", [r"1\s*¬\s*1", r"1\s*[¬!]\s*1", r"1 (?:¬|~) 1"])
