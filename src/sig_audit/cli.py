@@ -9,11 +9,18 @@ findings exist and --fail-on-findings was given.
 
 Each command imports the modules it runs when it runs: ``matrix`` and
 ``stats`` load no classifier, structural pass, mutator or report code.
+
+The cyclic garbage collector is paused while a command runs and then
+restored to the state it was in. An audit makes no reference cycles,
+so its memory stays flat without the collector, and the workers it
+forks inherit the pause, so neither side rewrites the collector's
+headers on the pages the fork shares.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -74,11 +81,15 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _matrix(args):
-    """The deployed detection matrix of the corpus and pipeline the flags name."""
-    from . import matcher, normalize
+def _matrix(args, set_a=None):
+    """The deployed detection matrix of the corpus and pipeline the flags
+    name. An id of ``set_a`` that the corpus lacks fails before any rule
+    compiles."""
+    from . import corpus as corpus_mod, matcher, normalize
 
     corpus, pipeline = _inputs(args)
+    if set_a is not None:
+        corpus_mod.set_a_ids(set_a, (sig.id for sig in corpus.signatures))
     if pipeline is None:
         pipeline = normalize.default_pipeline()
     return matcher.detection_matrix(corpus, pipeline, case_sensitive=args.case_sensitive)
@@ -112,7 +123,10 @@ def _cmd_stats(args) -> int:
         if unused:
             args.usage_error(f"--matrix cannot be combined with {', '.join(unused)}")
     set_a = None if args.set_a is None else corpus_mod.load_id_list(args.set_a)  # before any work
-    m = matcher.DetectionMatrix.from_json(args.matrix.read_text(encoding="utf-8")) if args.matrix else _matrix(args)
+    if args.matrix:
+        m = matcher.DetectionMatrix.from_json(args.matrix.read_text(encoding="utf-8"))
+    else:
+        m = _matrix(args, set_a)
     profile = stats.contribution(m)
     doc = {"profile": profile.to_dict()}
     set_a = corpus_mod.set_a_ids(set_a, m.signature_ids)
@@ -250,11 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (AuditError, OSError, ValueError) as exc:
         print(f"sig-audit: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -22,7 +22,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import matcher
-from .errors import AuditError, DuplicateId, ParseError, UnknownId, UnknownIntent, UnknownSignatureRef, load_json
+from .errors import (
+    AuditError, DuplicateId, ParseError, UnknownId, UnknownIntent, UnknownSignatureRef, load_json, sha256_hex,
+)
 
 FREE_FLOATING = "none"  # sentinel target for probes not tied to a rule
 
@@ -112,10 +114,7 @@ class Corpus(namedtuple("Corpus", "signatures vectors")):
 
     @property
     def fingerprint(self) -> str:
-        import hashlib  # loaded by the commands that fingerprint, not by every import
-
-        blob = signatures_to_json(self.signatures) + vectors_to_json(self.vectors)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256_hex(signatures_to_json(self.signatures) + vectors_to_json(self.vectors))
 
 
 def _unique(ids) -> set[str]:

@@ -1,6 +1,6 @@
 """Exception types raised by the audit library, the JSON reader every
-document loader shares, and the pretty JSON writer every indented
-document goes through."""
+document loader shares, the pretty JSON writer every indented document
+goes through, and the SHA-256 digest every fingerprint takes."""
 
 import json
 from json.encoder import encode_basestring_ascii as _json_string
@@ -50,50 +50,67 @@ def dump_json(doc) -> str:
     floats, bools and None; anything else, or a key that is not a
     string, raises ``TypeError``."""
     out = []
-    write = out.append
-
-    def encode(value, newline):
-        if isinstance(value, str):
-            write(_json_string(value))
-        elif value is None:
-            write("null")
-        elif value is True:
-            write("true")
-        elif value is False:
-            write("false")
-        elif isinstance(value, int):
-            write(int.__repr__(value))
-        elif isinstance(value, float):
-            write(_json_float(value))
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                write("[]")
-                return
-            inner = newline + "  "
-            separator = "[" + inner
-            for item in value:
-                write(separator)
-                encode(item, inner)
-                separator = "," + inner
-            write(newline + "]")
-        elif isinstance(value, dict):
-            if not value:
-                write("{}")
-                return
-            inner = newline + "  "
-            separator = "{" + inner
-            for key in sorted(value):  # _json_string raises TypeError on a key that is not a str
-                write(separator)
-                write(_json_string(key))
-                write(": ")
-                encode(value[key], inner)
-                separator = "," + inner
-            write(newline + "}")
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    encode(doc, "\n")
+    _encode(doc, "\n", out.append)
     return "".join(out)
+
+
+def _encode(value, newline: str, write) -> None:
+    """Write ``value`` for ``dump_json`` through ``write``, its nested
+    lines indented from ``newline``. A module-level function, not a
+    closure, so that a document leaves no reference cycle."""
+    if isinstance(value, str):
+        write(_json_string(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        write(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            write(separator)
+            _encode(item, inner, write)
+            separator = "," + inner
+        write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):  # _json_string raises TypeError on a key that is not a str
+            write(separator)
+            write(_json_string(key))
+            write(": ")
+            _encode(value[key], inner, write)
+            separator = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def sha256_hex(text: str) -> str:
+    """The hex SHA-256 digest of ``text`` in UTF-8, from the interpreter's
+    built-in module (``_sha256`` up to 3.11, ``_sha2`` from 3.12), so
+    that a fingerprint does not load OpenSSL as ``hashlib`` does; a build
+    without the built-in module falls back to ``hashlib``."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 class DuplicateId(AuditError):

@@ -25,7 +25,7 @@ import re
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import ParseError, load_json
+from .errors import ParseError, load_json, sha256_hex
 
 # Payloads travel URL-encoded; each %XX escape decodes to the latin-1
 # character of its byte, which keeps every byte value addressable as a
@@ -121,9 +121,7 @@ class Pipeline(namedtuple("Pipeline", "transforms prefilter")):
 
     @property
     def fingerprint(self) -> str:
-        import hashlib  # loaded by the commands that fingerprint, not by every import
-
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return sha256_hex(self.to_json())
 
     def to_json(self) -> str:
         return json.dumps(

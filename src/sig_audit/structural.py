@@ -476,26 +476,28 @@ def _first_expandable(src: str, patterns: PatternTable) -> tuple[tuple[int, int,
     branches, groups, _ = patterns.scan(src)
     if len(branches) > 1:
         return (0, len(src), [src[a:b] for a, b in branches]), False
+    return _leftmost_alternation(src, groups)
 
+
+def _leftmost_alternation(src: str, groups) -> tuple[tuple[int, int, list[str]] | None, bool]:
+    """``_first_expandable`` within ``groups``: the leftmost alternation
+    neither inside a quantified group nor deeper than ``MAX_DEPTH``, and
+    whether a deeper one was passed over on the way. A module-level
+    function, not a closure, so that a scan leaves no reference cycle."""
     capped = False
-
-    def walk(groups) -> tuple[int, int, list[str]] | None:
-        nonlocal capped
-        for g in groups:
-            if g.quantified:
-                continue
-            if len(g.branches) > 1:
-                if g.depth > MAX_DEPTH:
-                    capped = True
-                else:
-                    return (g.start, g.end, [src[a:b] for a, b in g.branches])
-            found = walk(g.children)
-            if found:
-                return found
-        return None
-
-    found = walk(groups)
-    return found, capped
+    for g in groups:
+        if g.quantified:
+            continue
+        if len(g.branches) > 1:
+            if g.depth > MAX_DEPTH:
+                capped = True
+            else:
+                return (g.start, g.end, [src[a:b] for a, b in g.branches]), capped
+        found, below = _leftmost_alternation(src, g.children)
+        capped = capped or below
+        if found:
+            return found, capped
+    return None, capped
 
 
 # The end of a spliced piece that the text after it could extend: a

@@ -1,7 +1,9 @@
 """The records are named tuples: what they keep of a frozen record's
 contract, and what importing the package loads."""
 
+import hashlib
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +13,8 @@ import pytest
 import sig_audit
 from sig_audit import matcher, normalize
 from sig_audit.classify import RelatedOperatorFamily
-from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature
-from sig_audit.errors import AuditError, DuplicateId, ParseError
+from sig_audit.corpus import AttackVector, Corpus, Dialect, Intent, Signature, signatures_to_json, vectors_to_json
+from sig_audit.errors import AuditError, DuplicateId, ParseError, sha256_hex
 from sig_audit.matcher import compile_signature, detection_matrix
 from sig_audit.mutate import MutationConfig
 from sig_audit.structural import PatternTable, bounded_specials, expand_subrules, extract_operators
@@ -53,6 +55,37 @@ def test_importing_the_cli_loads_no_heavy_stdlib_modules(statement, corpus, defa
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+def test_fingerprints_are_the_sha256_of_their_json(corpus, default_pipeline):
+    blob = signatures_to_json(corpus.signatures) + vectors_to_json(corpus.vectors)
+    assert corpus.fingerprint == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    for pipeline in (default_pipeline, normalize.RAW_PIPELINE):
+        assert pipeline.fingerprint == hashlib.sha256(pipeline.to_json().encode("utf-8")).hexdigest()
+
+
+def test_a_build_without_the_builtin_sha256_falls_back_to_hashlib(monkeypatch):
+    text = "S_1\t(?:union)\u00e9"
+    expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert sha256_hex(text) == expected
+    monkeypatch.setitem(sys.modules, "_sha256", None)  # so importing it raises ImportError
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    assert sha256_hex(text) == expected
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")),
+    reason="this build has no built-in SHA-256, so fingerprints load hashlib",
+)
+def test_an_audit_loads_no_openssl():
+    probe = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); from sig_audit.cli import main; "
+        "sys.stdout = open(os.devnull, 'w'); code = main(['audit']); sys.stdout = sys.__stdout__; "
+        "print(code, 'loaded:', *(m for m in ('hashlib', '_hashlib') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 loaded:"
 
 
 def test_importing_mutate_loads_no_other_package_module():

@@ -789,8 +789,9 @@ def test_set_a_with_an_unknown_id_fails_before_any_rule_compiles(monkeypatch, se
     assert info.value.missing_id == "NOPE"
     with pytest.raises(DuplicateId):  # a repeat is reported first
         run_audit(set_a=["NOPE", "S_7", "S_7"])
-    assert cli.main(["audit", "--set-a", set_a_file("S_7", "NOPE")]) == 1
-    assert capsys.readouterr() == ("", "sig-audit: error: unknown id: NOPE\n")
+    for command in (["audit"], ["stats"], ["stats", "--raw"]):
+        assert cli.main(command + ["--set-a", set_a_file("S_7", "NOPE")]) == 1
+        assert capsys.readouterr() == ("", "sig-audit: error: unknown id: NOPE\n")
 
 
 def test_cli_set_a_file_gives_its_overlap(set_a_file, capsys, raw_matrix):
