@@ -351,12 +351,7 @@ class CompiledSignature:
     """A pattern source ready to search, compiled from ``tree``, its
     parse as written. ``pattern`` is the search form, and under
     case-insensitive matching its ASCII fold (without flags), which
-    searches the keys that are ASCII.
-
-    A compile is compared by identity: two sources whose folds compile
-    to equal code (``é`` and ``[é-ü]`` both fold to an empty ASCII
-    class) still differ on a key that is not ASCII, so a cache keyed by
-    compile keeps one entry for each."""
+    searches the keys that are ASCII."""
 
     def __init__(self, pattern, case_insensitive, tree):
         self.pattern, self.case_insensitive, self.tree = pattern, case_insensitive, tree
@@ -665,14 +660,13 @@ class TextIndex:
     when folding; and the mask of the keys holding each literal, a bit
     set over key positions.
 
-    ``costs`` builds the masks a list of compiles lacks, one ``fan_out``
-    item per literal, and gives each compile's search cost in cells: its
-    candidate keys. ``rule_rows`` hands out a compile's packed row in
-    every view, from one search of its candidate keys, remembered by
-    compile identity in the process that searched it, so rules sharing
-    a compile search once. A caller fans its rules out over
-    ``rule_rows`` and keeps the rows it gets back (``detection_matrix``,
-    ``report.run_audit``); the index stores none of them for later.
+    ``costs`` gives each compile's search cost in cells: its candidate
+    keys, read off the masks of its literals, each built on first use in
+    the calling process, so forked workers inherit them. ``rule_rows``
+    gives a compile's packed row in every view, from one search of its
+    candidate keys. A caller fans its rules out over ``rule_rows`` and
+    keeps the rows it gets back (``detection_matrix``,
+    ``report.run_audit``); the index stores none of them.
     """
 
     def __init__(self, corpus, views, case_sensitive: bool = False):
@@ -708,7 +702,6 @@ class TextIndex:
         self._starts = list(accumulate((len(part) + 1 for part in parts), initial=0))
         self._unchecked = _mask([k for k, skip in enumerate(unchecked) if skip], len(parts))
         self._found: dict[str, int] = {}
-        self._rows: dict[CompiledSignature, tuple[int, ...]] = {}
 
     def _containing(self, literal: str) -> int:
         """Mask of the prechecked keys that contain ``literal``."""
@@ -750,12 +743,8 @@ class TextIndex:
         return range(len(self.keys)) if mask is None else bit_indices(mask)
 
     def costs(self, compiled) -> list[int]:
-        """The cells each compile's search takes: its candidate keys. The
-        masks of the literals they precheck that the index lacks are built
-        first, one ``fan_out`` item per literal, each scanning every key."""
-        literals = sorted({lit for c in compiled for lit in self._prechecked(c)} - self._found.keys())
-        scan = [len(self.keys) // KEYS_PER_CELL] * len(literals)
-        self._found.update(zip(literals, fan_out(lambda n: self._containing(literals[n]), scan)))
+        """The cells each compile's search takes: its candidate keys. Every
+        mask they read is built here, so a fan-out over them inherits it."""
         masks = map(self._candidate_mask, compiled)
         return [len(self.keys) if mask is None else mask.bit_count() for mask in masks]
 
@@ -769,28 +758,20 @@ class TextIndex:
         return list(compress(candidates, map(compiled.pattern.search, map(keys.__getitem__, candidates))))
 
     def rule_rows(self, compiled: CompiledSignature) -> tuple[int, ...]:
-        """The rule's packed row in each view, in view order, searched on first use."""
-        rows = self._rows.get(compiled)
-        if rows is None:
-            hits = self.hits(compiled)
-            rows = tuple(_mask([i for k in hits for i in columns[k]], self._size) for columns in self._columns)
-            self._rows[compiled] = rows
-        return rows
+        """The rule's packed row in each view, in view order."""
+        hits = self.hits(compiled)
+        return tuple(_mask([i for k in hits for i in columns[k]], self._size) for columns in self._columns)
 
 
 # A cell is one candidate key searched by one rule: about 1.3 us (1.0-1.5
-# us on bundled, wide_rules-0 and wide_vectors-0). The literal mask a
-# precheck reads scans every key of the index, at 1/13-1/18 of a cell a
-# key, so a mask costs the keys / 16 cells.
-KEYS_PER_CELL = 16
-
+# us on bundled, wide_rules-0 and wide_vectors-0).
 # The cells each worker of a ``fan_out`` must take, measured on a 2-CPU
 # Linux VM: a fan-out of trivial items costs the caller 3.6 ms per child
 # (0.85 ms of it the fork), and the first import of ``pickle`` 3.2 ms,
-# which the two fan-outs of an audit or a matrix (masks, then rules)
-# share. So a worker costs about 3.6 + 3.2 / 2 = 5.2 ms a fan-out, and
-# 5.2 ms / 1.3 us is 4,000 cells.
-FAN_OUT_CELLS = 4_000
+# which the one fan-out of an audit or a matrix pays alone. So a worker
+# costs about 3.6 + 3.2 = 6.8 ms, and 6.8 ms / 1.3 us is about 5,200
+# cells.
+FAN_OUT_CELLS = 5_200
 
 _MISSING = object()  # an item no worker delivered
 
@@ -947,8 +928,10 @@ def detection_matrix(
     twice ``FAN_OUT_CELLS`` (see ``fan_out``); the rows are the same.
     ``rows`` holds the packed rows already searched in this view, in
     corpus order, as an audit's per-rule items return them; the matrix
-    only wraps them. ``rows`` of another length than the signatures
-    raises ``ValueError``.
+    only wraps them, and reads nothing but the corpus ids and the
+    pipeline's fingerprint (``case_sensitive`` and ``apply_prefilter``
+    go unread). ``rows`` of another length than the signatures raises
+    ``ValueError``.
     """
     if rows is None:
         fold_atom = _fold_each_atom_once()

@@ -184,7 +184,7 @@ FACTS_CELLS = 450
 # pages its first writes copy), in cells. Measured on a 2-CPU Linux VM as
 # the time two processes take over half the time one takes, less the
 # fork's own cost: 18-53 ms on wide_vectors-0 and wide_rules-0, so about
-# 31 ms, 24,000 cells. A worker thus takes at least 28,000 cells of rules.
+# 31 ms, 24,000 cells. A worker thus takes at least 29,200 cells of rules.
 FACTS_SETUP_CELLS = 24_000
 
 
@@ -225,15 +225,16 @@ def run_audit(
     skipped at its prefilter, so no payload is transformed twice.
 
     An audit is per-rule items, then one cross-rule pass. Once the rules
-    compile and the index holds the masks of their literals, item n
-    searches rule n's candidate keys, packs its raw and deployed rows,
-    and reads off the raw row ``rule_facts(n, row)``: its operators and
-    Incomplete finding, its Irrelevant finding or its sub-rules,
-    Semi-relevant finding, bounds and Susceptible finding, with its
-    notes. The items run through one ``matcher.fan_out``, each costing
-    its candidate keys plus ``FACTS_CELLS``, so they are shared among
-    forked workers when that reaches twice ``matcher.FAN_OUT_CELLS`` plus
-    ``FACTS_SETUP_CELLS`` for each worker. The caller drops the index,
+    compile and the caller has built the masks of their literals (in
+    ``TextIndex.costs``), item n searches rule n's candidate keys, packs
+    its raw and deployed rows, and reads off the raw row
+    ``rule_facts(n, row)``: its operators and Incomplete finding, its
+    Irrelevant finding or its sub-rules, Semi-relevant finding, bounds
+    and Susceptible finding, with its notes. The items run through one
+    ``matcher.fan_out``, each costing its candidate keys plus
+    ``FACTS_CELLS``, so they are shared among forked workers when that
+    reaches twice ``matcher.FAN_OUT_CELLS`` plus ``FACTS_SETUP_CELLS``
+    for each worker. The caller drops the index,
     wraps the rows the items return as the raw and the deployed matrix
     (``matcher.detection_matrix`` with ``rows``, which searches
     nothing), and merges the facts in rule order; then Redundant, the
@@ -256,7 +257,7 @@ def run_audit(
     tokens = frozenset().union(*(fam.members for fam in families))
 
     # the rules, sub-rules and atoms of this audit, each parsed once; one
-    # compile per source: rules sharing a source share it and its searches
+    # compile per source, which rules sharing a source share
     patterns = structural.PatternTable(corpus.signatures)
     compiled = [patterns.compiled(sig.pattern_source, sig.id, case_sensitive) for sig in corpus.signatures]
     # one index for both matrices, so each rule searches each key once
@@ -319,12 +320,8 @@ def run_audit(
     items = matcher.fan_out(rule_item, costs, FACTS_SETUP_CELLS)
     skipped = index.skipped[1]
     del index
-    raw_matrix = matcher.detection_matrix(
-        corpus, normalize.RAW_PIPELINE, case_sensitive=case_sensitive, rows=[rows[0] for rows, _ in items]
-    )
-    deployed = matcher.detection_matrix(
-        corpus, pipeline, case_sensitive=case_sensitive, apply_prefilter=True, rows=[rows[1] for rows, _ in items]
-    )
+    raw_matrix = matcher.detection_matrix(corpus, normalize.RAW_PIPELINE, rows=[rows[0] for rows, _ in items])
+    deployed = matcher.detection_matrix(corpus, pipeline, rows=[rows[1] for rows, _ in items])
     findings: list[AuditFinding] = []
     for _, (rule_findings, rule_notes) in items:
         findings += rule_findings

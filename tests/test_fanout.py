@@ -321,6 +321,20 @@ def test_matrix_rows_forked_equal_one_process(cpus, monkeypatch, case_sensitive,
     assert shared
 
 
+def _recording_matrices(monkeypatch):
+    """The list each ``matcher.detection_matrix`` build is appended to,
+    and the unpatched function."""
+    built = []
+    real = matcher.detection_matrix
+
+    def recorded(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(matcher, "detection_matrix", recorded)
+    return built, real
+
+
 def _row_corpora():
     yield bundled_corpus()
     yield with_unions(bundled_corpus(), 166, random.Random(29))
@@ -336,14 +350,7 @@ def test_forked_audit_rows_equal_one_process_matrices(cpus, monkeypatch, case_se
     ``detection_matrix`` builds, and the caller searched fewer rules than
     there are, so the workers' rows are the ones used."""
     use, forks = cpus
-    built = []
-    real = matcher.detection_matrix
-
-    def recorded(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(matcher, "detection_matrix", recorded)
+    built, real = _recording_matrices(monkeypatch)
     searched = _counting(monkeypatch, matcher.TextIndex, "hits")
     pipeline = normalize.default_pipeline()
     shared = 0
@@ -377,3 +384,57 @@ def test_the_bundled_audit_stays_in_one_process(cpus, monkeypatch, corpus, case_
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     run_audit(corpus=corpus, case_sensitive=case_sensitive)
     assert forks == []
+
+
+def test_one_fan_out_per_command(cpus, corpus):
+    """A matrix built without ``rows`` and an audit each fork W - 1
+    children, W being 2 here: the rules are the one stage that fans out,
+    as ``TextIndex.costs`` builds the literal masks in the caller."""
+    use, forks = cpus
+    use(2)
+    matcher.detection_matrix(corpus, normalize.default_pipeline())
+    assert len(forks) == 1
+    no_child_left()
+    run_audit(corpus=corpus)
+    assert len(forks) == 2
+    no_child_left()
+
+
+def test_text_index_costs_fan_nothing_out(cpus, monkeypatch, corpus):
+    use, forks = cpus
+    use(2)
+
+    def no_fan_out(*args, **kwargs):
+        raise AssertionError("TextIndex.costs called fan_out")
+
+    monkeypatch.setattr(matcher, "fan_out", no_fan_out)
+    compiled = [matcher.compile_signature(sig) for sig in corpus.signatures]
+    index = matcher.TextIndex(corpus, [(normalize.RAW_PIPELINE, False)])
+    assert index.costs(compiled) == [len(index.candidates(c)) for c in compiled]
+    assert forks == []
+
+
+@pytest.mark.parametrize("original", ["S_7", "S_44", "S_63"])
+def test_a_rule_copied_under_a_fresh_id(cpus, monkeypatch, corpus, original):
+    """The copy shares the original's compile in the audit's pattern
+    table, gets the original's raw and deployed rows, and is reported as
+    its duplicate; the report is the same forked and in one process."""
+    use, forks = cpus
+    copy = f"{original}_copy"
+    widened = corpus._replace(signatures=corpus.signatures + (corpus.signature(original)._replace(id=copy),))
+    built, _ = _recording_matrices(monkeypatch)
+    reports = []
+    for count in (1, 2):
+        use(count)
+        built.clear()
+        reports.append(run_audit(corpus=widened))
+        no_child_left()
+        assert len(built) == 2  # the raw, then the deployed matrix
+        for matrix in built:
+            assert matrix.rows[-1] == matrix.rows[matrix.signature_ids.index(original)]
+    assert forks == [1]
+    assert render(reports[0], "json") == render(reports[1], "json")
+    duplicates = {
+        (f.signature_id, f.evidence["duplicate_of"]) for f in reports[0].findings if "duplicate_of" in f.evidence
+    }
+    assert (max(original, copy), min(original, copy)) in duplicates

@@ -637,8 +637,8 @@ def test_matrix_searches_each_distinct_text_at_most_once(monkeypatch):
         assert len(set(c.pattern.texts)) == len(c.pattern.texts)
 
     # one index shared by the raw and the deployed view: each rule
-    # searches each key at most once across both, and asked again
-    # searches nothing
+    # searches each key at most once across both; asked again, it gives
+    # the same rows from the same searches, as the index keeps no rows
     views = [(normalize.RAW_PIPELINE, False), (normalize.default_pipeline(), True)]
     for case_sensitive in (False, True):
         counted = [counting(compile_signature(s, case_sensitive)) for s in corpus.signatures]
@@ -647,12 +647,12 @@ def test_matrix_searches_each_distinct_text_at_most_once(monkeypatch):
         for at, (pipeline, deployed) in enumerate(views):
             m = detection_matrix(corpus, pipeline, case_sensitive, deployed, rows=[r[at] for r in rows])
             assert m.rows == per_cell_rows(corpus, pipeline, case_sensitive, deployed)
-        searched = [len(c.pattern.texts) for c in counted]
+        searched = [list(c.pattern.texts) for c in counted]
+        for texts in searched:
+            assert len(texts) <= len(index.keys)
+            assert len(set(texts)) == len(texts)
         assert [index.rule_rows(c) for c in counted] == rows
-        assert [len(c.pattern.texts) for c in counted] == searched
-        for c in counted:
-            assert len(c.pattern.texts) <= len(index.keys)
-            assert len(set(c.pattern.texts)) == len(c.pattern.texts)
+        assert [c.pattern.texts for c in counted] == [texts + texts for texts in searched]
 
 
 @pytest.mark.parametrize("case_sensitive,raw_searches,shared_searches", [(False, 1, 1), (True, 2, 3)])

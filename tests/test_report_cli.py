@@ -176,10 +176,11 @@ def test_audit_does_not_probe_a_bound_past_the_probe_cap(monkeypatch, past_cap):
         assert (susceptible, note in rep.notes, reached) == ({"S_1", "S_2"}, False, {2, cap})
 
 
-def test_rules_sharing_a_source_compile_and_search_once(monkeypatch):
+def test_rules_sharing_a_source_compile_once(monkeypatch):
     """Two rules on one pattern, and a third whose sub-rule is that
-    pattern: the pattern is compiled once per case mode and searched
-    once, and each rule's findings carry its own id."""
+    pattern: the pattern is compiled once per case mode, each rule
+    searches its own row with the shared compile, and each rule's
+    findings carry its own id."""
     source = r"or\s{0,1}1"
     c = Corpus(
         (Signature("S_1", source), Signature("S_2", source), Signature("S_3", rf"(?:{source}|zzz)")),
@@ -209,7 +210,7 @@ def test_rules_sharing_a_source_compile_and_search_once(monkeypatch):
         searched.clear()
         rep = run_audit(corpus=c, pipeline=normalize.RAW_PIPELINE, case_sensitive=case_sensitive)
         assert compiled.count(source) == 1
-        assert sorted(searched) == sorted([source, c.signatures[2].pattern_source])
+        assert sorted(searched) == sorted([source, source, c.signatures[2].pattern_source])
         by_label = {}
         for f in rep.findings:
             by_label.setdefault(f.label, []).append((f.signature_id, f.evidence.get("duplicate_of")))
