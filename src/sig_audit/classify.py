@@ -20,8 +20,8 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from . import matcher, mutate
-from .corpus import AttackVector, _read_text
-from .errors import IndeterminateExpansion, ParseError, load_json
+from .corpus import AttackVector
+from .errors import IndeterminateExpansion, ParseError, load_json, read_text
 # compile_signature stays bound here: perfbench/trace.py checks that its wrapper replaces it
 from .matcher import CompiledSignature, DetectionMatrix, compile_signature  # noqa: F401
 from .structural import PatternTable, QuantifierBound, SubRuleSet, TokenizedSignature
@@ -64,7 +64,7 @@ def default_families() -> list[RelatedOperatorFamily]:
 def load_families(source) -> list[RelatedOperatorFamily]:
     """Load extra families from a JSON array of {name, members} objects:
     ``source`` is the document (``str`` or ``bytes``) or a ``Path`` to it."""
-    doc = load_json(_read_text(source), "invalid families JSON")
+    doc = load_json(read_text(source), "invalid families JSON")
     if not isinstance(doc, list):
         raise ParseError("families JSON must be an array of {name, members} objects")
     families = []

@@ -14,7 +14,17 @@ The cyclic garbage collector is paused while a command runs and then
 restored to the state it was in. An audit makes no reference cycles,
 so its memory stays flat without the collector, and the workers it
 forks inherit the pause, so neither side rewrites the collector's
-headers on the pages the fork shares.
+headers on the pages the fork shares. When ``main`` runs as the
+program (called with no argument list, as the console script and
+``python -m sig_audit.cli`` call it), it also freezes the heap on its
+way out: the interpreter runs a full collection at shutdown, paused
+or not, and a frozen object is not traversed. A library caller that
+passes an argument list finds the collector's state and freeze count
+as it left them.
+
+Every input file (signatures, vectors, ``--set-a``, ``--pipeline``,
+``--families`` and ``stats --matrix``) may start with a UTF-8 byte
+order mark.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ import gc
 import sys
 from pathlib import Path
 
-from .errors import AuditError, dump_json
+from .errors import AuditError, dump_json, read_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +134,7 @@ def _cmd_stats(args) -> int:
             args.usage_error(f"--matrix cannot be combined with {', '.join(unused)}")
     set_a = None if args.set_a is None else corpus_mod.load_id_list(args.set_a)  # before any work
     if args.matrix:
-        m = matcher.DetectionMatrix.from_json(args.matrix.read_text(encoding="utf-8"))
+        m = matcher.DetectionMatrix.from_json(read_text(args.matrix))
     else:
         m = _matrix(args, set_a)
     profile = stats.contribution(m)
@@ -262,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names, ``sys.argv[1:]`` when it is None;
+    only that call, the program's own, freezes the heap on its way out."""
     parser = build_parser()
     args = parser.parse_args(argv)
     collecting = gc.isenabled()
@@ -274,6 +286,8 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

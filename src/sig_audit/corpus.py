@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import matcher
 from .errors import (
-    AuditError, DuplicateId, ParseError, UnknownId, UnknownIntent, UnknownSignatureRef, load_json, sha256_hex,
+    AuditError, DuplicateId, ParseError, UnknownId, UnknownIntent, UnknownSignatureRef, load_json, read_text,
+    sha256_hex,
 )
 
 FREE_FLOATING = "none"  # sentinel target for probes not tied to a rule
@@ -143,22 +144,13 @@ def _check_ids(signatures, vectors=()) -> None:
 # ---------------------------------------------------------------------------
 # loading
 
-def _read_text(source) -> str:
-    """The text of a document given as ``str``, UTF-8 ``bytes`` or a ``Path``."""
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    return source
-
-
 def load_signatures(source, format: str = "tsv") -> list[Signature]:
-    """Load signatures from a TSV or JSON document (see ``_read_text``).
+    """Load signatures from a TSV or JSON document (see ``errors.read_text``).
 
     Every pattern is parsed (``Signature.tree``) as a validity check, so
     a bad rule fails at load time, not in the middle of an audit.
     """
-    text = _read_text(source)
+    text = read_text(source)
     if format == "tsv":
         sigs = _signatures_from_tsv(text)
     elif format == "json":
@@ -223,7 +215,7 @@ def load_vectors(source, signatures, format: str = "tsv") -> list[AttackVector]:
 
     Payloads are kept byte for byte as read (still URL-encoded).
     """
-    text = _read_text(source)
+    text = read_text(source)
     if format == "tsv":
         vecs = _vectors_from_tsv(text)
     elif format == "json":
@@ -379,7 +371,7 @@ def load_id_list(path) -> list[str]:
     An id listed twice raises ``DuplicateId``."""
     ids = [
         line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in read_text(Path(path)).splitlines()
         if line.strip() and not line.startswith("#")
     ]
     _unique(ids)

@@ -1,9 +1,11 @@
-"""Exception types raised by the audit library, the JSON reader every
-document loader shares, the pretty JSON writer every indented document
-goes through, and the SHA-256 digest every fingerprint takes."""
+"""Exception types raised by the audit library, the text and JSON
+readers every document loader shares, the pretty JSON writer every
+indented document goes through, and the SHA-256 digest every
+fingerprint takes."""
 
 import json
 from json.encoder import encode_basestring_ascii as _json_string
+from pathlib import Path
 
 _INF = float("inf")
 
@@ -20,6 +22,17 @@ class ParseError(AuditError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def read_text(source) -> str:
+    """The text of a document given as ``str``, UTF-8 ``bytes`` or a
+    ``Path``. Bytes and files may start with a byte order mark, which is
+    dropped (``utf-8-sig``); a ``str`` is returned as it is."""
+    if isinstance(source, bytes):
+        return source.decode("utf-8-sig")
+    if isinstance(source, Path):
+        return source.read_text(encoding="utf-8-sig")
+    return source
 
 
 def load_json(text: str, invalid: str):

@@ -25,7 +25,7 @@ import re
 from collections import namedtuple
 from pathlib import Path
 
-from .errors import ParseError, load_json, sha256_hex
+from .errors import ParseError, load_json, read_text, sha256_hex
 
 # Payloads travel URL-encoded; each %XX escape decodes to the latin-1
 # character of its byte, which keeps every byte value addressable as a
@@ -159,7 +159,7 @@ def load_pipeline(path, raw: bool = False) -> Pipeline:
     """The empty pipeline when ``raw``, else the pipeline JSON file at ``path``."""
     if raw:
         return RAW_PIPELINE
-    return Pipeline.from_json(Path(path).read_text(encoding="utf-8"))
+    return Pipeline.from_json(read_text(Path(path)))
 
 
 def apply(pipeline: Pipeline, payload: str) -> str:

@@ -1,3 +1,4 @@
+import codecs
 import random
 import re
 
@@ -83,7 +84,7 @@ def test_load_families_reads_str_bytes_or_a_path(tmp_path):
     text = '[{"name": "x", "members": ["or", "||"]}]'
     (tmp_path / "f.json").write_text(text, encoding="utf-8")
     expected = [RelatedOperatorFamily("x", frozenset({"or", "||"}))]
-    for source in (text, text.encode("utf-8"), tmp_path / "f.json"):
+    for source in (text, text.encode("utf-8"), codecs.BOM_UTF8 + text.encode("utf-8"), tmp_path / "f.json"):
         assert classify.load_families(source) == expected
 
 

@@ -1,9 +1,13 @@
 """An audit makes no reference cycles, so the command line can pause the
 cyclic garbage collector while a command runs without letting memory
-grow; ``cli.main`` leaves the collector as it found it."""
+grow; ``cli.main`` leaves the collector as it found it, except that as
+the program it freezes the heap on its way out."""
 
 import gc
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracles import random_corpus, with_unions
@@ -80,8 +84,10 @@ EXITS = {
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_main_leaves_the_collector_as_it_found_it(argv, code, enabled, capsys):
     (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
     assert cli.main(argv) == code
     assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
     capsys.readouterr()
 
 
@@ -99,3 +105,37 @@ def test_main_pauses_the_collector_even_when_a_command_raises(monkeypatch):
         cli.main(["matrix"])
     assert states == [False]
     assert gc.isenabled()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# ``main()`` run as the program, as the console script runs it, with an
+# exit handler that reports the collector's state at shutdown; -S keeps
+# site packages out, so the heap is the program's own
+PROGRAM = (
+    "import atexit, gc, sys; sys.path.insert(0, sys.argv.pop(1)); "
+    "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0, 'enabled:', gc.isenabled(), "
+    "file=sys.stderr)); "
+    "from sig_audit.cli import main; sys.exit(main())"
+)
+
+
+def run_as_program(argv):
+    return subprocess.run([sys.executable, "-S", "-c", PROGRAM, str(SRC), *argv], capture_output=True)
+
+
+def test_main_as_the_program_freezes_the_heap_on_its_way_out(capsysbinary):
+    """The interpreter runs a full collection at shutdown even with the
+    collector disabled; a frozen heap leaves that collection nothing to
+    traverse. The report is the one a library call writes."""
+    proc = run_as_program(["audit"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == b"frozen: True enabled: True"
+    assert cli.main(["audit"]) == 0
+    assert proc.stdout == capsysbinary.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", EXITS.values(), ids=EXITS.keys())
+def test_main_as_the_program_freezes_on_every_exit_code(argv, code):
+    proc = run_as_program(argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == b"frozen: True enabled: True"
