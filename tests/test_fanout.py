@@ -2,10 +2,14 @@
 
 Forking is forced by patching the CPU set, ``matcher.FAN_OUT_CELLS`` and
 ``report.FACTS_SETUP_CELLS``; each result is checked against the same
-work done in one process. A fork while another thread lives warns on
-Python 3.12+, so here that warning is an error.
+work done in one process. Where the CPU set is faked, the pins
+``fan_out`` asks for are recorded rather than applied; the tests marked
+``real_cpus`` fork on the process's own CPU set and pin for real. A
+fork while another thread lives warns on Python 3.12+, so here that
+warning is an error.
 """
 
+import errno
 import os
 import random
 import signal
@@ -28,12 +32,26 @@ pytestmark = [
 
 CELLS = 10**6  # the cells of an item: past any threshold set here
 
+REAL_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+real_cpus = pytest.mark.skipif(REAL_CPUS < 2, reason="pins for real only where the process may run on 2 CPUs")
+
 
 @pytest.fixture
-def cpus(monkeypatch):
+def pins():
+    """The CPU sets the calling process asked ``os.sched_setaffinity``
+    for while ``cpus`` faked the CPU set, in order."""
+    return []
+
+
+@pytest.fixture
+def cpus(monkeypatch, pins):
     """Set the CPU count ``fan_out`` sees and the cells a worker must
     take (by default one, an audit's rule workers included), and count
-    the forks; returns the setter and the fork list."""
+    the forks; returns the setter and the fork list. A count of None
+    keeps the process's own CPU set and pins for real. The process's
+    real affinity mask must be the one it had before the test."""
+    real_get, real_set = os.sched_getaffinity, os.sched_setaffinity
+    mask = real_get(0)
     forks = []
     real_fork = os.fork
 
@@ -43,12 +61,20 @@ def cpus(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
 
-    def use(n: int, threshold: int = 1):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    def use(n: int | None, threshold: int = 1):
+        if n is None:
+            monkeypatch.setattr(os, "sched_getaffinity", real_get)
+            monkeypatch.setattr(os, "sched_setaffinity", real_set)
+        else:  # a faked set is never applied: it could shrink the real mask
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)))
         monkeypatch.setattr(matcher, "FAN_OUT_CELLS", threshold)
         monkeypatch.setattr(report, "FACTS_SETUP_CELLS", 0)
 
-    return use, forks
+    yield use, forks
+    after = real_get(0)
+    real_set(0, mask)
+    assert after == mask
 
 
 def no_child_left():
@@ -60,18 +86,54 @@ def squares_and_pids(i):
     return i * i, os.getpid()
 
 
+def check_the_plain_loop(forks, workers, count):
+    before = len(forks)
+    got = matcher.fan_out(squares_and_pids, [CELLS] * count)
+    assert [square for square, _ in got] == [i * i for i in range(count)]
+    # item i is computed by worker i mod W, the caller being worker 0
+    w = min(workers, count)
+    assert len(forks) - before == (w - 1 if w > 1 else 0)
+    for i, (_, pid) in enumerate(got):
+        assert (pid == os.getpid()) == (w < 2 or i % w == 0)
+    no_child_left()
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("count", [0, 1, 2, 5, 11])
 def test_fan_out_is_the_plain_loop(cpus, workers, count):
     use, forks = cpus
     use(workers)
-    got = matcher.fan_out(squares_and_pids, [CELLS] * count)
-    assert [square for square, _ in got] == [i * i for i in range(count)]
-    # item i is computed by worker i mod W, the caller being worker 0
-    w = min(workers, count)
-    assert len(forks) == (w - 1 if w > 1 else 0)
-    for i, (_, pid) in enumerate(got):
-        assert (pid == os.getpid()) == (w < 2 or i % w == 0)
+    check_the_plain_loop(forks, workers, count)
+
+
+def refuse(pid, cpus):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+@pytest.mark.parametrize("workers", [None, 2, 3])
+@pytest.mark.parametrize("count", [2, 5, 11])
+def test_a_refused_pin_is_harmless(cpus, monkeypatch, workers, count):
+    """Every pin raising, in the caller and in each child, changes
+    neither the results, nor the forks, nor which worker computes
+    which item."""
+    if workers is None and REAL_CPUS < 2:
+        pytest.skip("the real CPU set has one CPU: nothing forks")
+    use, forks = cpus
+    use(workers)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    check_the_plain_loop(forks, workers or REAL_CPUS, count)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_w_pins_itself_to_the_wth_cpu(cpus, pins, workers):
+    """Each item sees the pins of the process that computed it: a child
+    its own CPU, the caller the first; then the caller asks for its mask
+    back."""
+    use, _ = cpus
+    use(workers)
+    got = matcher.fan_out(lambda i: list(pins), [CELLS] * 7)
+    assert got == [[{i % workers}] for i in range(7)]
+    assert pins == [{0}, set(range(workers))]
     no_child_left()
 
 
@@ -168,6 +230,65 @@ def test_no_child_outlives_a_caller_error(cpus):
     finally:
         os.close(gate[0])
         os.close(gate[1])
+    no_child_left()
+
+
+def _ending(case: str, caller: int):
+    """An item function that returns its item, except at item 3: there
+    it raises everywhere, or ends the child that computes it."""
+
+    def fn(i):
+        if i == 3 and case == "an item raises":
+            raise RegexDialectError(f"S_{i}", "unsupported construct")
+        if i == 3 and case == "a child dies" and os.getpid() != caller:
+            os._exit(3)
+        return i
+
+    return fn
+
+
+@real_cpus
+@pytest.mark.parametrize("case", ["success", "an item raises", "a child dies"])
+def test_the_caller_gets_its_mask_back(cpus, case):
+    """Pinned for real, the caller's affinity mask after a fan-out is the
+    one before it: on success, when an item raises and the caller
+    raises it again, and when a child dies partway."""
+    use, forks = cpus
+    use(None)
+    before = os.sched_getaffinity(0)
+    fn = _ending(case, os.getpid())
+    if case == "an item raises":
+        with pytest.raises(RegexDialectError):
+            matcher.fan_out(fn, [CELLS] * 8)
+    else:
+        assert matcher.fan_out(fn, [CELLS] * 8) == list(range(8))
+    assert len(forks) == min(8, REAL_CPUS) - 1
+    assert os.sched_getaffinity(0) == before
+    no_child_left()
+
+
+@real_cpus
+def test_each_worker_runs_on_its_own_cpu(cpus, corpus):
+    """Every item reports the one CPU its worker runs on: item i is
+    worker i mod W's, the caller's on the first CPU of the set, and no
+    two workers share a CPU. A bundled audit forked the same way renders
+    the bytes of the one-process audit."""
+    use, forks = cpus
+    use(None)
+    caller, first = os.getpid(), min(os.sched_getaffinity(0))
+    got = matcher.fan_out(lambda i: (os.getpid(), os.sched_getaffinity(0)), [CELLS] * 3 * REAL_CPUS)
+    assert len(forks) == REAL_CPUS - 1
+    workers = [got[w] for w in range(REAL_CPUS)]
+    assert got == workers * 3
+    assert workers[0] == (caller, {first})
+    assert all(len(cpu_set) == 1 for _, cpu_set in workers)
+    assert len({pid for pid, _ in workers}) == len(set().union(*(cpu_set for _, cpu_set in workers))) == REAL_CPUS
+    no_child_left()
+
+    forked = render(run_audit(corpus=corpus), "json")
+    assert len(forks) == REAL_CPUS - 1 + min(REAL_CPUS, len(corpus.signatures)) - 1
+    use(1)
+    assert render(run_audit(corpus=corpus), "json") == forked
     no_child_left()
 
 
