@@ -787,23 +787,20 @@ def fan_out(fn, costs, setup: int = 0) -> list:
     least its break-even share. The shares are dealt longest item first
     (``_shares``): the caller computes share 0 and one forked child each
     other share, so the split depends only on ``costs`` and the CPU set,
-    and equal costs send item i to worker i mod W. Worker w runs on CPU
-    w of the set in ascending order, the caller on the lowest, so the
+    and equal costs send item i to worker i mod W. Child w pins itself
+    to CPU w of the set in ascending order as its first act, so the
     shares run in parallel even where the kernel would keep every child
-    on the caller's CPU: each child pins itself to its CPU as its first
-    act, and the caller pins itself once the children are forked and
-    gets its own mask back before this returns or raises. As only one
-    thread is alive, the caller's pin is the whole process's. A pin the
-    kernel refuses (a CPU outside the cpuset, or offline) is ignored:
-    that process runs where it was allowed to. A child pipes back the
-    pickled results of the prefix of its share it finished before any
-    error, closes the pipe and leaves by ``os._exit``: it never returns
-    into the caller's code, flushes no inherited stream and runs no
-    ``atexit`` hook. The caller then computes every item that was not
-    delivered, in index order, so it raises the error a plain loop would
-    raise first, from its own frame, and a child that was killed or could
-    not be forked costs a recompute. Every child is reaped before this
-    returns or raises.
+    on the caller's CPU. A pin the kernel refuses (a CPU outside the
+    cpuset, or offline) is ignored, and that child runs where it was
+    allowed to. The caller never pins: its mask is the one it had. A
+    child pipes back the pickled results of the prefix of its share it
+    finished before any error, closes the pipe and leaves by
+    ``os._exit``: it never returns into the caller's code, flushes no
+    inherited stream and runs no ``atexit`` hook. The caller then
+    computes every item that was not delivered, in index order, so it
+    raises the error a plain loop would raise first, from its own frame,
+    and a child that was killed or could not be forked costs a
+    recompute. Every child is reaped before this returns or raises.
 
     One process does it all when W is below 2, on one CPU, where
     ``os.fork`` or ``os.sched_getaffinity`` is missing, and while another
@@ -819,8 +816,7 @@ def fan_out(fn, costs, setup: int = 0) -> list:
     import signal
 
     shares = _shares(costs, workers)
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
+    cpus = sorted(os.sched_getaffinity(0))
     results = [_MISSING] * count
     children = []  # (share, pid, read end of its pipe)
     try:
@@ -834,7 +830,10 @@ def fan_out(fn, costs, setup: int = 0) -> list:
                 break
             if pid == 0:
                 try:
-                    _pin({cpu})
+                    try:
+                        os.sched_setaffinity(0, {cpu})
+                    except OSError:  # refused: the child stays where it was
+                        pass
                     os.close(read)
                     data = memoryview(pickle.dumps(_prefix(fn, share), pickle.HIGHEST_PROTOCOL))
                     while data:
@@ -844,7 +843,6 @@ def fan_out(fn, costs, setup: int = 0) -> list:
                     os._exit(0)
             children.append((share, pid, read))
             os.close(write)
-        _pin({cpus[0]})
         for i, found in zip(shares[0], _prefix(fn, shares[0])):
             results[i] = found
         for share, _, read in children:
@@ -857,7 +855,6 @@ def fan_out(fn, costs, setup: int = 0) -> list:
             for i, found in zip(share, done):
                 results[i] = found
     finally:
-        _pin(mask)
         for _, pid, read in children:
             os.close(read)
             try:
@@ -882,14 +879,6 @@ def _workers(costs, setup: int) -> int:
     import threading
 
     return workers if threading.active_count() == 1 else 1
-
-
-def _pin(cpus: set[int]) -> None:
-    """Run the calling process on ``cpus`` only, if the kernel allows it."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:  # refused: the process stays where it was
-        pass
 
 
 def _shares(costs, workers: int) -> list[list[int]]:

@@ -38,8 +38,8 @@ real_cpus = pytest.mark.skipif(REAL_CPUS < 2, reason="pins for real only where t
 
 @pytest.fixture
 def pins():
-    """The CPU sets the calling process asked ``os.sched_setaffinity``
-    for while ``cpus`` faked the CPU set, in order."""
+    """The CPU sets a process asked ``os.sched_setaffinity`` for while
+    ``cpus`` faked the CPU set, in order: a child sees its own pin."""
     return []
 
 
@@ -125,15 +125,14 @@ def test_a_refused_pin_is_harmless(cpus, monkeypatch, workers, count):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_worker_w_pins_itself_to_the_wth_cpu(cpus, pins, workers):
-    """Each item sees the pins of the process that computed it: a child
-    its own CPU, the caller the first; then the caller asks for its mask
-    back."""
+def test_child_w_pins_itself_to_the_wth_cpu(cpus, pins, workers):
+    """Each item sees the pins of the process that computed it: child w
+    pinned itself to CPU w, and the caller never pins."""
     use, _ = cpus
     use(workers)
     got = matcher.fan_out(lambda i: list(pins), [CELLS] * 7)
-    assert got == [[{i % workers}] for i in range(7)]
-    assert pins == [{0}, set(range(workers))]
+    assert got == [[{i % workers}] if i % workers else [] for i in range(7)]
+    assert pins == []
     no_child_left()
 
 
@@ -249,10 +248,11 @@ def _ending(case: str, caller: int):
 
 @real_cpus
 @pytest.mark.parametrize("case", ["success", "an item raises", "a child dies"])
-def test_the_caller_gets_its_mask_back(cpus, case):
-    """Pinned for real, the caller's affinity mask after a fan-out is the
-    one before it: on success, when an item raises and the caller
-    raises it again, and when a child dies partway."""
+def test_the_caller_keeps_its_mask(cpus, case):
+    """With the children pinned for real, the caller's affinity mask
+    after a fan-out is the one before it: on success, when an item
+    raises and the caller raises it again, and when a child dies
+    partway."""
     use, forks = cpus
     use(None)
     before = os.sched_getaffinity(0)
@@ -268,21 +268,21 @@ def test_the_caller_gets_its_mask_back(cpus, case):
 
 
 @real_cpus
-def test_each_worker_runs_on_its_own_cpu(cpus, corpus):
-    """Every item reports the one CPU its worker runs on: item i is
-    worker i mod W's, the caller's on the first CPU of the set, and no
-    two workers share a CPU. A bundled audit forked the same way renders
-    the bytes of the one-process audit."""
+def test_each_child_runs_on_its_own_cpu(cpus, corpus):
+    """Every item reports the process and the CPUs that computed it: item
+    i is worker i mod W's, the caller's items see the caller's whole
+    mask, and child w runs on CPU w of the set alone. A bundled audit
+    forked the same way renders the bytes of the one-process audit."""
     use, forks = cpus
     use(None)
-    caller, first = os.getpid(), min(os.sched_getaffinity(0))
+    caller, mask = os.getpid(), os.sched_getaffinity(0)
     got = matcher.fan_out(lambda i: (os.getpid(), os.sched_getaffinity(0)), [CELLS] * 3 * REAL_CPUS)
     assert len(forks) == REAL_CPUS - 1
     workers = [got[w] for w in range(REAL_CPUS)]
     assert got == workers * 3
-    assert workers[0] == (caller, {first})
-    assert all(len(cpu_set) == 1 for _, cpu_set in workers)
-    assert len({pid for pid, _ in workers}) == len(set().union(*(cpu_set for _, cpu_set in workers))) == REAL_CPUS
+    assert workers[0] == (caller, mask)
+    assert [cpu_set for _, cpu_set in workers[1:]] == [{cpu} for cpu in sorted(mask)[1:]]
+    assert len({pid for pid, _ in workers}) == REAL_CPUS
     no_child_left()
 
     forked = render(run_audit(corpus=corpus), "json")
