@@ -63,7 +63,8 @@ def default_families() -> list[RelatedOperatorFamily]:
 
 def load_families(source) -> list[RelatedOperatorFamily]:
     """Load extra families from a JSON array of {name, members} objects:
-    ``source`` is the document (``str`` or ``bytes``) or a ``Path`` to it."""
+    ``source`` is the document (``str`` or ``bytes``) or a ``Path`` to it.
+    Each name may be listed once."""
     doc = load_json(read_text(source), "invalid families JSON")
     if not isinstance(doc, list):
         raise ParseError("families JSON must be an array of {name, members} objects")
@@ -81,6 +82,8 @@ def load_families(source) -> list[RelatedOperatorFamily]:
             raise ParseError(f"family at index {i} needs a name and a list of operator strings")
         if len(set(members)) < 2:
             raise ParseError(f"family at index {i} needs at least 2 distinct members")
+        if any(fam.name == name for fam in families):
+            raise ParseError(f"family at index {i} repeats the name {name!r}")
         families.append(RelatedOperatorFamily(name, frozenset(members)))
     return families
 

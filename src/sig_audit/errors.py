@@ -27,12 +27,21 @@ class ParseError(AuditError):
 def read_text(source) -> str:
     """The text of a document given as ``str``, UTF-8 ``bytes`` or a
     ``Path``. Bytes and files may start with a byte order mark, which is
-    dropped (``utf-8-sig``); a ``str`` is returned as it is."""
-    if isinstance(source, bytes):
-        return source.decode("utf-8-sig")
-    if isinstance(source, Path):
-        return source.read_text(encoding="utf-8-sig")
-    return source
+    dropped (``utf-8-sig``); a file's line ends are read as text mode
+    reads them, and a ``str`` is returned as it is. Bytes or a file that
+    is not UTF-8 raises ``ParseError``, naming the file ("document" for
+    bytes) and the offset of the first bad byte."""
+    if not isinstance(source, (bytes, Path)):
+        return source
+    data = source if isinstance(source, bytes) else source.read_bytes()
+    try:  # decoded whole, so the offset counts from the first byte, mark included
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        where = "document" if isinstance(source, bytes) else source
+        raise ParseError(f"{where}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
+    if isinstance(source, Path) and "\r" in text:  # as text mode reads a file: universal newlines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_json(text: str, invalid: str):

@@ -70,6 +70,7 @@ import functools
 import json
 import os
 import re
+import sys
 import warnings
 from bisect import bisect_right
 from collections import namedtuple
@@ -120,8 +121,10 @@ def parse_pattern(source: str, signature_id: str | None = None):
     # a str pattern always carries the unicode flag; (?u) adds nothing
     if tree.state.flags & ~sre_constants.SRE_FLAG_UNICODE:
         raise RegexDialectError(signature_id, "inline flags are not supported")
-    try:  # one frame per tree level, where the parser takes two per group
-        _check_nodes(tree, signature_id)
+    # one frame per tree level, where the parser takes two per group; the
+    # passes after it take as many, so a parse may fill half the stack
+    try:
+        _check_nodes(tree, signature_id, 1, sys.getrecursionlimit() // 2)
     except RecursionError as exc:
         raise RegexDialectError(signature_id, f"unparsable pattern: {exc}") from exc
     return tree
@@ -277,7 +280,11 @@ def ascii_fold(tree, fold_atom):
     return sre_parse.SubPattern(tree.state, out)
 
 
-def _check_nodes(nodes, sig_id) -> None:
+def _check_nodes(nodes, sig_id, depth: int, bound: int) -> None:
+    """Check the tree level ``nodes``, at ``depth``, and the levels
+    below it, of which there may be ``bound`` in all."""
+    if depth > bound:
+        raise RegexDialectError(sig_id, f"unparsable pattern: nested deeper than {bound} levels")
     # ``.data``: a SubPattern has no ``__iter__``, so a loop over it makes
     # one ``__getitem__`` call per node and ends on an IndexError
     for op, arg in nodes.data:
@@ -294,15 +301,15 @@ def _check_nodes(nodes, sig_id) -> None:
             if arg not in _ALLOWED_ANCHORS:
                 raise RegexDialectError(sig_id, f"unsupported anchor: {arg}")
         elif op in (sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT):
-            _check_nodes(arg[2], sig_id)
+            _check_nodes(arg[2], sig_id, depth + 1, bound)
         elif op is sre_constants.SUBPATTERN:
             group, add_flags, del_flags, body = arg
             if add_flags or del_flags:
                 raise RegexDialectError(sig_id, "inline flags are not supported")
-            _check_nodes(body, sig_id)
+            _check_nodes(body, sig_id, depth + 1, bound)
         elif op is sre_constants.BRANCH:
             for branch in arg[1]:
-                _check_nodes(branch, sig_id)
+                _check_nodes(branch, sig_id, depth + 1, bound)
         elif op in (sre_constants.GROUPREF, sre_constants.GROUPREF_EXISTS):
             raise RegexDialectError(sig_id, "backreferences are not supported")
         elif op in (sre_constants.ASSERT, sre_constants.ASSERT_NOT):
@@ -334,7 +341,9 @@ def required_literals(nodes) -> frozenset[str]:
         elif op in (sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT) and arg[0] >= 1:
             parts.append(required_literals(arg[2]))
         elif op is sre_constants.BRANCH:
-            alternatives = [required_literals(branch) for branch in arg[1]]
+            alternatives = []
+            for branch in arg[1]:  # a loop, not a comprehension: no frame of its own
+                alternatives.append(required_literals(branch))
             if all(alternatives):
                 parts.append(frozenset().union(*alternatives))
     if run:
@@ -362,6 +371,17 @@ class CompiledSignature:
         (empty: no such literal). Read off the parse on first use: only
         a ``TextIndex`` asks, so a sub-rule compile never walks it."""
         return required_literals(self.tree)
+
+    @functools.cached_property
+    def prechecks(self) -> frozenset[str]:
+        """The literals a key must contain one of for the rule to be
+        searched in it, as the keys are written (empty: every key): under
+        case-insensitive matching ``literals`` lowercased, or none when
+        one of them is not ASCII."""
+        if not self.case_insensitive:
+            return self.literals
+        exact = all(map(str.isascii, self.literals))
+        return frozenset(map(str.lower, self.literals)) if exact else frozenset()
 
     @functools.cached_property
     def ignorecase(self) -> re.Pattern:
@@ -661,8 +681,8 @@ class TextIndex:
     set over key positions.
 
     ``costs`` gives each compile's search cost in cells: its candidate
-    keys, read off the masks of its literals, each built on first use in
-    the calling process, so forked workers inherit them. ``rule_rows``
+    keys, read off the masks of its ``prechecks``, each built on first use
+    in the calling process, so forked workers inherit them. ``rule_rows``
     gives a compile's packed row in every view, from one search of its
     candidate keys. A caller fans its rules out over ``rule_rows`` and
     keeps the rows it gets back (``detection_matrix``,
@@ -717,19 +737,9 @@ class TextIndex:
             found = self._found[literal] = _mask(positions, len(self.keys))
         return found
 
-    def _prechecked(self, compiled: CompiledSignature):
-        """The literals a key must contain one of for the rule to be
-        searched in it, as the keys are written; empty: every key."""
-        literals = compiled.literals
-        if compiled.case_insensitive:
-            if not all(lit.isascii() for lit in literals):
-                return ()
-            literals = {lit.lower() for lit in literals}
-        return literals
-
     def _candidate_mask(self, compiled: CompiledSignature) -> int | None:
         """Mask of the keys the rule may match; None: every key."""
-        literals = self._prechecked(compiled)
+        literals = compiled.prechecks
         if not literals:
             return None
         mask = self._unchecked
@@ -744,7 +754,8 @@ class TextIndex:
 
     def costs(self, compiled) -> list[int]:
         """The cells each compile's search takes: its candidate keys. Every
-        mask they read is built here, so a fan-out over them inherits it."""
+        compile's ``prechecks`` and every mask they read are built here,
+        so a fan-out over them inherits them."""
         masks = map(self._candidate_mask, compiled)
         return [len(self.keys) if mask is None else mask.bit_count() for mask in masks]
 
@@ -753,9 +764,9 @@ class TextIndex:
         if compiled.case_insensitive == self.case_sensitive:
             raise ValueError("a rule is compiled in the other case mode than the text index")
         keys, candidates = self.keys, self.candidates(compiled)
-        if self._unchecked:  # a key that is not ASCII is searched in ``ignorecase``
-            return [k for k in candidates if compiled.search(keys[k])]
-        return list(compress(candidates, map(compiled.pattern.search, map(keys.__getitem__, candidates))))
+        # a key that is not ASCII is searched in ``ignorecase``
+        search = compiled.search if self._unchecked else compiled.pattern.search
+        return list(compress(candidates, map(search, map(keys.__getitem__, candidates))))
 
     def rule_rows(self, compiled: CompiledSignature) -> tuple[int, ...]:
         """The rule's packed row in each view, in view order."""
@@ -770,7 +781,10 @@ class TextIndex:
 # (0.85 ms of it the fork), and the first import of ``pickle`` 3.2 ms,
 # which the one fan-out of an audit or a matrix pays alone. So a worker
 # costs about 3.6 + 3.2 = 6.8 ms, and 6.8 ms / 1.3 us is about 5,200
-# cells.
+# cells. Those figures predate the pinning of each child to its own CPU;
+# pinned, the same VM measured 1.4 ms per child and 1.7 ms for the
+# ``pickle`` import. The value is kept: a new one changes W, which is a
+# change of its own to measure.
 FAN_OUT_CELLS = 5_200
 
 _MISSING = object()  # an item no worker delivered
@@ -782,41 +796,48 @@ def fan_out(fn, costs, setup: int = 0) -> list:
     twice the break-even, ``FAN_OUT_CELLS`` plus ``setup``: the cells a
     forked worker spends redoing what the caller had cached for ``fn``.
 
-    W is the least of the items, the CPUs in the process's affinity set
-    and the total cost // the break-even, so each worker carries at
-    least its break-even share. The shares are dealt longest item first
-    (``_shares``): the caller computes share 0 and one forked child each
-    other share, so the split depends only on ``costs`` and the CPU set,
-    and equal costs send item i to worker i mod W. Child w pins itself
-    to CPU w of the set in ascending order as its first act, so the
-    shares run in parallel even where the kernel would keep every child
-    on the caller's CPU. A pin the kernel refuses (a CPU outside the
-    cpuset, or offline) is ignored, and that child runs where it was
-    allowed to. The caller never pins: its mask is the one it had. A
-    child pipes back the pickled results of the prefix of its share it
-    finished before any error, closes the pipe and leaves by
+    The CPU set is read once, as the process's affinity set in ascending
+    order, and W, the shares and the pins all come from that list. W is
+    the least of the items, the CPUs in the set and the total cost // the
+    break-even, so each worker carries at least its break-even share. The
+    shares are dealt longest item first (``_shares``): the caller
+    computes share 0 and one forked child each other share, so the split
+    depends only on ``costs`` and the CPU set, and equal costs send item
+    i to worker i mod W. Child w pins itself to CPU w of the list as its
+    first act, so the shares run in parallel even where the kernel would
+    keep every child on the caller's CPU. A pin the kernel refuses (a CPU
+    outside the cpuset, or offline) is ignored, and that child runs where
+    it was allowed to. The caller never pins: its mask is the one it had.
+    A child pipes back the pickled results of its whole share, or exits
+    without writing when one of its items raises; either way it leaves by
     ``os._exit``: it never returns into the caller's code, flushes no
-    inherited stream and runs no ``atexit`` hook. The caller then
-    computes every item that was not delivered, in index order, so it
-    raises the error a plain loop would raise first, from its own frame,
-    and a child that was killed or could not be forked costs a
-    recompute. Every child is reaped before this returns or raises.
+    inherited stream and runs no ``atexit`` hook. The caller computes its
+    own share up to its first error, then every item that was not
+    delivered, in index order, so it raises the error a plain loop would
+    raise first, from its own frame, and a child that raised, was killed
+    or could not be forked costs a recompute of its share. Every child is
+    reaped before this returns or raises.
 
     One process does it all when W is below 2, on one CPU, where
-    ``os.fork`` or ``os.sched_getaffinity`` is missing, and while another
-    thread is alive (a fork copies only the calling thread). ``fn`` reads
-    the caller's state as it was at the fork; what a child changes stays
-    in the child.
+    ``os.fork`` or ``os.sched_getaffinity`` is missing (the CPU list is
+    then empty), and while another thread is alive (a fork copies only
+    the calling thread). ``fn`` reads the caller's state as it was at the
+    fork; what a child changes stays in the child.
     """
     count = len(costs)
-    workers = _workers(costs, setup)
-    if workers == 1:
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else []
+    workers = min(count, len(cpus), sum(costs) // (FAN_OUT_CELLS + setup))
+    if workers > 1:
+        import threading
+
+        if threading.active_count() > 1:
+            workers = 1
+    if workers < 2:
         return [fn(i) for i in range(count)]
     import pickle  # only a fan-out needs these
     import signal
 
     shares = _shares(costs, workers)
-    cpus = sorted(os.sched_getaffinity(0))
     results = [_MISSING] * count
     children = []  # (share, pid, read end of its pipe)
     try:
@@ -835,22 +856,25 @@ def fan_out(fn, costs, setup: int = 0) -> list:
                     except OSError:  # refused: the child stays where it was
                         pass
                     os.close(read)
-                    data = memoryview(pickle.dumps(_prefix(fn, share), pickle.HIGHEST_PROTOCOL))
+                    data = memoryview(pickle.dumps([fn(i) for i in share], pickle.HIGHEST_PROTOCOL))
                     while data:
                         data = data[os.write(write, data) :]
                     os.close(write)
-                finally:
+                finally:  # an item that raised ends the child here, with nothing sent
                     os._exit(0)
             children.append((share, pid, read))
             os.close(write)
-        for i, found in zip(shares[0], _prefix(fn, shares[0])):
-            results[i] = found
+        for i in shares[0]:
+            try:
+                results[i] = fn(i)
+            except Exception:  # computed again below, which raises the plain loop's first error
+                break
         for share, _, read in children:
             with open(read, "rb", closefd=False) as pipe:
                 sent = pipe.read()
             try:
                 done = pickle.loads(sent)
-            except (EOFError, pickle.UnpicklingError):  # the child died before it sent all
+            except (EOFError, pickle.UnpicklingError):  # the child sent nothing, or died before it sent all
                 continue
             for i, found in zip(share, done):
                 results[i] = found
@@ -867,18 +891,6 @@ def fan_out(fn, costs, setup: int = 0) -> list:
         if found is _MISSING:
             results[i] = fn(i)
     return results
-
-
-def _workers(costs, setup: int) -> int:
-    """The processes a ``fan_out`` of items of these costs uses."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    workers = min(len(costs), len(os.sched_getaffinity(0)), sum(costs) // (FAN_OUT_CELLS + setup))
-    if workers < 2:
-        return 1
-    import threading
-
-    return workers if threading.active_count() == 1 else 1
 
 
 def _shares(costs, workers: int) -> list[list[int]]:
@@ -898,17 +910,6 @@ def _shares(costs, workers: int) -> list[list[int]]:
     for share in shares:
         share.sort()
     return shares
-
-
-def _prefix(fn, items) -> list:
-    """``fn`` of each of ``items`` in turn, up to the first that raises."""
-    done = []
-    try:
-        for i in items:
-            done.append(fn(i))
-    except Exception:  # the caller computes this item again and raises its error
-        pass
-    return done
 
 
 def _mask(positions: list[int], size: int) -> int:

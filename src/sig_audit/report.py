@@ -16,7 +16,7 @@ from . import __version__ as VERSION
 from . import classify, corpus as corpus_mod, matcher, mutate, normalize, stats, structural
 from .classify import AuditFinding, Label
 from .corpus import Corpus
-from .errors import IndeterminateExpansion, ParseError, dump_json, load_json
+from .errors import AuditError, IndeterminateExpansion, ParseError, dump_json, load_json
 
 
 class AuditReport(
@@ -185,6 +185,9 @@ FACTS_CELLS = 450
 # the time two processes take over half the time one takes, less the
 # fork's own cost: 18-53 ms on wide_vectors-0 and wide_rules-0, so about
 # 31 ms, 24,000 cells. A worker thus takes at least 29,200 cells of rules.
+# Those figures predate the pinning of each child to its own CPU; pinned,
+# the same VM measured 35-42 ms. The value is kept: a new one changes W,
+# which is a change of its own to measure.
 FACTS_SETUP_CELLS = 24_000
 
 
@@ -202,7 +205,9 @@ def run_audit(
     reverse engineered. ``set_a`` is the generic set's ids; by default
     the bundled list, when the corpus holds all of it. An id listed
     twice raises ``DuplicateId``, and an id the corpus lacks
-    ``UnknownId``, both before any rule compiles. The audit reads no
+    ``UnknownId``, both before any rule compiles. ``families`` defaults
+    to ``classify.default_families()``; a family name listed twice raises
+    ``AuditError``, also before any rule compiles. The audit reads no
     file but the bundled data: the command line turns its flags into
     these inputs.
 
@@ -253,6 +258,10 @@ def run_audit(
             "they are reverse engineered from observed bypasses, not vendor source"
         )
     families = families if families is not None else classify.default_families()
+    names = [fam.name for fam in families]
+    for name in names:  # a name listed twice would make Incomplete evidence ambiguous
+        if names.count(name) > 1:
+            raise AuditError(f"family {name!r} is listed twice")
     # the Incomplete check reads family members only, so only they are looked for
     tokens = frozenset().union(*(fam.members for fam in families))
 

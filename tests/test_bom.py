@@ -1,5 +1,7 @@
 """Every input file may start with a UTF-8 byte order mark, as editors
-that save with one write it: the file loads as it does without one."""
+that save with one write it: the file loads as it does without one. An
+input that is not UTF-8 is a parse error that names the file and the
+offset of its first bad byte."""
 
 import codecs
 
@@ -7,6 +9,7 @@ import pytest
 
 from sig_audit import cli, corpus as corpus_mod, normalize
 from sig_audit.corpus import data_dir, signatures_to_json, vectors_to_json
+from sig_audit.errors import ParseError, read_text
 from sig_audit.matcher import detection_matrix
 
 SIGNATURES = data_dir() / "phpids_sqli_signatures.tsv"
@@ -92,3 +95,36 @@ def test_bom_bytes_load_as_the_plain_bytes(corpus):
         corpus_mod.load_vectors(codecs.BOM_UTF8 + vectors, loaded)
         == corpus_mod.load_vectors(vectors, loaded)
     )
+
+
+@pytest.mark.parametrize("case", INPUTS.values(), ids=INPUTS.keys())
+def test_an_input_file_that_is_not_utf8_exits_1_naming_it(case, tmp_path, corpus, capsys):
+    """The file with a Latin-1 line appended: its ``\\xe9`` is the
+    first bad byte, 3 bytes past the end of the plain file."""
+    argv, path = case(tmp_path, corpus)
+    latin1 = tmp_path / ("latin1-" + path.name)
+    latin1.write_bytes(path.read_bytes() + "café\n".encode("latin-1"))
+    argv = [latin1 if arg == path else arg for arg in argv]
+    assert cli.main([str(arg) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    at = path.stat().st_size + 3
+    assert (out, err) == ("", f"sig-audit: error: {latin1}: not UTF-8 at byte {at}: invalid continuation byte\n")
+
+
+def test_bytes_that_are_not_utf8_are_a_parse_error():
+    """The offset counts every byte, a byte order mark included."""
+    latin1 = "S_1\t(?:café)\n".encode("latin-1")
+    for data, at in ((latin1, 10), (codecs.BOM_UTF8 + latin1, 13)):
+        with pytest.raises(ParseError) as info:
+            corpus_mod.load_signatures(data)
+        assert str(info.value) == f"document: not UTF-8 at byte {at}: invalid continuation byte"
+
+
+def test_a_file_reads_as_text_mode_reads_it(tmp_path):
+    """A file's line ends are read as text mode reads them, where
+    ``\\r\\n`` and a lone ``\\r`` are ``\\n``; bytes are decoded as they are."""
+    data = codecs.BOM_UTF8 + b"a\r\nb\rc\nd\r"
+    path = tmp_path / "f.tsv"
+    path.write_bytes(data)
+    assert read_text(path) == path.read_text(encoding="utf-8-sig") == "a\nb\nc\nd\n"
+    assert read_text(data) == "a\r\nb\rc\nd\r"

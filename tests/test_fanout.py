@@ -106,6 +106,19 @@ def test_fan_out_is_the_plain_loop(cpus, workers, count):
     check_the_plain_loop(forks, workers, count)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_one_cpu_set_read_per_fan_out(cpus, monkeypatch, workers):
+    """W, the shares and the pins all come from one read of the CPU set,
+    whether or not the call forks."""
+    use, forks = cpus
+    use(workers)
+    reads = _counting(monkeypatch, os, "sched_getaffinity")
+    for count in (0, 1, 5):
+        reads.clear()
+        check_the_plain_loop(forks, workers, count)
+        assert len(reads) == 1
+
+
 def refuse(pid, cpus):
     raise OSError(errno.EINVAL, "Invalid argument")
 
@@ -187,6 +200,28 @@ def test_the_first_error_of_the_plain_loop_reaches_the_caller(cpus):
     assert type(fanned.value) is type(plain.value) and str(fanned.value) == str(plain.value) == "S_3: unsupported construct"
     # the caller met item 4 in its share, then item 3 when it recomputed
     assert raised_in == [caller, caller]
+    no_child_left()
+
+
+def test_a_child_whose_item_raises_sends_nothing(cpus):
+    """Item 5 raises in the child alone: the child sends none of its
+    share, so the caller computes all of it after its own, in index
+    order, the items before the error included."""
+    use, forks = cpus
+    use(2)
+    caller = os.getpid()
+    in_caller = []
+
+    def fn(i):
+        if os.getpid() == caller:
+            in_caller.append(i)
+        elif i == 5:
+            raise ValueError(i)
+        return i
+
+    assert matcher.fan_out(fn, [CELLS] * 8) == list(range(8))
+    assert forks == [1]
+    assert in_caller == [0, 2, 4, 6, 1, 3, 5, 7]
     no_child_left()
 
 

@@ -550,6 +550,24 @@ def test_required_literals_read_off_the_parse():
         assert compile_signature(sig(pattern)).literals == literals, pattern
 
 
+def test_prechecks_are_the_literals_as_the_keys_are_written(corpus):
+    """Case-sensitive, the literals as written; case-insensitive, the
+    literals lowercased, or none when one is not ASCII. ``costs`` reads
+    every compile's prechecks, so forked searches inherit them."""
+    for pattern, folded in [
+        (r"UNION\s+Select", {"select"}),
+        (r"(?:union|SELECT)\s", {"union", "select"}),
+        ("(?:caf\u00e9|tea)", set()),
+        (r"[ab]c*", set()),
+    ]:
+        assert compile_signature(sig(pattern)).prechecks == folded, pattern
+        compiled = compile_signature(sig(pattern), case_sensitive=True)
+        assert compiled.prechecks == compiled.literals, pattern
+    compiled = [compile_signature(s) for s in corpus.signatures]
+    matcher.TextIndex(corpus, [(normalize.RAW_PIPELINE, False)]).costs(compiled)
+    assert all("prechecks" in vars(c) for c in compiled)
+
+
 def test_literals_are_walked_only_for_rules_an_index_searches(monkeypatch, corpus):
     walks, depth = [], [0]
     real = matcher.required_literals
@@ -867,7 +885,8 @@ def test_search_form_shape(corpus):
 def test_nesting_too_deep_to_check_is_a_dialect_error():
     """A capturing group holding a branch, repeated, is three tree levels
     a group, where the parser takes two frames: nested as deep as the
-    parser reads, the dialect check runs out of stack, which is a
+    parser reads, the parse is deeper than the dialect check allows (half
+    the recursion limit, in tree levels), which is a
     ``RegexDialectError`` and not a ``RecursionError``."""
     def nest(depth):
         return "x" + "(o|" * depth + "or" + ")?" * depth

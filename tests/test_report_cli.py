@@ -23,7 +23,7 @@ from sig_audit.corpus import (
     signatures_to_json,
     vectors_to_json,
 )
-from sig_audit.errors import DuplicateId, ParseError, UnknownId
+from sig_audit.errors import AuditError, DuplicateId, ParseError, RegexDialectError, UnknownId
 from sig_audit.report import AuditReport, render, run_audit
 from sig_audit.stats import overlap, partition
 
@@ -271,6 +271,31 @@ def test_family_member_outside_probe_set_reaches_incompleteness(tmp_path):
     assert [f.evidence["violations"] for f in incomplete] == [
         [{"family": "negation", "present": ["¬"], "missing": ["!"]}]
     ]
+
+
+def test_a_family_name_listed_twice_fails_before_any_rule_compiles(monkeypatch, tmp_path, capsys):
+    """A default family repeated by ``--families``, or by a library
+    caller, would give one rule two violations of one name; a name
+    repeated within one file is reported at its index."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rule was compiled")
+
+    monkeypatch.setattr(matcher, "compile_signature", refuse)
+    monkeypatch.setattr(structural, "compile_signature", refuse)
+    again = classify.RelatedOperatorFamily("logical_words", frozenset({"or", "and"}))
+    with pytest.raises(AuditError, match="family 'logical_words' is listed twice"):
+        run_audit(families=classify.default_families() + [again])
+    with pytest.raises(AuditError, match="family 'x' is listed twice"):
+        run_audit(families=[classify.RelatedOperatorFamily("x", frozenset({"a", "b"}))] * 2)
+    (tmp_path / "f.json").write_text('[{"name": "logical_words", "members": ["or", "and"]}]', encoding="utf-8")
+    (tmp_path / "g.json").write_text(
+        '[{"name": "x", "members": ["or", "and"]}, {"name": "x", "members": ["#", "--"]}]', encoding="utf-8"
+    )
+    for command in (["audit"], ["classify"]):
+        assert cli.main(command + ["--families", str(tmp_path / "f.json")]) == 1
+        assert capsys.readouterr() == ("", "sig-audit: error: family 'logical_words' is listed twice\n")
+        assert cli.main(command + ["--families", str(tmp_path / "g.json")]) == 1
+        assert capsys.readouterr() == ("", "sig-audit: error: family at index 1 repeats the name 'x'\n")
 
 
 def test_audit_extracts_exactly_the_family_members(monkeypatch, tmp_path, capsys):
@@ -551,9 +576,9 @@ def test_deepest_nesting_the_cli_loads_exits_cleanly(tmp_path, capsys, kind):
     """At the deepest nesting of each kind that ``structure`` or
     ``audit`` loads, both exit 0, or 1 with an error line, and never
     raise: every pass after the parse takes at most one frame per tree
-    level, where the parser takes two per group, and a group that is
-    three tree levels deep fails the dialect check at load. The one
-    payload holds no ``x``, so the rule's own search stays trivial."""
+    level, and the dialect check at load rejects a parse deeper than
+    half the recursion limit in tree levels. The one payload holds no
+    ``x``, so the rule's own search stays trivial."""
     nest = _NESTINGS[kind]
     (tmp_path / "v.tsv").write_text("v1\tD_1\tprobe\tgeneric\t1 or 1\n", encoding="utf-8")
     files = ["--signatures", str(tmp_path / "s.tsv"), "--vectors", str(tmp_path / "v.tsv")]
@@ -576,6 +601,41 @@ def test_deepest_nesting_the_cli_loads_exits_cleanly(tmp_path, capsys, kind):
         for other in commands:
             status, err = run(other, lo)
             assert status == 0 or (status == 1 and err.startswith("sig-audit: error: ")), (other, lo, err)
+
+
+def _deeper(frames: int, call):
+    """``call()`` from ``frames`` frames deeper than the caller's."""
+    return call() if frames == 0 else _deeper(frames - 1, call)
+
+
+@pytest.mark.parametrize("kind", list(_NESTINGS))
+def test_deepest_nesting_that_loads_audits_from_deeper_in_the_stack(kind):
+    """A library caller may load a rule near the top of its stack and
+    audit it from deeper down: at the deepest nesting of each kind that
+    ``load_signatures`` accepts, an audit in either case mode and a
+    matrix run 50 frames deeper than the load without a
+    ``RecursionError``, as the dialect check leaves half the stack to
+    the passes after it."""
+    nest = _NESTINGS[kind]
+
+    def load(depth):
+        try:
+            return load_signatures(f"D_1\t{nest(depth)}\n")
+        except RegexDialectError as exc:
+            assert "unparsable pattern" in str(exc)
+            return None
+
+    lo, hi = 1, sys.getrecursionlimit()  # lo loads, hi does not
+    assert load(lo) and not load(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if load(mid) else (lo, mid)
+    signatures = load(lo)
+    vectors = load_vectors("v1\tD_1\tprobe\tgeneric\t1 or 1\n", signatures)
+    deep = Corpus(tuple(signatures), tuple(vectors))
+    for case_sensitive in (False, True):
+        assert _deeper(50, lambda: run_audit(corpus=deep, case_sensitive=case_sensitive)).findings
+    assert _deeper(50, lambda: matcher.detection_matrix(deep, normalize.default_pipeline())).rows == (0,)
 
 
 def test_cli_structure_prints_the_same_document(capsys):
